@@ -133,11 +133,6 @@ def _cmd_evolve(args) -> int:
         surv = p_e0 + p_g1
     else:
         bath = _mm.sample_bath(params, args.n_modes, args.window)
-        if args.tau_max > bath.recurrence_horizon:
-            raise DomainError(
-                f"--tau-max {args.tau_max} exceeds the recurrence horizon "
-                f"{bath.recurrence_horizon:.3f} of the sampled bath"
-            )
         traj = _mm.evolve(bath, args.tau_max, sample_taus=taus)
         p_e0 = traj.p_e
         p_g1 = 1.0 - p_e0
@@ -149,6 +144,7 @@ def _cmd_evolve(args) -> int:
             "window": args.window,
             "recurrence_horizon": bath.recurrence_horizon,
         }
+        metadata["solver"] = traj.solver
     rows = [
         (taus[i], p_e0[i], p_g1[i], p_g0[i], surv[i], conc[i])
         for i in range(len(taus))

@@ -1,10 +1,10 @@
 """Brute-force continuum oracle: discretized multimode Schrodinger dynamics.
 
 The Lorentzian reservoir is sampled on a uniform frequency grid and the
-single-excitation state (qubit amplitude plus one amplitude per mode) is
-propagated with a fixed-step fourth-order Runge-Kutta scheme.  Nothing here
-knows about the closed-form amplitudes or the lossy-mode picture; agreement
-with them is what the oracle is for.
+single-excitation state is propagated exactly, through the spectrum of the
+arrowhead Hamiltonian [[0, g^T], [g, diag(delta)]].  Nothing here knows about
+the closed-form amplitudes or the lossy-mode picture; agreement with them is
+what the oracle is for.
 
 All quantities are rescaled: time by 4/kappa, detunings and couplings by
 kappa/4, so the Lorentzian has half-width 2 and total coupling strength xi.
@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, EigensolverError, IntegrationError
 from .model import ModelParams, _as_tau
 
 NORM_BUDGET = 1e-9          # state-type invariant
-NORM_ABORT = 1e-6           # evolve gives up beyond this drift
-STEP_RULE = 0.05            # dt <= STEP_RULE / fastest frequency
+NORM_ABORT = 1e-6           # evolve gives up when the weights sum this far from 1
+MAX_ITERATIONS = 30         # per secular root, as in LAPACK dlaed4
+BLOCK = 8                   # roots per block: each temporary holds about 8*N numbers
+_EPS = 2.0**-52             # double-precision machine epsilon
 _SYMMETRY_TOL = 1e-9
 
 
@@ -74,13 +76,11 @@ class DiscretizedBath:
         """Poincare recurrence estimate 2*pi / (smallest detuning spacing).
 
         The discrete bath mimics the continuum only well inside this time;
-        accuracy claims past it are meaningless.  A single-mode bath never
-        dephases, hence an infinite horizon.
+        accuracy claims past it are meaningless.  Equal detunings count once;
+        a bath with a single detuning never dephases (infinite horizon).
         """
-        if self.n_modes < 2:
-            return float("inf")
-        spacing = np.diff(np.sort(self.detunings)).min()
-        return float(2.0 * np.pi / spacing)
+        spacing = np.diff(np.unique(self.detunings))
+        return float(2.0 * np.pi / spacing.min()) if len(spacing) else float("inf")
 
 
 def sample_bath(params: ModelParams, n_modes: int, window: float) -> DiscretizedBath:
@@ -147,6 +147,7 @@ class MultimodeTrajectory:
     c_e: np.ndarray
     norms: np.ndarray
     final: MultimodeState
+    solver: dict  # deterministic counters of the secular-equation solve
     modes: list | None = field(default=None, repr=False)
 
     @property
@@ -159,33 +160,81 @@ class MultimodeTrajectory:
         return 2.0 * a * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
 
 
-def _default_dt(bath: DiscretizedBath) -> float:
-    fastest = max(
-        float(np.abs(bath.detunings).max()),
-        np.sqrt(bath.coupling_mass),
-        1.0,
-    )
-    return STEP_RULE / fastest
+def _propagate(poles, g, taus, mode_rows):
+    """Spectral propagation under [[0, g^T], [g, diag(poles)]] (distinct poles, g > 0).
+
+    Root j of E = sum g^2/(E - pole) lies alone between poles j-1 and j (virtual
+    poles past the norm close the outer intervals), held as an offset from the
+    nearer real pole.  Steps solve the fixed-weight two-pole model of LAPACK
+    dlaed4 (R.-C. Li, LAWN 89; Gu & Eisenstat, SIMAX 1994) in a bisection
+    bracket.  Returns c_e at taus, the pole amplitudes at taus[mode_rows], the
+    weight sum and the counters, each block of roots adding its share.
+    """
+    m = len(poles)
+    bound = 2.0 * (np.abs(poles).max(initial=0.0) + np.sqrt(g @ g)) + 1.0
+    ext, gext = np.r_[-bound, poles, bound], np.r_[0.0, g, 0.0]
+    c_e, weight_sum = np.zeros(len(taus), dtype=complex), 0.0
+    pole_amps = np.zeros((len(taus[mode_rows]), m), dtype=complex)
+    stats = {"roots": m + 1, "iterations": 0, "max_iterations": 0, "bisections": 0}
+    for j0 in range(0, m + 1, BLOCK):
+        j = np.arange(j0, min(j0 + BLOCK, m + 1))
+        o, tau = j, 0.5 * (ext[j + 1] - ext[j])  # the midpoint, from the left pole
+        for k in range(MAX_ITERATIONS + 1):
+            # at E = ext[o] + tau, pole - E = (pole - ext[o]) - tau is exact near the anchor
+            t = g / ((poles - ext[o, None]) - tau[:, None])
+            gt, energy = g * t, ext[o] + tau
+            f, df = energy + gt.sum(1), 1.0 + np.einsum("rk,rk->r", t, t)
+            if k == 0:  # anchor each root at the nearer real pole
+                right = ((f <= 0) | (j == 0)) & (j != m)
+                o, done = j + right, np.zeros(len(j), dtype=bool)
+                tau, lo, hi = np.where(right, -tau, tau), ext[j] - ext[o], ext[j + 1] - ext[o]
+                gap, g_o = ext[j + 1 - right] - ext[o], gext[o]
+            lo, hi = np.where(f < 0, tau, lo), np.where(f > 0, tau, hi)
+            err = 8.0 * np.abs(gt).sum(1) + np.abs(energy) + np.abs(tau) * df
+            done |= (np.abs(f) <= _EPS * err) | (hi - lo <= 4.0 * _EPS * np.abs(tau))
+            if done.all():
+                break
+            if k == MAX_ITERATIONS:
+                bad = j[~done]
+                raise EigensolverError(
+                    f"secular roots {bad.tolist()} between poles {ext[bad].tolist()} "
+                    f"and {ext[bad + 1].tolist()} unconverged"
+                )
+            stats["iterations"] += int((~done).sum())
+            dd = tau * (tau - gap)  # (anchor - E) * (other pole - E)
+            a, b = (gap - 2.0 * tau) * f - dd * df, dd * f
+            c = f - (gap - tau) * df + gap * (g_o / tau) ** 2
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+            step = tau + np.where(f * eta < 0, eta, -f / df)  # uphill: Newton instead
+            bisect = ~done & ~((lo < step) & (step < hi))
+            stats["bisections"] += int(bisect.sum())
+            tau = np.where(done, tau, np.where(bisect, 0.5 * (lo + hi), step))
+        stats["max_iterations"] = max(stats["max_iterations"], k)
+        phase = np.exp(-1j * np.outer(taus, energy)) / df  # w_j = 1/f'(E_j)
+        c_e += phase.sum(1)
+        pole_amps -= phase[mode_rows] @ t
+        weight_sum += float((1.0 / df).sum())
+    stats["weight_defect"] = abs(weight_sum - 1.0)
+    return c_e, pole_amps, weight_sum, stats
 
 
 def evolve(
     bath: DiscretizedBath,
     t_end,
-    dt: float | None = None,
     sample_taus: np.ndarray | None = None,
     keep_modes: bool = False,
 ) -> MultimodeTrajectory:
-    """Propagate |e, vac> under the discretized Hamiltonian.
+    """Propagate |e, vac> under the discretized Hamiltonian, exactly.
 
-    Classic RK4 with a fixed step bounded by 0.05 over the fastest frequency
-    in the problem (largest detuning or the collective coupling), refined per
-    sample interval so every requested time is hit exactly.  Norm drift is
-    the error monitor: beyond 1e-6 the run aborts.
+    Uncoupled modes drop out and equal detunings merge; the spectrum is solved
+    once (O(N^2) time, O(N) memory), then c_e(tau) = sum_j w_j exp(-i E_j tau)
+    and c_k(tau) = sum_j w_j g_k/(E_j - delta_k) exp(-i E_j tau) at any tau,
+    with w_j = 1/(1 + sum g^2/(E_j - delta)^2).  The weights sum to the norm;
+    off by more than NORM_ABORT the run aborts.
     """
     t_end = float(_as_tau(t_end))
-    if dt is not None and (dt <= 0 or not np.isfinite(dt)):
-        raise DomainError(f"dt must be positive, got {dt}")
-    step_cap = min(dt, _default_dt(bath)) if dt is not None else _default_dt(bath)
     if sample_taus is None:
         sample_taus = np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
     samples = np.asarray(sample_taus, dtype=float)
@@ -193,51 +242,23 @@ def evolve(
         raise DomainError("sample times must be strictly increasing")
     if samples[0] < 0 or samples[-1] > t_end + 1e-12 * max(1.0, t_end):
         raise DomainError("sample times must lie inside [0, t_end]")
-
-    delta = bath.detunings
-    g = bath.couplings
-    n = bath.n_modes
-    y = np.zeros(n + 1, dtype=complex)
-    y[0] = 1.0
-
-    def f(state):
-        out = np.empty_like(state)
-        out[0] = -1j * np.dot(g, state[1:])
-        out[1:] = -1j * (delta * state[1:] + g * state[0])
-        return out
-
-    c_e = np.empty(len(samples), dtype=complex)
-    norms = np.empty(len(samples))
-    modes: list | None = [] if keep_modes else None
-
-    def emit(i, tau):
-        nrm = float(np.vdot(y, y).real)
-        if abs(nrm - 1.0) > NORM_ABORT:
-            raise IntegrationError(f"norm drift {abs(nrm - 1.0)} at tau={tau}")
-        c_e[i] = y[0]
-        norms[i] = nrm
-        if modes is not None:
-            modes.append(y[1:].copy())
-
-    t = 0.0
-    for i, tau in enumerate(samples):
-        span = tau - t
-        if span > 0:
-            steps = max(1, int(np.ceil(span / step_cap - 1e-12)))
-            h = span / steps
-            for _ in range(steps):
-                k1 = f(y)
-                k2 = f(y + 0.5 * h * k1)
-                k3 = f(y + 0.5 * h * k2)
-                k4 = f(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t = tau
-        emit(i, tau)
-
-    final = MultimodeState(c_e=complex(y[0]), c_k=y[1:].copy())
-    return MultimodeTrajectory(
-        taus=samples, c_e=c_e, norms=norms, final=final, modes=modes
-    )
+    if samples[-1] > bath.recurrence_horizon:
+        raise DomainError(f"sample time {samples[-1]} exceeds the recurrence horizon "
+                          f"{bath.recurrence_horizon:.3f} of the N={bath.n_modes} bath")
+    coupled = bath.couplings > 8.0 * _EPS * np.sqrt(bath.coupling_mass)  # else lost to rounding
+    poles, pole_of = np.unique(bath.detunings[coupled], return_inverse=True)
+    merged = np.sqrt(np.bincount(pole_of, weights=bath.couplings[coupled] ** 2))
+    mode_rows = slice(None) if keep_modes else slice(-1, None)  # the final state, or all
+    c_e, pole_amps, weight_sum, stats = _propagate(poles, merged, samples, mode_rows)
+    if stats["weight_defect"] > NORM_ABORT:
+        raise IntegrationError(f"qubit weights sum to {weight_sum}, not 1")
+    amps = np.zeros((len(pole_amps), bath.n_modes), dtype=complex)
+    # a merged mode splits back in proportion to the couplings
+    amps[:, coupled] = bath.couplings[coupled] / merged[pole_of] * pole_amps[:, pole_of]
+    norms = np.where(samples == 0.0, 1.0, weight_sum)
+    c_e[samples == 0.0], amps[samples[mode_rows] == 0.0] = 1.0, 0.0  # the initial state, exactly
+    final = MultimodeState(c_e=complex(c_e[-1]), c_k=amps[-1].copy())
+    return MultimodeTrajectory(samples, c_e, norms, final, stats, [*amps] if keep_modes else None)
 
 
 def reservoir_concurrence(state: MultimodeState) -> float:

@@ -154,20 +154,6 @@ def heatmap(
     """Evaluate the grid method at every point, xi-major ordering."""
     workers = resolve_workers(workers)
     t0 = time.perf_counter()
-    bath_meta = None
-    if grid.method == "multimode":
-        bath = _mm.sample_bath(ModelParams(xi=float(grid.xi_values[0])), n_modes, window)
-        if float(grid.tau_values[-1]) > bath.recurrence_horizon:
-            raise DomainError(
-                f"tau grid reaches {grid.tau_values[-1]}, beyond the recurrence "
-                f"horizon {bath.recurrence_horizon} of the N={n_modes}, W={window} bath"
-            )
-        bath_meta = {
-            "n_modes": n_modes,
-            "window": window,
-            "recurrence_horizon": bath.recurrence_horizon,
-            "note": "discrete bath is only faithful for tau well inside the horizon",
-        }
     tasks = [
         (grid.method, float(xi), grid.tau_values, lindblad_tol, n_modes, window)
         for xi in grid.xi_values
@@ -189,8 +175,14 @@ def heatmap(
     }
     if grid.method == "lindblad":
         metadata["lindblad_tol"] = lindblad_tol
-    if bath_meta is not None:
-        metadata["bath"] = bath_meta
+    if grid.method == "multimode":
+        bath = _mm.sample_bath(ModelParams(xi=float(grid.xi_values[0])), n_modes, window)
+        metadata["bath"] = {
+            "n_modes": n_modes,
+            "window": window,
+            "recurrence_horizon": bath.recurrence_horizon,
+            "note": "discrete bath is only faithful for tau well inside the horizon",
+        }
     return SweepResult(records=records, metadata=metadata)
 
 
@@ -379,7 +371,7 @@ def _check_multimode(quick: bool):
         detunings=np.zeros(1), couplings=np.array([2.0]), window=0.0, n_modes=1
     )
     jt = np.linspace(0.0, 2.0, 81)
-    jtraj = _mm.evolve(jc, 2.0, dt=5e-4, sample_taus=jt)
+    jtraj = _mm.evolve(jc, 2.0, sample_taus=jt)
     jc_err = float(np.abs(jtraj.p_e - np.cos(2.0 * jt) ** 2).max())
 
     return [

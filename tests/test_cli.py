@@ -92,6 +92,21 @@ class TestEvolve:
         )
         assert code == 2
 
+    def test_multimode_solver_counters_in_metadata(self, capsys):
+        argv = ["evolve", "--xi", "2.0", "--method", "multimode", "--n-modes", "201",
+                "--window", "10.0", "--tau-max", "2.0", "--steps", "21", "--format", "json"]
+        docs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        solver = docs[0]["metadata"]["solver"]
+        assert set(solver) == {
+            "roots", "iterations", "max_iterations", "bisections", "weight_defect"
+        }
+        assert solver["roots"] == 202
+        assert docs[1]["metadata"]["solver"] == solver
+        assert docs[1]["data"] == docs[0]["data"]
+
     def test_missing_xi_is_a_usage_error(self):
         assert main(["evolve"]) == 2
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lorentzbath import multimode
 from lorentzbath.analytic import _amplitude_arrays
-from lorentzbath.errors import DomainError
+from lorentzbath.errors import DomainError, EigensolverError, IntegrationError
 from lorentzbath.model import ModelParams
 from lorentzbath.multimode import (
+    MAX_ITERATIONS,
     DiscretizedBath,
     MultimodeState,
     _lorentzian,
@@ -134,13 +136,11 @@ class TestEvolve:
             evolve(bath, 1.0, sample_taus=np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             evolve(bath, 1.0, sample_taus=np.array([0.0, 2.0]))
-        with pytest.raises(DomainError):
-            evolve(bath, 1.0, dt=-0.1)
 
     def test_resonant_single_mode_is_rabi(self):
         xi = 2.0
         taus = np.linspace(0.0, 3.0, 61)
-        traj = evolve(_jc_bath(xi), t_end=3.0, dt=5e-4, sample_taus=taus)
+        traj = evolve(_jc_bath(xi), t_end=3.0, sample_taus=taus)
         assert np.abs(traj.c_e - np.cos(xi * taus)).max() < 1e-9
 
     def test_tracks_continuum_inside_horizon(self):
@@ -170,6 +170,84 @@ class TestEvolve:
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
         traj = evolve(bath, t_end=1.0, sample_taus=np.linspace(0.0, 1.0, 5))
         assert traj.modes is None
+
+    def test_rejects_samples_past_the_recurrence_horizon(self):
+        bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
+        with pytest.raises(DomainError, match="recurrence horizon"):
+            evolve(bath, t_end=10.0)
+        assert evolve(bath, t_end=10.0, sample_taus=np.array([0.0, 7.5])).taus[-1] == 7.5
+
+    def test_repeated_detunings_share_one_horizon(self):
+        bath = _hand_built_bath(np.random.default_rng(3))
+        spacing = np.diff(np.unique(bath.detunings)).min()
+        assert bath.recurrence_horizon == pytest.approx(2.0 * np.pi / spacing, rel=1e-15)
+
+    def test_solver_counters_repeat(self):
+        bath = sample_bath(ModelParams(xi=2.0), n_modes=501, window=40.0)
+        first, second = (evolve(bath, t_end=3.0) for _ in range(2))
+        assert first.solver == second.solver
+        assert first.solver["roots"] == 502
+        assert 0 < first.solver["max_iterations"] <= MAX_ITERATIONS
+        assert first.solver["weight_defect"] <= 1e-12
+
+    def test_unconverged_root_raises(self, monkeypatch):
+        monkeypatch.setattr(multimode, "MAX_ITERATIONS", 0)
+        with pytest.raises(EigensolverError, match="unconverged"):
+            evolve(sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0), t_end=1.0)
+
+    def test_weight_defect_beyond_abort_raises(self, monkeypatch):
+        monkeypatch.setattr(multimode, "NORM_ABORT", -1.0)
+        with pytest.raises(IntegrationError, match="weights"):
+            evolve(_jc_bath(1.0), t_end=1.0)
+
+    def test_ce_does_not_depend_on_the_sample_grid(self):
+        bath = sample_bath(ModelParams(xi=2.0), n_modes=201, window=10.0)
+        tau = 1.3
+        alone = evolve(bath, t_end=2.0, sample_taus=np.array([tau]))
+        among = evolve(bath, t_end=2.0, sample_taus=np.r_[np.linspace(0.0, 1.2, 7), tau, 1.9])
+        assert alone.c_e[0] == among.c_e[7]
+
+
+def _hand_built_bath(rng) -> DiscretizedBath:
+    """41 irregular modes: one uncoupled, two weakly coupled, one detuning pair repeated.
+
+    A weak mode pins a root within g^2 of its detuning, where E_j - delta_k
+    is only accurate if the root is held relative to its nearer pole.
+    """
+    half = np.sort(rng.uniform(0.2, 12.0, size=19))
+    detunings = np.r_[-half[::-1], 0.0, half, -half[4], half[4]]
+    couplings = rng.uniform(0.05, 0.6, size=41)
+    couplings[7] = 0.0
+    couplings[[12, 30]] = 1e-5
+    return DiscretizedBath(detunings, couplings, window=3.0, n_modes=41)
+
+
+def _dense_propagation(bath: DiscretizedBath, taus: np.ndarray) -> np.ndarray:
+    """Independent reference: dense eigendecomposition of the star Hamiltonian.
+
+    Returns one row per sample, qubit amplitude first, then the modes.
+    """
+    n = bath.n_modes
+    h = np.zeros((n + 1, n + 1))
+    h[0, 1:] = h[1:, 0] = bath.couplings
+    h[1:, 1:] = np.diag(bath.detunings)
+    energies, vectors = np.linalg.eigh(h)
+    return (np.exp(-1j * np.outer(taus, energies)) * vectors[0]) @ vectors.T
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_matches_dense_eigh(self, seed):
+        bath = _hand_built_bath(np.random.default_rng(seed))
+        taus = np.linspace(0.0, 6.0, 25)
+        assert taus[-1] < bath.recurrence_horizon
+        traj = evolve(bath, t_end=6.0, sample_taus=taus, keep_modes=True)
+        ref = _dense_propagation(bath, taus)
+        assert np.abs(traj.c_e - ref[:, 0]).max() < 1e-12
+        assert np.abs(np.array(traj.modes) - ref[:, 1:]).max() < 1e-12
+        assert (np.array(traj.modes)[:, 7] == 0.0).all()  # the uncoupled mode
+        assert traj.c_e[0] == 1.0 and not traj.modes[0].any()  # tau = 0, exactly
+        assert np.abs(traj.final.c_k - ref[-1, 1:]).max() < 1e-12
 
 
 class TestConcurrence:
