@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -131,6 +132,7 @@ def _cmd_evolve(args) -> int:
         p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
         conc = traj.concurrences
         surv = p_e0 + p_g1
+        metadata["solver"] = asdict(traj.solver)
     else:
         bath = _mm.sample_bath(params, args.n_modes, args.window)
         traj = _mm.evolve(bath, args.tau_max, sample_taus=taus)

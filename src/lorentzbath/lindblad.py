@@ -16,37 +16,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, StiffnessError
+from .errors import DomainError, IntegrationError, InvariantError, StiffnessError
 from .model import (
+    SAMPLE_SLACK,
     DensityMatrix3,
-    EIGENVALUE_FLOOR,
     ModelParams,
     RescaledTime,
-    TRACE_TOL,
     _as_tau,
+    _sample_times,
 )
 
 KAPPA_RESCALED = 4.0
 
 _MIN_STEP = 1e-14
 
-# Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
-# (FSAL), the second weight row is the embedded 4th-order solution.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau, stage i combining rows A[i, :i]; the last row
+# doubles as the 5th-order weights (FSAL), _B4 is the embedded 4th-order one.
+# Complex, so the stage combinations with the complex stages need no cast.
+_A = np.zeros((7, 7), dtype=complex)
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_E = _B5 - _B4
+_E = _A[6] - _B4
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,24 @@ def rhs(rho, params: ModelParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """Deterministic counters of one run; the step sizes read 0 if none was taken."""
+
+    accepted: int
+    rejected: int  # error-test failures
+    capped: int  # steps shrunk by the interpolation bound
+    generator_calls: int
+    h_min: float
+    h_max: float
+    worst_trace_drift: float  # over the emitted samples
+    min_eigenvalue: float
+
+
+@dataclass(frozen=True)
 class LindbladTrajectory:
     taus: np.ndarray
     states: list[DensityMatrix3]
+    solver: IntegratorStats
 
     @property
     def p_e0(self) -> np.ndarray:
@@ -107,6 +119,12 @@ class LindbladTrajectory:
         return 2.0 * np.abs(self.coherences)
 
 
+def _liouvillian(f, params: ModelParams) -> np.ndarray:
+    """The linear generator ``f`` as a 9x9 matrix on row-major flattened states."""
+    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    return np.array([np.asarray(f(e, params), dtype=complex).reshape(9) for e in basis]).T
+
+
 def _hermite(y0, y1, f0, f1, h, theta):
     t2 = theta * theta
     t3 = t2 * theta
@@ -119,23 +137,26 @@ def _hermite(y0, y1, f0, f1, h, theta):
 
 
 def _check_sample(m: np.ndarray, budget: float, tau: float) -> DensityMatrix3:
-    drift = abs(m.trace().real - 1.0)
+    herm = 0.5 * (m + m.conj().T)
+    drift = abs(herm.trace().real - 1.0)
     if drift > budget:
         raise IntegrationError(f"trace drift {drift} beyond budget at tau={tau}")
-    herm = 0.5 * (m + m.conj().T)
-    evals, vecs = np.linalg.eigh(herm)
-    if evals.min() < -budget:
-        raise IntegrationError(
-            f"eigenvalue {evals.min()} beyond budget at tau={tau}"
-        )
-    if evals.min() < EIGENVALUE_FLOOR or drift > TRACE_TOL:
-        # Inside the 10*tol budget but outside the strict state type, which
-        # can only happen when tol is looser than the type's own floors:
-        # project onto the physical cone and renormalise.  At the default
-        # tol the budget coincides with the floors, so this never engages.
-        evals = np.clip(evals, 0.0, None)
-        herm = (vecs * (evals / evals.sum())) @ vecs.conj().T
-    return DensityMatrix3(herm)
+    try:
+        state = DensityMatrix3(herm)
+        low, evals = state.min_eigenvalue, None
+    except InvariantError:
+        evals, vecs = np.linalg.eigh(herm)
+        low = evals.min()
+    if low < -budget:
+        raise IntegrationError(f"eigenvalue {low} beyond budget at tau={tau}")
+    if evals is None:
+        return state
+    # Inside the 10*tol budget but outside the strict state type, which can
+    # only happen when tol is looser than the type's own floors: project onto
+    # the physical cone and renormalise.  At the default tol the budget
+    # coincides with the floors, so this never engages.
+    evals = np.clip(evals, 0.0, None)
+    return DensityMatrix3((vecs * (evals / evals.sum())) @ vecs.conj().T)
 
 
 def integrate(
@@ -145,85 +166,89 @@ def integrate(
 ) -> LindbladTrajectory:
     """Integrate the master equation and sample by dense output.
 
-    Dormand-Prince 5(4) with PI step-size control; requested sample times are
-    filled in by cubic Hermite interpolation inside each accepted step.  Every
-    emitted sample is validated: trace or positivity drift beyond 10*tol
-    raises, a step size underflow (below 1e-14) raises a stiffness error.
+    The generator is probed once into a 9x9 matrix L on the flattened state,
+    so each Dormand-Prince 5(4) stage is one matvec; PI step-size control.
+    Requested sample times are filled in by cubic Hermite interpolation inside
+    each accepted step.  Every emitted sample is validated: trace or
+    positivity drift beyond 10*tol raises, a step size underflow (below
+    1e-14) raises a stiffness error.
 
     ``rhs_fn`` replaces the built-in generator (same signature as :func:`rhs`
-    applied to a 3x3 array); the verification harness uses this to prove the
-    cross-checks catch an injected defect.
+    applied to a 3x3 array, and linear like it: it is probed on the nine basis
+    matrices); the verification harness uses this to prove the cross-checks
+    catch an injected defect.
     """
     t_end = float(config.t_end)
-    if sample_taus is None:
-        sample_taus = np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
-    samples = np.asarray(sample_taus, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0 or np.any(np.diff(samples) <= 0):
-        raise DomainError("sample times must be strictly increasing")
-    if samples[0] < 0 or samples[-1] > t_end + 1e-12:
-        raise DomainError("sample times must lie inside [0, t_end]")
-
-    params = config.params
-    f = (lambda m: rhs(m, params)) if rhs_fn is None else (lambda m: rhs_fn(m, params))
+    samples = _sample_times(sample_taus, t_end)
+    L = _liouvillian(rhs if rhs_fn is None else rhs_fn, config.params)
+    # The {e0, g1} block stays exactly rank one, so the zero eigenvalue sits
+    # on the positivity boundary and the cubic Hermite interpolant must beat
+    # the -1e-9 floor on its own.  Its error (h^4/384)|y^(4)|, with
+    # y^(4) = L^3 k0, is capped before the stages of any step that emits a sample.
+    L3 = L @ L @ L
+    cap = 384.0 * min(config.tol, 1e-10)
     budget = 10.0 * config.tol
-    interp_budget = min(config.tol, 1e-10)
 
-    y = np.zeros((3, 3), dtype=complex)
-    y[0, 0] = 1.0
+    y = np.zeros(9, dtype=complex)
+    y[0] = 1.0
     t = 0.0
     h = min(config.dt, t_end)
     tol = config.tol
     err_prev = 1.0
 
-    slack = 1e-12 * max(1.0, t_end)
+    slack = SAMPLE_SLACK * max(1.0, t_end)
     out: list[DensityMatrix3] = []
     idx = 0
     while idx < len(samples) and samples[idx] <= t + slack:
-        out.append(_check_sample(y.copy(), budget, samples[idx]))
+        out.append(_check_sample(y.reshape(3, 3), budget, samples[idx]))
         idx += 1
 
-    k = [np.empty_like(y) for _ in range(7)]
-    k[0] = f(y)
+    k = np.zeros((7, 9), dtype=complex)
+    k[0] = L @ y
+    steps, rejected, capped = [], 0, 0
     while t < t_end and idx < len(samples):
         h = min(h, t_end - t)
+        if samples[idx] <= t + h + slack:
+            d4 = float(np.abs(L3 @ k[0]).max())
+            if d4 * h**4 > cap:
+                h, capped = 0.9 * (cap / d4) ** 0.25, capped + 1
         if h < _MIN_STEP:
             raise StiffnessError(f"step size underflow ({h}) at tau={t}")
+        ah = h * _A
         for i in range(1, 7):
-            acc = y + h * sum(_A[i][j] * k[j] for j in range(i)) if i > 1 else y + h * _A[1][0] * k[0]
-            k[i] = f(acc)
+            acc = y + ah[i, :i] @ k[:i]
+            k[i] = L @ acc
         y_new = acc  # stage 7 argument equals the 5th-order solution (FSAL)
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+        r = h * (_E @ k) / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = float(np.sqrt(np.vdot(r, r).real / 9))  # RMS over the 9 components
         if err <= 1.0:
-            if idx < len(samples) and samples[idx] <= t + h + slack:
-                # The {e0, g1} block stays exactly rank one, so the zero
-                # eigenvalue sits on the positivity boundary and the cubic
-                # Hermite interpolant must beat the -1e-9 floor on its own.
-                # The generator is linear, hence y'''' = L^3 applied to k0.
-                y4 = f(f(f(k[0])))
-                interp = (h**4 / 384.0) * float(np.abs(y4).max())
-                if interp > interp_budget:
-                    h *= max(0.2, 0.9 * (interp_budget / interp) ** 0.25)
-                    continue
             while idx < len(samples) and samples[idx] <= t + h + slack:
                 theta = min(max((samples[idx] - t) / h, 0.0), 1.0)
                 m = _hermite(y, y_new, k[0], k[6], h, theta)
-                out.append(_check_sample(m, budget, samples[idx]))
+                out.append(_check_sample(m.reshape(3, 3), budget, samples[idx]))
                 idx += 1
             t += h
             y = y_new
-            k[0] = k[6].copy()
+            k[0] = k[6]
+            steps.append(h)
             fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-4)
         else:
+            rejected += 1
             h *= max(0.1, 0.9 * err**-0.2)
     if idx < len(samples):
         raise IntegrationError(
             f"integration stopped at tau={t} before the last sample time"
         )
-    return LindbladTrajectory(samples, out)
+    stats = IntegratorStats(
+        accepted=len(steps), rejected=rejected, capped=capped,
+        generator_calls=L.shape[1],  # one probe per basis matrix
+        h_min=min(steps, default=0.0), h_max=max(steps, default=0.0),
+        worst_trace_drift=max(float(abs(s.matrix.trace().real - 1.0)) for s in out),
+        min_eigenvalue=min(s.min_eigenvalue for s in out),
+    )
+    return LindbladTrajectory(samples, out, stats)
 
 
 def concurrence_from_state(rho: DensityMatrix3) -> float:

@@ -19,6 +19,7 @@ TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
 CONSISTENCY_TOL = 1e-12
+SAMPLE_SLACK = 1e-12  # relative to max(1, t_end)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,22 @@ def _as_tau(tau: "RescaledTime | float") -> float:
     return tau.tau if isinstance(tau, RescaledTime) else float(tau)
 
 
+def _sample_times(sample_taus, t_end: float) -> np.ndarray:
+    """Requested sample times, or 401 points on [0, t_end]; checked against it.
+
+    The last time may pass t_end by SAMPLE_SLACK*max(1, t_end), so a grid that
+    ends at t_end up to rounding is accepted at any horizon.
+    """
+    if sample_taus is None:
+        return np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
+    samples = np.asarray(sample_taus, dtype=float)
+    if samples.ndim != 1 or len(samples) == 0 or np.any(np.diff(samples) <= 0):
+        raise DomainError("sample times must be strictly increasing")
+    if samples[0] < 0 or samples[-1] > t_end + SAMPLE_SLACK * max(1.0, t_end):
+        raise DomainError("sample times must lie inside [0, t_end]")
+    return samples
+
+
 @dataclass(frozen=True)
 class PureAmplitudes:
     """No-jump amplitudes on {|e,0>, |g,1>}; the weight 1-<psi|psi> sits in |g,0>."""
@@ -109,6 +126,7 @@ class DensityMatrix3:
     """Validated density matrix on the basis (|e,0>, |g,1>, |g,0>)."""
 
     matrix: np.ndarray = field(repr=False)
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)  # found by validation
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -119,10 +137,12 @@ class DensityMatrix3:
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantError(f"trace {tr} deviates from 1 beyond 1e-9")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < EIGENVALUE_FLOOR:
+        low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+        if low < EIGENVALUE_FLOOR:
             raise InvariantError("matrix has an eigenvalue below -1e-9")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", low)
 
     @property
     def p_e0(self) -> float:

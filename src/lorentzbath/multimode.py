@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EigensolverError, IntegrationError
-from .model import ModelParams, _as_tau
+from .model import ModelParams, _as_tau, _sample_times
 
 NORM_BUDGET = 1e-9          # state-type invariant
 NORM_ABORT = 1e-6           # evolve gives up when the weights sum this far from 1
@@ -235,13 +235,7 @@ def evolve(
     off by more than NORM_ABORT the run aborts.
     """
     t_end = float(_as_tau(t_end))
-    if sample_taus is None:
-        sample_taus = np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
-    samples = np.asarray(sample_taus, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0 or np.any(np.diff(samples) <= 0):
-        raise DomainError("sample times must be strictly increasing")
-    if samples[0] < 0 or samples[-1] > t_end + 1e-12 * max(1.0, t_end):
-        raise DomainError("sample times must lie inside [0, t_end]")
+    samples = _sample_times(sample_taus, t_end)
     if samples[-1] > bath.recurrence_horizon:
         raise DomainError(f"sample time {samples[-1]} exceeds the recurrence horizon "
                           f"{bath.recurrence_horizon:.3f} of the N={bath.n_modes} bath")

@@ -294,18 +294,12 @@ class VerificationReport:
 
 def _mutated_rhs(m, params: ModelParams):
     """Deliberately defective generator: the coupling enters one off-diagonal
-    element with a flipped sign, the way a missed conjugate would.  Used to
-    prove the oracle-equivalence check has teeth."""
+    element with a flipped sign (h[0, 1] = -xi), the way a missed conjugate
+    would.  Used to prove the oracle-equivalence check has teeth."""
     m = np.asarray(m, dtype=complex)
-    xi = params.xi
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = -xi
-    h[1, 0] = xi
-    out = -1j * (h @ m - m @ h)
-    out[1, :] -= 2.0 * m[1, :]
-    out[:, 1] -= 2.0 * m[:, 1]
-    out[2, 2] += 4.0 * m[1, 1]
-    return out
+    flip = np.zeros((3, 3), dtype=complex)
+    flip[0, 1] = -2.0 * params.xi
+    return _lb.rhs(m, params) - 1j * (flip @ m - m @ flip)
 
 
 def _check_lindblad_equivalence(quick: bool):

@@ -107,6 +107,22 @@ class TestEvolve:
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]
 
+    def test_lindblad_solver_counters_in_metadata(self, capsys):
+        argv = ["evolve", "--xi", "2.0", "--method", "lindblad", "--tau-max", "6.0",
+                "--format", "json"]
+        docs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        solver = docs[0]["metadata"]["solver"]
+        assert set(solver) == {
+            "accepted", "rejected", "capped", "generator_calls", "h_min", "h_max",
+            "worst_trace_drift", "min_eigenvalue",
+        }
+        assert solver["generator_calls"] == 9 and solver["accepted"] > 0
+        assert docs[1]["metadata"]["solver"] == solver
+        assert docs[1]["data"] == docs[0]["data"]
+
     def test_missing_xi_is_a_usage_error(self):
         assert main(["evolve"]) == 2
 

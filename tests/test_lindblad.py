@@ -6,6 +6,7 @@ from lorentzbath.errors import DomainError, IntegrationError, StiffnessError
 from lorentzbath.lindblad import (
     KAPPA_RESCALED,
     LindbladConfig,
+    _liouvillian,
     concurrence_from_state,
     integrate,
     rhs,
@@ -43,6 +44,16 @@ class TestGenerator:
         rho = pure_to_density(PureAmplitudes(c_e0=1.0, c_g1=0.0))
         out = rhs(rho, ModelParams(xi=2.0))
         assert out[0, 1] == pytest.approx(2.0j)
+
+    @pytest.mark.parametrize("xi", [0.05, 1.7, 30.0])
+    def test_probed_liouvillian_reproduces_rhs(self, rng, xi):
+        params = ModelParams(xi=xi)
+        L = _liouvillian(rhs, params)
+        for _ in range(20):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            want = rhs(m, params).reshape(9)
+            got = L @ m.reshape(9)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestConfig:
@@ -82,6 +93,13 @@ class TestSampling:
             integrate(cfg, sample_taus=np.array([0.0, 1.5]))
         with pytest.raises(DomainError):
             integrate(cfg, sample_taus=np.array([-0.1, 0.5]))
+
+    def test_end_slack_is_relative_to_the_horizon(self):
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=400.0)
+        traj = integrate(cfg, sample_taus=np.array([0.0, 400.0 * (1 + 5e-13)]))
+        assert len(traj.states) == 2
+        with pytest.raises(DomainError):
+            integrate(cfg, sample_taus=np.array([0.0, 400.0 + 1e-9]))
 
     def test_default_grid_has_401_points(self):
         traj = integrate(LindbladConfig(ModelParams(xi=2.0), t_end=1.0))
@@ -131,6 +149,32 @@ class TestIntegration:
                 # split of the exactly-zero eigenvalue an order lower
                 assert low > -2e-10
 
+    def test_interpolation_cap_keeps_tolerances_consistent(self):
+        # without the pre-step cap on the Hermite error the fine run leaves
+        # the positivity budget; with a cap that scales with tol the coarse
+        # run is off by its interpolation error, about 1e-8
+        taus = np.linspace(0.0, 6.0, 401)
+        runs = [
+            integrate(LindbladConfig(ModelParams(xi=2.0), t_end=6.0, tol=tol), taus)
+            for tol in (1e-8, 1e-10)
+        ]
+        assert np.abs(runs[0].p_e0 - runs[1].p_e0).max() < 1e-9
+        assert np.abs(runs[0].coherences - runs[1].coherences).max() < 1e-9
+        assert runs[0].solver.capped > 0
+
+    def test_solver_counters(self):
+        taus = np.linspace(0.0, 6.0, 401)
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=6.0)
+        first, second = integrate(cfg, taus), integrate(cfg, taus)
+        stats = first.solver
+        assert stats == second.solver
+        assert stats.generator_calls == 9
+        assert stats.accepted > 0 and 0 < stats.capped <= stats.accepted + stats.rejected
+        assert 0 < stats.h_min <= stats.h_max
+        assert stats.worst_trace_drift < 1e-12
+        assert stats.min_eigenvalue == min(s.min_eigenvalue for s in first.states)
+        assert stats.min_eigenvalue > -2e-10
+
     def test_trajectory_properties_are_consistent(self):
         taus = np.linspace(0.0, 2.0, 21)
         traj = integrate(LindbladConfig(ModelParams(xi=1.5), t_end=2.0), taus)
@@ -157,6 +201,20 @@ class TestFailureModes:
                 sample_taus=np.array([0.0, 0.5]),
                 rhs_fn=lambda m, params: np.eye(3, dtype=complex),
             )
+
+    @pytest.mark.parametrize("rate, tol", [(1.0, 1e-10), (1e-10, 1e-12)])
+    def test_negative_eigenvalue_beyond_budget_is_caught(self, rate, tol):
+        # trace-preserving, but moves population out of the empty |g,1>; the
+        # second case stays above the state type's -1e-9 floor and is caught
+        # by the tighter 10*tol budget alone
+        def leak(m, params):
+            out = np.zeros((3, 3), dtype=complex)
+            out[0, 0], out[1, 1] = rate * m[0, 0], -rate * m[0, 0]
+            return out
+
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0, tol=tol)
+        with pytest.raises(IntegrationError, match="eigenvalue .* at tau=1.0"):
+            integrate(cfg, sample_taus=np.array([0.0, 1.0]), rhs_fn=leak)
 
     def test_step_underflow_raises_stiffness_error(self):
         cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)

@@ -137,6 +137,13 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(bath, 1.0, sample_taus=np.array([0.0, 2.0]))
 
+    def test_end_slack_is_relative_to_the_horizon(self):
+        bath = _jc_bath(1.0)
+        traj = evolve(bath, 400.0, sample_taus=np.array([0.0, 400.0 * (1 + 5e-13)]))
+        assert len(traj.c_e) == 2
+        with pytest.raises(DomainError):
+            evolve(bath, 400.0, sample_taus=np.array([0.0, 400.0 + 1e-9]))
+
     def test_resonant_single_mode_is_rabi(self):
         xi = 2.0
         taus = np.linspace(0.0, 3.0, 61)

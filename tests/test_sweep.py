@@ -10,6 +10,7 @@ from lorentzbath.sweep import (
     SweepResult,
     VerificationReport,
     WORKERS_ENV,
+    _check_mutation,
     _mutated_rhs,
     _rows_for_xi,
     cmax_curve,
@@ -194,6 +195,27 @@ class TestMutation:
         good = rhs(m, ModelParams(xi=2.0))
         bad = _mutated_rhs(m, ModelParams(xi=2.0))
         assert np.abs(good - bad).max() > 1.0
+
+    def test_differs_from_rhs_by_the_flipped_coupling_only(self, rng):
+        from lorentzbath.lindblad import rhs
+        from lorentzbath.model import ModelParams
+
+        xi = 1.3
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        diff = _mutated_rhs(m, ModelParams(xi=xi)) - rhs(m, ModelParams(xi=xi))
+        e01 = np.zeros((3, 3))
+        e01[0, 1] = 1.0
+        # h[0, 1] = xi becomes -xi: -i[dh, m] with dh = -2 xi |e,0><g,1|
+        term = 2j * xi * (e01 @ m - m @ e01)
+        assert np.abs(diff - term).max() < 1e-14
+        off = np.ones((3, 3), dtype=bool)
+        off[0, :] = off[:, 1] = False
+        assert (diff[off] == 0).all()
+
+    def test_harness_detects_mutated_generator(self):
+        (result,) = _check_mutation(quick=True)
+        assert result.name == "harness_detects_mutated_generator"
+        assert result.passed
 
 
 class TestVerify:
