@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchNotApplicable, DomainError
+from .errors import BranchNotApplicable, DomainError, SearchError
 from .model import ModelParams, PureAmplitudes, RescaledTime, _as_tau
 
 CRITICAL_WINDOW = 1e-6
@@ -45,28 +45,28 @@ def regime(params: ModelParams) -> Regime:
     return Regime.UNDERDAMPED if params.xi > 1.0 else Regime.OVERDAMPED
 
 
-def _omega(xi: float) -> float:
+def _omega(xi):
     # (xi-1)(xi+1) avoids cancellation in xi**2 - 1 near the critical line
-    return math.sqrt(abs((xi - 1.0) * (xi + 1.0)))
+    return np.sqrt(np.abs((xi - 1.0) * (xi + 1.0)))
 
 
-def _amplitude_arrays(xi: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised (c_e0, c_g1) over an array of rescaled times.
+def _critical(xi, tau):
+    env = np.exp(-tau)
+    return env * (1.0 + tau), -1j * xi * tau * env
 
-    The overdamped branch is evaluated as a difference of decaying
-    exponentials so it cannot overflow at large tau; the small-w*tau
-    cancellation in that difference is routed through expm1.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if abs(xi - 1.0) < CRITICAL_WINDOW:
-        env = np.exp(-tau)
-        return env * (1.0 + tau), -1j * xi * tau * env
+
+def _underdamped(xi, tau):
     w = _omega(xi)
-    if xi > 1.0:
-        x = w * tau
-        env = np.exp(-tau)
-        sinc = np.sin(x) / w
-        return env * (np.cos(x) + sinc), -1j * xi * env * sinc
+    x = w * tau
+    env = np.exp(-tau)
+    sinc = np.sin(x) / w
+    return env * (np.cos(x) + sinc), -1j * xi * env * sinc
+
+
+def _overdamped(xi, tau):
+    # a difference of decaying exponentials cannot overflow at large tau;
+    # the small-w*tau cancellation in that difference goes through expm1
+    w = _omega(xi)
     ea = np.exp(-(1.0 - w) * tau)
     eb = np.exp(-(1.0 + w) * tau)
     x = 2.0 * w * tau
@@ -74,6 +74,31 @@ def _amplitude_arrays(xi: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarra
     c_e0 = 0.5 * (ea + eb) + diff / (2.0 * w)
     c_g1 = -1j * xi * diff / (2.0 * w)
     return c_e0.astype(complex), c_g1
+
+
+_BRANCHES = (_critical, _underdamped, _overdamped)
+
+
+def _amplitude_arrays(xi, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised (c_e0, c_g1) over coupling ratios and rescaled times.
+
+    ``xi`` and ``tau`` broadcast against each other; every point is
+    evaluated by the branch its xi selects, on that branch's mask.
+    """
+    xi = np.asarray(xi, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    crit = np.abs(xi - 1.0) < CRITICAL_WINDOW
+    under = ~crit & (xi > 1.0)
+    masks = (crit, under, ~crit & ~under)
+    for mask, branch in zip(masks, _BRANCHES):
+        if mask.all():
+            return branch(xi, tau)
+    xi, tau, *masks = np.broadcast_arrays(xi, tau, *masks)
+    c_e0 = np.empty(xi.shape, dtype=complex)
+    c_g1 = np.empty(xi.shape, dtype=complex)
+    for mask, branch in zip(masks, _BRANCHES):
+        c_e0[mask], c_g1[mask] = branch(xi[mask], tau[mask])
+    return c_e0, c_g1
 
 
 def amplitudes(params: ModelParams, tau: RescaledTime | float) -> PureAmplitudes:
@@ -139,47 +164,70 @@ def t_opt_formula(params: ModelParams) -> RescaledTime:
 def _search_window(xi: float) -> float:
     if xi > 1.0 + CRITICAL_WINDOW:
         return max(10.0, 4.0 * math.pi / _omega(xi))
-    return 10.0
+    # twice the weak-coupling optimum ln(2/xi^2)/2, written so xi^2 cannot underflow
+    return max(10.0, math.log(2.0) - 2.0 * math.log(xi))
 
 
-def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL) -> float:
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def t_opt_numeric(params: ModelParams) -> RescaledTime:
-    """Grid scan plus golden-section refinement of the concurrence maximum.
-
-    Returns the earliest global maximiser; a concurrence below 1e-14 across
-    the whole window is treated as degenerate and reported as tau=0.
-    """
-    xi = params.xi
+def _coarse_bracket(xi: float) -> tuple[float, float]:
+    """Grid neighbours of the coarse concurrence argmax; (0, 0) if degenerate."""
     ub = _search_window(xi)
     grid = np.linspace(0.0, ub, _COARSE_POINTS)
     if xi > 1.0 + CRITICAL_WINDOW:
         # resolve the first two Rabi periods so the coarse argmax cannot
         # land in a lower lobe when the window is much longer than 2*pi/w
         head = np.linspace(0.0, min(ub, 2.0 * math.pi / _omega(xi)), _COARSE_POINTS)
-        grid = np.unique(np.concatenate([grid, head]))
+        grid = np.sort(np.concatenate([grid, head]))
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     values = _concurrence_arrays(xi, grid)
     i = int(values.argmax())
     if values[i] < ZERO_MAX_FLOOR:
-        return RescaledTime(0.0)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    f = lambda t: float(_concurrence_arrays(xi, np.asarray([t]))[0])
-    return RescaledTime(_golden_max(f, lo, hi))
+        return 0.0, 0.0
+    if i == len(grid) - 1:
+        raise SearchError(
+            f"concurrence maximum sits on the search window edge tau={ub} at xi={xi!r}"
+        )
+    return grid[max(i - 1, 0)], grid[i + 1]
+
+
+def t_opt_batch(xi_values) -> np.ndarray:
+    """Earliest concurrence maximiser for every xi of an array, found at once.
+
+    Each xi gets its own coarse grid scan.  The golden-section refinements
+    then run in lock-step: each pass shrinks every open bracket by the
+    comparison its own search would make and evaluates all the new points
+    in one call, so each xi gets the bits a search of its own would give.
+    A bracket closes once it is narrower than ``_GOLDEN_TOL``.  A
+    concurrence below 1e-14 across the whole window is treated as
+    degenerate and reported as tau=0; a maximum on the far edge of the
+    window raises ``SearchError``.
+    """
+    xi = np.asarray(xi_values, dtype=float)
+    a, b = np.array([_coarse_bracket(x) for x in xi.tolist()]).reshape(-1, 2).T
+    t = 0.5 * (a + b)
+    idx = np.flatnonzero(b - a > _GOLDEN_TOL)
+    xi, a, b = xi[idx], a[idx], b[idx]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(_concurrence_arrays(np.concatenate([xi, xi]), np.concatenate([c, d])), 2)
+    while len(idx):
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = (
+            np.where(left, b - _INV_PHI * (b - a), d),
+            np.where(left, c, a + _INV_PHI * (b - a)),
+        )
+        f = _concurrence_arrays(xi, np.where(left, c, d))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        done = ~(b - a > _GOLDEN_TOL)
+        t[idx[done]] = 0.5 * (a[done] + b[done])
+        keep = ~done
+        idx, xi, a, b, c, d, fc, fd = (v[keep] for v in (idx, xi, a, b, c, d, fc, fd))
+    return t
+
+
+def t_opt_numeric(params: ModelParams) -> RescaledTime:
+    """Grid scan plus golden-section refinement: ``t_opt_batch`` of one xi."""
+    return RescaledTime(float(t_opt_batch([params.xi])[0]))
 
 
 @dataclass(frozen=True)
@@ -201,6 +249,24 @@ class OptimumRecord:
             raise DomainError(f"c_max {self.c_max} outside [0, 1]")
 
 
+def _optimum(params: ModelParams, tn: float) -> OptimumRecord:
+    cn = concurrence(params, tn)
+    if cn < ZERO_MAX_FLOOR:
+        return OptimumRecord(params.xi, 0.0, 0.0, source="numeric", degenerate=True)
+    if regime(params) is Regime.UNDERDAMPED:
+        tf = t_opt_formula(params)
+        if abs(tf.tau - tn) < 1e-6:
+            return OptimumRecord(params.xi, tf.tau, concurrence(params, tf), "formula")
+    return OptimumRecord(params.xi, tn, cn, "numeric")
+
+
+def c_max_batch(xi_values) -> tuple:
+    """``c_max`` for every xi of an array, with one lock-step search."""
+    xi = np.asarray(xi_values, dtype=float).tolist()
+    tn = t_opt_batch(xi).tolist()
+    return tuple(_optimum(ModelParams(xi=x), t) for x, t in zip(xi, tn))
+
+
 def c_max(params: ModelParams) -> OptimumRecord:
     """Maximum extractable concurrence over the evolution.
 
@@ -208,15 +274,7 @@ def c_max(params: ModelParams) -> OptimumRecord:
     search to 1e-6 in tau, otherwise the numeric result; the winning source
     is annotated on the record.
     """
-    tn = t_opt_numeric(params)
-    cn = concurrence(params, tn)
-    if cn < ZERO_MAX_FLOOR:
-        return OptimumRecord(params.xi, 0.0, 0.0, source="numeric", degenerate=True)
-    if regime(params) is Regime.UNDERDAMPED:
-        tf = t_opt_formula(params)
-        if abs(tf.tau - tn.tau) < 1e-6:
-            return OptimumRecord(params.xi, tf.tau, concurrence(params, tf), "formula")
-    return OptimumRecord(params.xi, tn.tau, cn, "numeric")
+    return c_max_batch([params.xi])[0]
 
 
 def c_max_derivative(xi: float, h: float | None = None) -> float:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +35,6 @@ _EVOLVE_COLUMNS_ANALYTIC = (
 )
 _EVOLVE_COLUMNS_ORACLE = ("tau", "p_e0", "p_g1", "p_g0", "survival", "concurrence")
 _HEATMAP_COLUMNS = ("xi", "tau", "concurrence")
-_CMAX_COLUMNS = ("xi", "tau_opt", "c_max", "dcmax_dxi", "source")
 _SIDEBAND_COLUMNS = ("mode", "g", "kappa", "nu", "n", "epsilon", "mu", "lambda", "xi")
 _VERIFY_COLUMNS = ("name", "budget", "measured", "status")
 
@@ -55,34 +55,49 @@ def _jsonable(value):
     return str(value)
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _emit(args, metadata: dict, columns, rows) -> int:
+def _encode_column(column, fmt: str) -> list:
+    """The cells of one column as text, encoded once by the column's type."""
+    values = np.asarray(column)
+    items = values.tolist()
+    kind = values.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in items]
+    if kind in "iu":
+        return list(map(str, items))
+    if kind == "f":
+        if fmt == "csv":
+            return ["%.17g" % v for v in items]
+        cells = list(map(float.__repr__, items))
+        if not np.isfinite(values).all():
+            cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+        return cells
+    return items if fmt == "csv" else list(map(encode_basestring_ascii, items))
+
+
+def _emit(args, metadata: dict, names, columns) -> int:
+    """Write one table; ``columns`` holds one equal-length sequence per name
+    (the transpose of a 2-D array works)."""
     metadata = dict(metadata)
     metadata["artifact_version"] = __version__
     metadata["schema_version"] = SCHEMA_VERSION
     metadata["config"] = _resolved_config(args)
+    rows = zip(*(_encode_column(c, args.format) for c in columns))
     if args.format == "json":
-        payload = {
-            "metadata": {**_jsonable(metadata), "columns": list(columns)},
-            "data": [[_jsonable(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        # the layout json.dumps(..., indent=2) gives the data list
+        data = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+        data = f"[\n    [\n      {data}\n    ]\n  ]" if data else "[]"
+        head = json.dumps({"metadata": {**_jsonable(metadata), "columns": list(names)}}, indent=2)
+        text = f'{head[:-2]},\n  "data": {data}\n}}\n'
     else:
         lines = [
             f"# {key}: {json.dumps(_jsonable(val), sort_keys=True)}"
             for key, val in metadata.items()
         ]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        lines.append(",".join(names))
+        lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -116,15 +131,11 @@ def _cmd_evolve(args) -> int:
         ce, cg = analytic._amplitude_arrays(args.xi, taus)
         p_e0, p_g1 = np.abs(ce) ** 2, np.abs(cg) ** 2
         surv = p_e0 + p_g1
-        rows = [
-            (
-                taus[i], ce[i].real, ce[i].imag, cg[i].real, cg[i].imag,
-                p_e0[i], p_g1[i], 1.0 - surv[i], surv[i],
-                2.0 * abs(ce[i]) * abs(cg[i]),
-            )
-            for i in range(len(taus))
-        ]
-        return _emit(args, metadata, _EVOLVE_COLUMNS_ANALYTIC, rows)
+        columns = (
+            taus, ce.real, ce.imag, cg.real, cg.imag,
+            p_e0, p_g1, 1.0 - surv, surv, 2.0 * np.abs(ce) * np.abs(cg),
+        )
+        return _emit(args, metadata, _EVOLVE_COLUMNS_ANALYTIC, columns)
     if args.method == "lindblad":
         traj = _lb.integrate(
             _lb.LindbladConfig(params=params, t_end=args.tau_max), sample_taus=taus
@@ -147,11 +158,8 @@ def _cmd_evolve(args) -> int:
             "recurrence_horizon": bath.recurrence_horizon,
         }
         metadata["solver"] = traj.solver
-    rows = [
-        (taus[i], p_e0[i], p_g1[i], p_g0[i], surv[i], conc[i])
-        for i in range(len(taus))
-    ]
-    return _emit(args, metadata, _EVOLVE_COLUMNS_ORACLE, rows)
+    columns = (taus, p_e0, p_g1, p_g0, surv, conc)
+    return _emit(args, metadata, _EVOLVE_COLUMNS_ORACLE, columns)
 
 
 # ---------------------------------------------------------------- heatmap
@@ -182,9 +190,7 @@ def _cmd_heatmap(args) -> int:
         tau_spacing="linear",
     )
     result = sweep.heatmap(grid, n_modes=args.n_modes, window=args.window)
-    data = result.records[:, :3]
-    rows = [tuple(r) for r in data]
-    return _emit(args, result.metadata, _HEATMAP_COLUMNS, rows)
+    return _emit(args, result.metadata, _HEATMAP_COLUMNS, result.records[:, :3].T)
 
 
 # ------------------------------------------------------------------ cmax
@@ -193,11 +199,7 @@ def _cmd_heatmap(args) -> int:
 def _cmd_cmax(args) -> int:
     xi = _axis(args.xi_min, args.xi_max, args.steps, args.scale, "xi")
     curve = sweep.cmax_curve(xi, spacing=args.scale)
-    rows = [
-        (rec.xi, rec.tau_opt, rec.c_max, curve.derivative[i], rec.source)
-        for i, rec in enumerate(curve.records)
-    ]
-    return _emit(args, curve.metadata, _CMAX_COLUMNS, rows)
+    return _emit(args, curve.metadata, sweep.CMAX_COLUMNS, curve.columns)
 
 
 # -------------------------------------------------------------- sideband
@@ -227,7 +229,7 @@ def _cmd_sideband(args) -> int:
             "forward", args.g, args.kappa, args.nu, args.n,
             args.epsilon, args.epsilon / args.nu, lam, 4.0 * abs(lam) / args.kappa,
         )
-    return _emit(args, {"command": "sideband"}, _SIDEBAND_COLUMNS, [row])
+    return _emit(args, {"command": "sideband"}, _SIDEBAND_COLUMNS, [[v] for v in row])
 
 
 # ---------------------------------------------------------------- verify
@@ -235,10 +237,9 @@ def _cmd_sideband(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = sweep.verify(quick=args.quick)
-    rows = report.rows()
     metadata = dict(report.metadata)
     metadata["overall"] = "pass" if report.passed else "FAIL"
-    code = _emit(args, metadata, _VERIFY_COLUMNS, rows)
+    code = _emit(args, metadata, _VERIFY_COLUMNS, list(zip(*report.rows())))
     if code != 0:
         return code
     return 0 if report.passed else 1

@@ -25,6 +25,10 @@ class StiffnessError(IntegrationError):
     """Adaptive step control underflowed; the problem is too stiff here."""
 
 
+class SearchError(RuntimeError):
+    """A numeric optimum search did not bracket its maximum."""
+
+
 class EigensolverError(RuntimeError):
     """An eigenvalue routine failed; the offending matrix is in the message."""
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +158,8 @@ def heatmap(
         for xi in grid.xi_values
     ]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_rows_for_xi, tasks))
     else:
@@ -223,6 +224,12 @@ class CmaxCurve:
     def tau_opt(self) -> np.ndarray:
         return np.array([r.tau_opt for r in self.records])
 
+    @property
+    def columns(self) -> tuple:
+        """One sequence per name of ``CMAX_COLUMNS``, in that order."""
+        source = [r.source for r in self.records]
+        return (self.xi, self.tau_opt, self.c_max, self.derivative, source)
+
 
 def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
     xi = np.asarray(xi_values, dtype=float)
@@ -231,7 +238,7 @@ def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
     if xi.min() <= 0 or (len(xi) > 1 and np.any(np.diff(xi) <= 0)):
         raise DomainError("xi_values must be positive and strictly increasing")
     t0 = time.perf_counter()
-    recs = tuple(analytic.c_max(ModelParams(xi=float(x))) for x in xi)
+    recs = analytic.c_max_batch(xi)
     c = np.array([r.c_max for r in recs])
     deriv = np.gradient(c, xi) if len(xi) > 1 else np.full(1, np.nan)
     viol = tuple(
@@ -247,20 +254,6 @@ def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     return CmaxCurve(records=recs, derivative=deriv, violations=viol, metadata=metadata)
-
-
-def cmax_records_array(curve: CmaxCurve) -> np.ndarray:
-    """Numeric table for serialization; source encoded 0=formula, 1=numeric."""
-    out = np.empty((len(curve.records), 5))
-    for i, rec in enumerate(curve.records):
-        out[i] = (
-            rec.xi,
-            rec.tau_opt,
-            rec.c_max,
-            curve.derivative[i],
-            0.0 if rec.source == "formula" else 1.0,
-        )
-    return out
 
 
 # --------------------------------------------------------------------------

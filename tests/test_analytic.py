@@ -15,13 +15,16 @@ from lorentzbath.analytic import (
     concurrence,
     regime,
     survival_probability,
+    t_opt_batch,
     t_opt_formula,
     t_opt_numeric,
 )
-from lorentzbath.errors import BranchNotApplicable, DomainError
+from lorentzbath import analytic
+from lorentzbath.cli import main
+from lorentzbath.errors import BranchNotApplicable, DomainError, SearchError
 from lorentzbath.model import ModelParams
 
-from _oracles import amplitudes_by_ode
+from _oracles import amplitudes_by_ode, golden_section_max
 
 # Independently recomputed reference points (40-digit arithmetic, see the
 # closed forms in the module docstring; the optimum location solves
@@ -227,3 +230,68 @@ class TestOptimum:
             c_max_derivative(2.0, h=0.0)
         with pytest.raises(DomainError):
             c_max_derivative(1e-5)
+
+
+class TestBatchedSearch:
+    """The lock-step search must give each xi the bits of a search of its own."""
+
+    @staticmethod
+    def _alone(xi):
+        lo, hi = analytic._coarse_bracket(xi)
+        if lo == hi:
+            return 0.0
+        f = lambda t: float(analytic._concurrence_arrays(xi, np.asarray([t]))[0])
+        return golden_section_max(f, lo, hi, analytic._GOLDEN_TOL)
+
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            np.linspace(1.0 - 2e-6, 1.0 + 2e-6, 41),
+            np.sort(np.exp(np.random.default_rng(20240601).uniform(-6.0, 5.0, 60))),
+            np.array([1e-20, 0.5, 1.0, 2.0]),
+        ],
+        ids=["critical-straddle", "seeded-random", "every-branch"],
+    )
+    def test_bit_identical_to_single_searches(self, xi):
+        batch = t_opt_batch(xi)
+        alone = np.array([self._alone(x) for x in xi.tolist()])
+        one_by_one = np.array([float(t_opt_numeric(ModelParams(xi=x))) for x in xi.tolist()])
+        assert batch.tobytes() == alone.tobytes()
+        assert batch.tobytes() == one_by_one.tobytes()
+
+    def test_amplitudes_broadcast_bit_identical(self, rng):
+        xi = np.concatenate([rng.uniform(0.01, 20.0, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 20)])
+        tau = rng.uniform(0.0, 12.0, len(xi))
+        ce, cg = _amplitude_arrays(xi, tau)
+        for i, (x, t) in enumerate(zip(xi.tolist(), tau.tolist())):
+            ce1, cg1 = _amplitude_arrays(x, np.asarray([t]))
+            # the critical branch gives a real c_e0
+            assert ce[i : i + 1].tobytes() == ce1.astype(complex).tobytes()
+            assert cg[i : i + 1].tobytes() == cg1.tobytes()
+
+
+class TestWeakCoupling:
+    @pytest.mark.parametrize("xi", [5e-5, 1e-5, 1e-6])
+    def test_optimum_matches_dense_grid(self, xi):
+        # the optimum approaches ln(2/xi^2)/2, past the old tau <= 10 window
+        rec = c_max(ModelParams(xi=xi))
+        window = math.log(2.0 / xi**2)
+        grid = np.linspace(0.0, window, 400_001)
+        values = analytic._concurrence_arrays(xi, grid)
+        i = int(values.argmax())
+        assert rec.source == "numeric" and not rec.degenerate
+        assert 0.0 < i < len(grid) - 1
+        assert rec.c_max >= values[i] * (1.0 - 1e-13)
+        # the top is flat to rounding over ~1e-2 in tau at xi=1e-6
+        assert abs(rec.tau_opt - grid[i]) < 2e-2
+
+    def test_window_keeps_moderate_coupling(self):
+        assert analytic._search_window(0.0096) == 10.0
+        assert analytic._search_window(0.5) == 10.0
+
+    def test_maximum_on_window_edge_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(analytic, "_search_window", lambda xi: 5.0)
+        with pytest.raises(SearchError, match="xi=1e-05"):
+            c_max(ModelParams(xi=1e-5))
+        assert main(["cmax", "--xi-min", "1e-5", "--xi-max", "2e-5", "--steps", "2"]) == 1
+        assert "SearchError" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from lorentzbath.cli import main
+from lorentzbath import SCHEMA_VERSION, __version__
+from lorentzbath.cli import _emit, main
 from lorentzbath.sweep import WORKERS_ENV
 
 
@@ -27,6 +29,61 @@ def csv_sections(text):
     meta = [l for l in lines if l.startswith("# ")]
     body = [l for l in lines if not l.startswith("# ")]
     return meta, body[0], body[1:]
+
+
+def _reference_cell(value) -> str:
+    """Per-cell CSV encoding: strings as they are, %.17g floats."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return "%.17g" % value
+
+
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1 / 3, -1e300]
+TABLES = {
+    "mixed": (
+        ("x", "n", "flag", "label"),
+        (np.array(SPECIAL), list(range(-3, 5)), [True, False] * 4,
+         ["plain", 'q"uote', "back\\slash", "\u03be", "tab\t", "", "a,b", "\n"]),
+    ),
+    "one-row": (("a", "b", "c"), (np.array([0.1]), [7], ["only"])),
+    "zero-rows": (("a", "b"), (np.array([]), [])),
+    "2-d-array": (("p", "q", "r"), np.arange(12.0).reshape(4, 3).T / 7.0),
+}
+
+
+class TestEmit:
+    """Column-wise encoding against the per-cell encoders it replaced."""
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_reference_encoders(self, table, fmt, capsys):
+        names, columns = TABLES[table]
+        rows = [
+            [v.item() if isinstance(v, np.generic) else v for v in row]
+            for row in zip(*columns)
+        ]
+        args = argparse.Namespace(format=fmt, out=None)
+        assert _emit(args, {"command": "test", "n": 2}, names, columns) == 0
+        meta = {
+            "command": "test",
+            "n": 2,
+            "artifact_version": __version__,
+            "schema_version": SCHEMA_VERSION,
+            "config": {"format": fmt, "out": None},
+        }
+        if fmt == "json":
+            payload = {"metadata": {**meta, "columns": list(names)}, "data": rows}
+            expected = json.dumps(payload, indent=2) + "\n"
+        else:
+            lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
+            lines.append(",".join(names))
+            lines.extend(",".join(_reference_cell(v) for v in row) for row in rows)
+            expected = "\n".join(lines) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestEvolve:

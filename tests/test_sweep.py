@@ -13,8 +13,8 @@ from lorentzbath.sweep import (
     _check_mutation,
     _mutated_rhs,
     _rows_for_xi,
+    CMAX_COLUMNS,
     cmax_curve,
-    cmax_records_array,
     heatmap,
     resolve_workers,
     verify,
@@ -178,12 +178,14 @@ class TestCmaxCurve:
         with pytest.raises(DomainError):
             cmax_curve(np.array([-1.0, 1.0]))
 
-    def test_records_array_encoding(self):
+    def test_columns_follow_cmax_columns(self):
         curve = cmax_curve(np.array([1.0, 2.0]))
-        table = cmax_records_array(curve)
-        assert table.shape == (2, 5)
-        assert table[0, 4] == 1.0  # numeric
-        assert table[1, 4] == 0.0  # formula
+        columns = curve.columns
+        assert len(columns) == len(CMAX_COLUMNS) == 5
+        assert all(len(c) == 2 for c in columns)
+        assert columns[4][0] == "numeric"
+        assert columns[4][1] == "formula"
+        assert list(columns[2]) == list(curve.c_max)
 
 
 class TestMutation:
