@@ -8,15 +8,12 @@ non-Markovianity curve, and the sideband-drive control map.
 from ._version import SCHEMA_VERSION, __version__
 from .analytic import (
     OptimumRecord,
-    Regime,
     amplitudes,
     c_max,
     c_max_derivative,
     concurrence,
-    regime,
     survival_probability,
     t_opt_formula,
-    t_opt_numeric,
 )
 from .entanglement import (
     TwoQubitDensity,
@@ -25,13 +22,11 @@ from .entanglement import (
     xstate_concurrence,
 )
 from .errors import (
-    BranchNotApplicable,
     DomainError,
     EigensolverError,
     FormError,
     IntegrationError,
     InvariantError,
-    SearchError,
     StiffnessError,
     TargetNotReachable,
 )
@@ -76,26 +71,21 @@ __all__ = [
     "SCHEMA_VERSION",
     "__version__",
     "OptimumRecord",
-    "Regime",
     "amplitudes",
     "c_max",
     "c_max_derivative",
     "concurrence",
-    "regime",
     "survival_probability",
     "t_opt_formula",
-    "t_opt_numeric",
     "TwoQubitDensity",
     "embed",
     "wootters_concurrence",
     "xstate_concurrence",
-    "BranchNotApplicable",
     "DomainError",
     "EigensolverError",
     "FormError",
     "IntegrationError",
     "InvariantError",
-    "SearchError",
     "StiffnessError",
     "TargetNotReachable",
     "LindbladConfig",

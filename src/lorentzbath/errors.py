@@ -13,20 +13,12 @@ class FormError(InvariantError):
     """A density matrix is outside the structural form a shortcut relies on."""
 
 
-class BranchNotApplicable(ValueError):
-    """The closed-form optimum only exists on the oscillatory branch."""
-
-
 class IntegrationError(RuntimeError):
     """An integrator produced samples outside its accuracy budget."""
 
 
 class StiffnessError(IntegrationError):
     """Adaptive step control underflowed; the problem is too stiff here."""
-
-
-class SearchError(RuntimeError):
-    """A numeric optimum search did not bracket its maximum."""
 
 
 class EigensolverError(RuntimeError):

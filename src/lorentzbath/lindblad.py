@@ -175,12 +175,20 @@ def integrate(
 
     ``rhs_fn`` replaces the built-in generator (same signature as :func:`rhs`
     applied to a 3x3 array, and linear like it: it is probed on the nine basis
-    matrices); the verification harness uses this to prove the cross-checks
-    catch an injected defect.
+    matrices, and a generator that is not linear raises ``DomainError``); the
+    verification harness uses this to prove the cross-checks catch an
+    injected defect.
     """
     t_end = float(config.t_end)
     samples = _sample_times(sample_taus, t_end)
-    L = _liouvillian(rhs if rhs_fn is None else rhs_fn, config.params)
+    f = rhs if rhs_fn is None else rhs_fn
+    L = _liouvillian(f, config.params)
+    # the probes pin a linear generator down; an affine or nonlinear one
+    # would be silently replaced, so check it on one generic combination
+    probe = np.arange(1.0, 10.0) + 1j * np.arange(9.0, 0.0, -1.0)
+    gap = np.abs(np.asarray(f(probe.reshape(3, 3), config.params)).reshape(9) - L @ probe)
+    if not gap.max() <= 1e-12 * np.abs(L).max() * np.abs(probe).sum():
+        raise DomainError(f"generator is not linear: off by {gap.max()} on a probe state")
     # The {e0, g1} block stays exactly rank one, so the zero eigenvalue sits
     # on the positivity boundary and the cubic Hermite interpolant must beat
     # the -1e-9 floor on its own.  Its error (h^4/384)|y^(4)|, with
@@ -243,7 +251,7 @@ def integrate(
         )
     stats = IntegratorStats(
         accepted=len(steps), rejected=rejected, capped=capped,
-        generator_calls=L.shape[1],  # one probe per basis matrix
+        generator_calls=L.shape[1] + 1,  # one probe per basis matrix, one check
         h_min=min(steps, default=0.0), h_max=max(steps, default=0.0),
         worst_trace_drift=max(float(abs(s.matrix.trace().real - 1.0)) for s in out),
         min_eigenvalue=min(s.min_eigenvalue for s in out),

@@ -25,6 +25,8 @@ from lorentzbath.entanglement import embed, wootters_concurrence
 from lorentzbath.model import ModelParams, PureAmplitudes, pure_to_density
 from lorentzbath.sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
 
+from _oracles import golden_section_max
+
 from _oracles import series_jn
 
 XI_SET = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -191,7 +193,9 @@ def test_07_optimum_formula_stationarity():
         slope = (
             analytic.concurrence(params, tf + h) - analytic.concurrence(params, tf - h)
         ) / (2.0 * h)
-        gap = abs(tf - float(analytic.t_opt_numeric(params)))
+        lobe = math.pi / math.sqrt((xi - 1.0) * (xi + 1.0))
+        conc = lambda t: analytic.concurrence(params, t)
+        gap = abs(tf - golden_section_max(conc, 0.0, lobe, 1e-10))
         worst_slope = max(worst_slope, abs(slope))
         worst_gap = max(worst_gap, gap)
     _line(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,22 +8,18 @@ from hypothesis import strategies as st
 
 from lorentzbath.analytic import (
     OptimumRecord,
-    Regime,
     _amplitude_arrays,
     amplitudes,
     c_max,
     c_max_derivative,
     concurrence,
-    regime,
     survival_probability,
-    t_opt_batch,
     t_opt_formula,
-    t_opt_numeric,
 )
 from lorentzbath import analytic
-from lorentzbath.cli import main
-from lorentzbath.errors import BranchNotApplicable, DomainError, SearchError
+from lorentzbath.errors import DomainError
 from lorentzbath.model import ModelParams
+from lorentzbath.sweep import cmax_curve
 
 from _oracles import amplitudes_by_ode, golden_section_max
 
@@ -46,17 +43,8 @@ GOLDEN_OPTIMA = {
 }
 
 
-class TestRegime:
-    def test_branches(self):
-        assert regime(ModelParams(xi=0.5)) is Regime.OVERDAMPED
-        assert regime(ModelParams(xi=2.0)) is Regime.UNDERDAMPED
-        assert regime(ModelParams(xi=1.0)) is Regime.CRITICAL
-
-    def test_window_edges(self):
-        assert regime(ModelParams(xi=1.0 + 0.9e-6)) is Regime.CRITICAL
-        assert regime(ModelParams(xi=1.0 - 0.9e-6)) is Regime.CRITICAL
-        assert regime(ModelParams(xi=1.0 + 2e-6)) is Regime.UNDERDAMPED
-        assert regime(ModelParams(xi=1.0 - 2e-6)) is Regime.OVERDAMPED
+def _conc(xi):
+    return lambda t: float(analytic._concurrence_arrays(xi, t))
 
 
 class TestAmplitudes:
@@ -106,8 +94,26 @@ class TestAmplitudes:
             )
             assert gap < 1e-5
 
+    def test_complex_on_every_branch(self):
+        for xi in (0.5, 1.0, 2.0, np.array([0.5, 1.0, 2.0])):
+            ce, cg = _amplitude_arrays(xi, np.linspace(0.0, 3.0, 3))
+            assert ce.dtype == cg.dtype == np.complex128
+
+    def test_amplitudes_broadcast_bit_identical(self, rng):
+        xi = np.concatenate([rng.uniform(0.01, 20.0, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 20), [1.0]])
+        tau = rng.uniform(0.0, 12.0, len(xi))
+        ce, cg = _amplitude_arrays(xi, tau)
+        for i, (x, t) in enumerate(zip(xi.tolist(), tau.tolist())):
+            ce1, cg1 = _amplitude_arrays(x, np.asarray([t]))
+            assert ce[i : i + 1].tobytes() == ce1.tobytes()
+            assert cg[i : i + 1].tobytes() == cg1.tobytes()
+
     def test_overdamped_no_overflow_at_long_times(self):
-        ce, cg = _amplitude_arrays(0.5, np.asarray([0.0, 50.0, 400.0, 5000.0]))
+        # every point evaluates both sides of z = 0, so strong coupling counts too
+        xi = np.array([[0.5], [1.0], [100.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ce, cg = _amplitude_arrays(xi, np.asarray([0.0, 50.0, 400.0, 5000.0]))
         assert np.isfinite(ce).all() and np.isfinite(cg).all()
         assert (np.abs(ce) <= 1.0).all()
 
@@ -157,12 +163,6 @@ class TestConcurrence:
 
 
 class TestOptimum:
-    def test_formula_needs_oscillations(self):
-        with pytest.raises(BranchNotApplicable):
-            t_opt_formula(ModelParams(xi=1.0))
-        with pytest.raises(BranchNotApplicable):
-            t_opt_formula(ModelParams(xi=0.7))
-
     @pytest.mark.parametrize("xi", sorted(set(GOLDEN_OPTIMA) - {100.0}))
     def test_formula_against_reference(self, xi):
         t = float(t_opt_formula(ModelParams(xi=xi)))
@@ -176,48 +176,62 @@ class TestOptimum:
         slope = (concurrence(params, t + h) - concurrence(params, t - h)) / (2 * h)
         assert abs(slope) < 1e-6
 
-    @pytest.mark.parametrize("xi", [1.2, 2.0, 5.0, 10.0, 50.0])
+    @pytest.mark.parametrize("xi", [0.01, 0.3, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.2, 2.0, 5.0, 10.0, 50.0])
     def test_formula_matches_numeric(self, xi):
+        # C is unimodal on its first lobe, tau <= pi/w above the critical
+        # line; below it the maximum lies well inside tau <= 30
+        lobe = math.pi / math.sqrt((xi - 1.0) * (xi + 1.0)) if xi > 1.0 else 30.0
         tf = float(t_opt_formula(ModelParams(xi=xi)))
-        tn = float(t_opt_numeric(ModelParams(xi=xi)))
-        assert abs(tf - tn) < 1e-6
+        assert abs(tf - golden_section_max(_conc(xi), 0.0, lobe, 1e-10)) < 1e-6
 
     def test_numeric_at_critical_point(self):
         # the exact optimum solves 1 - 2*tau^2 = 0
-        t = float(t_opt_numeric(ModelParams(xi=1.0)))
+        assert float(t_opt_formula(ModelParams(xi=1.0))) == pytest.approx(2.0**-0.5, abs=1e-15)
+        t = golden_section_max(_conc(1.0), 0.0, 10.0, 1e-10)
         assert t == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "xi",
+        [1e-20, 1e-6, 1e-5, 5e-5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 2.0, 100.0],
+    )
+    def test_stationarity_residual(self, xi):
+        # dC/dtau = 2 xi (a^2 - b^2) - 4ab with a = c_e0 and b = i c_g1, both real
+        ce, cg = _amplitude_arrays(xi, float(t_opt_formula(ModelParams(xi=xi))))
+        a, b = ce.real, (1j * cg).real
+        assert abs(xi * (a * a - b * b) - 2.0 * a * b) <= 1e-12 * a * b
 
     def test_c_max_records(self):
         for xi, (t_ref, c_ref) in GOLDEN_OPTIMA.items():
             rec = c_max(ModelParams(xi=xi))
-            assert rec.source == "formula"
-            assert not rec.degenerate
             assert rec.tau_opt == pytest.approx(t_ref, rel=1e-12)
             assert rec.c_max == pytest.approx(c_ref, rel=1e-12)
 
-    def test_c_max_below_critical_uses_numeric(self):
+    def test_c_max_below_critical(self):
         rec = c_max(ModelParams(xi=0.5))
-        assert rec.source == "numeric"
         assert 0.0 < rec.c_max < GOLDEN_CRITICAL["concurrence"]
 
     def test_c_max_critical(self):
         rec = c_max(ModelParams(xi=1.0))
-        assert rec.source == "numeric"
         assert rec.c_max == pytest.approx(GOLDEN_CRITICAL["concurrence"], abs=1e-10)
-        assert rec.tau_opt == pytest.approx(GOLDEN_CRITICAL["tau"], abs=1e-7)
+        assert rec.tau_opt == pytest.approx(GOLDEN_CRITICAL["tau"], abs=1e-15)
 
     def test_degenerate_coupling(self):
+        # the optimum is finite and positive however weak the coupling
         rec = c_max(ModelParams(xi=1e-20))
-        assert rec.degenerate
-        assert rec.tau_opt == 0.0 and rec.c_max == 0.0
+        assert rec.c_max == pytest.approx(1e-20, rel=1e-12)
+        assert rec.tau_opt == pytest.approx(math.log(2.0 / 1e-40) / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("half_width", [1e-6, 3e-6])
+    def test_no_violation_across_critical_line(self, half_width):
+        curve = cmax_curve(np.linspace(1.0 - half_width, 1.0 + half_width, 61))
+        assert curve.violations == ()
+        assert (np.diff(curve.c_max) > 0).all()
 
     def test_record_validation(self):
         with pytest.raises(DomainError):
-            OptimumRecord(1.0, 0.5, 0.5, source="guess")
+            OptimumRecord(1.0, -0.5, 0.5)
         with pytest.raises(DomainError):
-            OptimumRecord(1.0, -0.5, 0.5, source="numeric")
-        with pytest.raises(DomainError):
-            OptimumRecord(1.0, 0.5, 1.5, source="numeric")
+            OptimumRecord(1.0, 0.5, 1.5)
 
     def test_derivative_positive_and_flattening(self):
         d_low = c_max_derivative(0.5)
@@ -232,44 +246,6 @@ class TestOptimum:
             c_max_derivative(1e-5)
 
 
-class TestBatchedSearch:
-    """The lock-step search must give each xi the bits of a search of its own."""
-
-    @staticmethod
-    def _alone(xi):
-        lo, hi = analytic._coarse_bracket(xi)
-        if lo == hi:
-            return 0.0
-        f = lambda t: float(analytic._concurrence_arrays(xi, np.asarray([t]))[0])
-        return golden_section_max(f, lo, hi, analytic._GOLDEN_TOL)
-
-    @pytest.mark.parametrize(
-        "xi",
-        [
-            np.linspace(1.0 - 2e-6, 1.0 + 2e-6, 41),
-            np.sort(np.exp(np.random.default_rng(20240601).uniform(-6.0, 5.0, 60))),
-            np.array([1e-20, 0.5, 1.0, 2.0]),
-        ],
-        ids=["critical-straddle", "seeded-random", "every-branch"],
-    )
-    def test_bit_identical_to_single_searches(self, xi):
-        batch = t_opt_batch(xi)
-        alone = np.array([self._alone(x) for x in xi.tolist()])
-        one_by_one = np.array([float(t_opt_numeric(ModelParams(xi=x))) for x in xi.tolist()])
-        assert batch.tobytes() == alone.tobytes()
-        assert batch.tobytes() == one_by_one.tobytes()
-
-    def test_amplitudes_broadcast_bit_identical(self, rng):
-        xi = np.concatenate([rng.uniform(0.01, 20.0, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 20)])
-        tau = rng.uniform(0.0, 12.0, len(xi))
-        ce, cg = _amplitude_arrays(xi, tau)
-        for i, (x, t) in enumerate(zip(xi.tolist(), tau.tolist())):
-            ce1, cg1 = _amplitude_arrays(x, np.asarray([t]))
-            # the critical branch gives a real c_e0
-            assert ce[i : i + 1].tobytes() == ce1.astype(complex).tobytes()
-            assert cg[i : i + 1].tobytes() == cg1.tobytes()
-
-
 class TestWeakCoupling:
     @pytest.mark.parametrize("xi", [5e-5, 1e-5, 1e-6])
     def test_optimum_matches_dense_grid(self, xi):
@@ -279,19 +255,7 @@ class TestWeakCoupling:
         grid = np.linspace(0.0, window, 400_001)
         values = analytic._concurrence_arrays(xi, grid)
         i = int(values.argmax())
-        assert rec.source == "numeric" and not rec.degenerate
         assert 0.0 < i < len(grid) - 1
         assert rec.c_max >= values[i] * (1.0 - 1e-13)
         # the top is flat to rounding over ~1e-2 in tau at xi=1e-6
         assert abs(rec.tau_opt - grid[i]) < 2e-2
-
-    def test_window_keeps_moderate_coupling(self):
-        assert analytic._search_window(0.0096) == 10.0
-        assert analytic._search_window(0.5) == 10.0
-
-    def test_maximum_on_window_edge_raises(self, monkeypatch, capsys):
-        monkeypatch.setattr(analytic, "_search_window", lambda xi: 5.0)
-        with pytest.raises(SearchError, match="xi=1e-05"):
-            c_max(ModelParams(xi=1e-5))
-        assert main(["cmax", "--xi-min", "1e-5", "--xi-max", "2e-5", "--steps", "2"]) == 1
-        assert "SearchError" in capsys.readouterr().err

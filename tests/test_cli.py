@@ -176,7 +176,7 @@ class TestEvolve:
             "accepted", "rejected", "capped", "generator_calls", "h_min", "h_max",
             "worst_trace_drift", "min_eigenvalue",
         }
-        assert solver["generator_calls"] == 9 and solver["accepted"] > 0
+        assert solver["generator_calls"] == 10 and solver["accepted"] > 0
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]
 
@@ -225,7 +225,7 @@ class TestCmax:
         values = [float(r.split(",")[c_idx]) for r in rows]
         assert values == sorted(values)
         sources = {r.split(",")[s_idx] for r in rows}
-        assert sources <= {"formula", "numeric"}
+        assert sources == {"formula"}
 
     def test_golden_row(self, capsys):
         assert main(
@@ -236,7 +236,8 @@ class TestCmax:
         first = rows[0].split(",")
         second = rows[1].split(",")
         assert float(first[2]) == pytest.approx(0.58693571751093799, abs=1e-9)
-        assert first[4] == "numeric"
+        assert float(first[1]) == pytest.approx(2.0**-0.5, abs=1e-15)
+        assert first[4] == "formula"
         assert float(second[1]) == pytest.approx(0.38050733439596325, abs=1e-9)
         assert second[4] == "formula"
 

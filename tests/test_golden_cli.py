@@ -1,0 +1,66 @@
+"""Golden data sections of every subcommand, compared byte for byte.
+
+Each case runs the CLI in process on a small fixed argv and compares the
+CSV header and data rows with ``tests/golden/<case>.csv``.  The metadata
+preamble is left out: it carries the wall time.  A refactor that must not
+change any output proves it by leaving these files untouched; a change that
+means to move numbers rewrites them with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and the diff shows every cell that moved.  The bytes are those of the
+numpy and libm the files were written with.
+"""
+import io
+import pathlib
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from lorentzbath.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "evolve-analytic": ["evolve", "--xi", "2", "--tau-max", "3", "--steps", "31"],
+    "evolve-lindblad": [
+        "evolve", "--xi", "0.7", "--method", "lindblad", "--tau-max", "2", "--steps", "21",
+    ],
+    "evolve-multimode": [
+        "evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201",
+        "--window", "20", "--tau-max", "1", "--steps", "11",
+    ],
+    "heatmap": [
+        "heatmap", "--xi-min", "0.1", "--xi-max", "10", "--xi-steps", "7",
+        "--tau-max", "2", "--tau-steps", "11",
+    ],
+    "cmax": ["cmax", "--xi-min", "0.01", "--xi-max", "100", "--steps", "25"],
+    "sideband": [
+        "sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1",
+    ],
+    "verify-quick": ["verify", "--quick"],
+}
+
+
+def data_section(argv) -> str:
+    """Header and data rows of one CSV run; the ``# `` metadata is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("# "))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_data_bytes_match_golden(case):
+    expected = (GOLDEN / f"{case}.csv").read_bytes()
+    assert data_section(CASES[case]).encode() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.csv").write_bytes(data_section(argv).encode())
+        print(f"wrote {case}", file=sys.stderr)

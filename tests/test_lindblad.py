@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,7 +170,7 @@ class TestIntegration:
         first, second = integrate(cfg, taus), integrate(cfg, taus)
         stats = first.solver
         assert stats == second.solver
-        assert stats.generator_calls == 9
+        assert stats.generator_calls == 10  # nine probes and the linearity check
         assert stats.accepted > 0 and 0 < stats.capped <= stats.accepted + stats.rejected
         assert 0 < stats.h_min <= stats.h_max
         assert stats.worst_trace_drift < 1e-12
@@ -199,7 +201,7 @@ class TestFailureModes:
             integrate(
                 cfg,
                 sample_taus=np.array([0.0, 0.5]),
-                rhs_fn=lambda m, params: np.eye(3, dtype=complex),
+                rhs_fn=lambda m, params: np.asarray(m, dtype=complex),
             )
 
     @pytest.mark.parametrize("rate, tol", [(1.0, 1e-10), (1e-10, 1e-12)])
@@ -217,10 +219,26 @@ class TestFailureModes:
             integrate(cfg, sample_taus=np.array([0.0, 1.0]), rhs_fn=leak)
 
     def test_step_underflow_raises_stiffness_error(self):
+        # linear, and stiff enough that no step above 1e-14 passes the error
+        # test, yet small enough that no stage overflows on the way there
         cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
-        with pytest.raises(StiffnessError):
+        with warnings.catch_warnings(), pytest.raises(StiffnessError):
+            warnings.simplefilter("error")
             integrate(
                 cfg,
                 sample_taus=np.array([0.0, 0.5]),
-                rhs_fn=lambda m, params: 1e200 * np.ones((3, 3), dtype=complex),
+                rhs_fn=lambda m, params: -1e20 * np.asarray(m, dtype=complex),
             )
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            lambda m, params: rhs(m, params) + 1e-3 * np.eye(3),
+            lambda m, params: rhs(m, params) + 1e-3 * np.asarray(m) * np.asarray(m),
+        ],
+        ids=["affine", "quadratic"],
+    )
+    def test_nonlinear_generator_rejected(self, generator):
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
+        with pytest.raises(DomainError, match="not linear"):
+            integrate(cfg, sample_taus=np.array([0.0, 0.5]), rhs_fn=generator)

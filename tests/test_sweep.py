@@ -160,8 +160,6 @@ class TestHeatmap:
 class TestCmaxCurve:
     def test_golden_rows(self):
         curve = cmax_curve(np.array([1.0, 2.0]))
-        assert curve.records[0].source == "numeric"
-        assert curve.records[1].source == "formula"
         assert curve.c_max[0] == pytest.approx(0.58693571751093799, abs=1e-10)
         assert curve.c_max[1] == pytest.approx(0.75593276364720863, abs=1e-12)
         assert curve.tau_opt[1] == pytest.approx(0.38050733439596325, abs=1e-12)
@@ -183,8 +181,7 @@ class TestCmaxCurve:
         columns = curve.columns
         assert len(columns) == len(CMAX_COLUMNS) == 5
         assert all(len(c) == 2 for c in columns)
-        assert columns[4][0] == "numeric"
-        assert columns[4][1] == "formula"
+        assert list(columns[4]) == ["formula", "formula"]
         assert list(columns[2]) == list(curve.c_max)
 
 
