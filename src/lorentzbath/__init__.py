@@ -1,7 +1,7 @@
 """Extractable qubit-reservoir entanglement for a Lorentzian-spectrum bath.
 
 The closed-form no-jump amplitudes, two independent dynamical oracles (a
-pseudomode Lindblad integrator and a brute-force discretized continuum),
+pseudomode Lindblad propagator and a brute-force discretized continuum),
 the Wootters concurrence of the embedded two-qubit state, the C_max(xi)
 non-Markovianity curve, and the sideband-drive control map.
 """
@@ -27,7 +27,6 @@ from .errors import (
     FormError,
     IntegrationError,
     InvariantError,
-    StiffnessError,
     TargetNotReachable,
 )
 from .lindblad import LindbladConfig, LindbladTrajectory, concurrence_from_state, integrate, rhs
@@ -86,7 +85,6 @@ __all__ = [
     "FormError",
     "IntegrationError",
     "InvariantError",
-    "StiffnessError",
     "TargetNotReachable",
     "LindbladConfig",
     "LindbladTrajectory",

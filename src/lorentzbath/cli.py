@@ -15,18 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import analytic
-from . import lindblad as _lb
-from . import multimode as _mm
 from . import sweep
 from ._version import SCHEMA_VERSION, __version__
 from .errors import DomainError, IntegrationError, TargetNotReachable
-from .model import ModelParams
 from .sideband import SidebandConfig, effective_coupling, solve_amplitude
 
 _EVOLVE_COLUMNS_ANALYTIC = (
@@ -125,41 +120,10 @@ def _cmd_evolve(args) -> int:
     if args.tau_max <= 0 or not np.isfinite(args.tau_max):
         raise DomainError(f"--tau-max must be positive, got {args.tau_max}")
     taus = np.linspace(0.0, args.tau_max, args.steps)
-    params = ModelParams(xi=args.xi)
-    metadata = {"command": "evolve", "method": args.method}
-    if args.method == "analytic":
-        ce, cg = analytic._amplitude_arrays(args.xi, taus)
-        p_e0, p_g1 = np.abs(ce) ** 2, np.abs(cg) ** 2
-        surv = p_e0 + p_g1
-        columns = (
-            taus, ce.real, ce.imag, cg.real, cg.imag,
-            p_e0, p_g1, 1.0 - surv, surv, 2.0 * np.abs(ce) * np.abs(cg),
-        )
-        return _emit(args, metadata, _EVOLVE_COLUMNS_ANALYTIC, columns)
-    if args.method == "lindblad":
-        traj = _lb.integrate(
-            _lb.LindbladConfig(params=params, t_end=args.tau_max), sample_taus=taus
-        )
-        p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
-        conc = traj.concurrences
-        surv = p_e0 + p_g1
-        metadata["solver"] = asdict(traj.solver)
-    else:
-        bath = _mm.sample_bath(params, args.n_modes, args.window)
-        traj = _mm.evolve(bath, args.tau_max, sample_taus=taus)
-        p_e0 = traj.p_e
-        p_g1 = 1.0 - p_e0
-        p_g0 = np.zeros_like(p_e0)
-        surv = np.ones_like(p_e0)
-        conc = traj.concurrences
-        metadata["bath"] = {
-            "n_modes": args.n_modes,
-            "window": args.window,
-            "recurrence_horizon": bath.recurrence_horizon,
-        }
-        metadata["solver"] = traj.solver
-    columns = (taus, p_e0, p_g1, p_g0, surv, conc)
-    return _emit(args, metadata, _EVOLVE_COLUMNS_ORACLE, columns)
+    columns, extra = sweep.evaluate(args.method, args.xi, taus, args.n_modes, args.window)
+    names = _EVOLVE_COLUMNS_ANALYTIC if args.method == "analytic" else _EVOLVE_COLUMNS_ORACLE
+    metadata = {"command": "evolve", "method": args.method, **extra}
+    return _emit(args, metadata, names, [columns[name] for name in names])
 
 
 # ---------------------------------------------------------------- heatmap

@@ -14,11 +14,7 @@ class FormError(InvariantError):
 
 
 class IntegrationError(RuntimeError):
-    """An integrator produced samples outside its accuracy budget."""
-
-
-class StiffnessError(IntegrationError):
-    """Adaptive step control underflowed; the problem is too stiff here."""
+    """An oracle produced samples outside its accuracy budget."""
 
 
 class EigensolverError(RuntimeError):

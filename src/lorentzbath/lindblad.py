@@ -1,4 +1,4 @@
-"""Pseudomode master equation, integrated with an embedded adaptive RK pair.
+"""Pseudomode master equation, solved by the exact propagator of its generator.
 
 The Lorentzian reservoir is equivalent to one lossy mode: on the rescaled
 single-excitation basis (|e,0>, |g,1>, |g,0>) the generator is
@@ -8,6 +8,7 @@ single-excitation basis (|e,0>, |g,1>, |g,0>) the generator is
 with H = xi (|e,0><g,1| + h.c.), a = |g,0><g,1| and kappa~ = 4.  The
 coherence 2|rho_{e0,g1}| of the solution equals the extractable concurrence
 of the closed-form no-jump dynamics, which is what the cross-checks assert.
+The generator is constant, so rho(tau) = exp(tau L) rho(0) holds exactly.
 """
 
 from __future__ import annotations
@@ -16,52 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, InvariantError, StiffnessError
-from .model import (
-    SAMPLE_SLACK,
-    DensityMatrix3,
-    ModelParams,
-    RescaledTime,
-    _as_tau,
-    _sample_times,
-)
+from .errors import DomainError, IntegrationError, InvariantError
+from .model import DensityMatrix3, ModelParams, RescaledTime, _as_tau, _sample_times
 
 KAPPA_RESCALED = 4.0
 
-_MIN_STEP = 1e-14
-
-# Dormand-Prince 5(4) tableau, stage i combining rows A[i, :i]; the last row
-# doubles as the 5th-order weights (FSAL), _B4 is the embedded 4th-order one.
-# Complex, so the stage combinations with the complex stages need no cast.
-_A = np.zeros((7, 7), dtype=complex)
-_A[1, :1] = [1 / 5]
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Degree-13 Pade coefficients and the 1-norm up to which they give exp to
+# double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
-_E = _A[6] - _B4
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
 class LindbladConfig:
-    """Integration request: parameters, horizon, initial step, tolerance."""
+    """Propagation request: parameters and horizon."""
 
     params: ModelParams
     t_end: RescaledTime | float
-    dt: float = 1e-3
-    tol: float = 1e-10
 
     def __post_init__(self):
         t = _as_tau(self.t_end)
         if t < 0 or not np.isfinite(t):
             raise DomainError(f"t_end must be nonnegative, got {t}")
         object.__setattr__(self, "t_end", float(t))
-        if self.dt <= 0 or self.tol <= 0:
-            raise DomainError("dt and tol must be positive")
 
 
 def rhs(rho, params: ModelParams) -> np.ndarray:
@@ -80,14 +62,11 @@ def rhs(rho, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Deterministic counters of one run; the step sizes read 0 if none was taken."""
+    """Deterministic counters of one run."""
 
-    accepted: int
-    rejected: int  # error-test failures
-    capped: int  # steps shrunk by the interpolation bound
+    propagators: int  # one per distinct sample interval
+    squarings: int  # summed over the propagators
     generator_calls: int
-    h_min: float
-    h_max: float
     worst_trace_drift: float  # over the emitted samples
     min_eigenvalue: float
 
@@ -125,38 +104,28 @@ def _liouvillian(f, params: ModelParams) -> np.ndarray:
     return np.array([np.asarray(f(e, params), dtype=complex).reshape(9) for e in basis]).T
 
 
-def _hermite(y0, y1, f0, f1, h, theta):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * f0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * f1
-    )
+def _expm(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """exp(a) by scaling and squaring; returns it and the number of squarings.
 
-
-def _check_sample(m: np.ndarray, budget: float, tau: float) -> DensityMatrix3:
-    herm = 0.5 * (m + m.conj().T)
-    drift = abs(herm.trace().real - 1.0)
-    if drift > budget:
-        raise IntegrationError(f"trace drift {drift} beyond budget at tau={tau}")
-    try:
-        state = DensityMatrix3(herm)
-        low, evals = state.min_eigenvalue, None
-    except InvariantError:
-        evals, vecs = np.linalg.eigh(herm)
-        low = evals.min()
-    if low < -budget:
-        raise IntegrationError(f"eigenvalue {low} beyond budget at tau={tau}")
-    if evals is None:
-        return state
-    # Inside the 10*tol budget but outside the strict state type, which can
-    # only happen when tol is looser than the type's own floors: project onto
-    # the physical cone and renormalise.  At the default tol the budget
-    # coincides with the floors, so this never engages.
-    evals = np.clip(evals, 0.0, None)
-    return DensityMatrix3((vecs * (evals / evals.sum())) @ vecs.conj().T)
+    No eigendecomposition, so it stays accurate where the generator is defective
+    (the exceptional point at xi = 1).
+    """
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1]))
+    a = a * 2.0**-s
+    b = _PADE13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (v - u)^-1 (v + u) written so that exp(0) is exactly the identity
+    e = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        e = e @ e
+    return e, s
 
 
 def integrate(
@@ -164,14 +133,14 @@ def integrate(
     sample_taus: np.ndarray | None = None,
     rhs_fn=None,
 ) -> LindbladTrajectory:
-    """Integrate the master equation and sample by dense output.
+    """Propagate the master equation exactly from one sample time to the next.
 
-    The generator is probed once into a 9x9 matrix L on the flattened state,
-    so each Dormand-Prince 5(4) stage is one matvec; PI step-size control.
-    Requested sample times are filled in by cubic Hermite interpolation inside
-    each accepted step.  Every emitted sample is validated: trace or
-    positivity drift beyond 10*tol raises, a step size underflow (below
-    1e-14) raises a stiffness error.
+    The generator is probed once into a 9x9 matrix L on the flattened state.
+    Each distinct interval h between consecutive samples (the first one
+    counted from tau = 0) gets one propagator exp(h L), so a sample costs one
+    matvec.  Every sample is validated as a :class:`DensityMatrix3`; one
+    outside its floors, or a propagator that is not finite, raises
+    ``IntegrationError``.
 
     ``rhs_fn`` replaces the built-in generator (same signature as :func:`rhs`
     applied to a 3x3 array, and linear like it: it is probed on the nine basis
@@ -179,8 +148,7 @@ def integrate(
     verification harness uses this to prove the cross-checks catch an
     injected defect.
     """
-    t_end = float(config.t_end)
-    samples = _sample_times(sample_taus, t_end)
+    samples = _sample_times(sample_taus, float(config.t_end))
     f = rhs if rhs_fn is None else rhs_fn
     L = _liouvillian(f, config.params)
     # the probes pin a linear generator down; an affine or nonlinear one
@@ -189,70 +157,30 @@ def integrate(
     gap = np.abs(np.asarray(f(probe.reshape(3, 3), config.params)).reshape(9) - L @ probe)
     if not gap.max() <= 1e-12 * np.abs(L).max() * np.abs(probe).sum():
         raise DomainError(f"generator is not linear: off by {gap.max()} on a probe state")
-    # The {e0, g1} block stays exactly rank one, so the zero eigenvalue sits
-    # on the positivity boundary and the cubic Hermite interpolant must beat
-    # the -1e-9 floor on its own.  Its error (h^4/384)|y^(4)|, with
-    # y^(4) = L^3 k0, is capped before the stages of any step that emits a sample.
-    L3 = L @ L @ L
-    cap = 384.0 * min(config.tol, 1e-10)
-    budget = 10.0 * config.tol
+
+    steps, which = np.unique(np.diff(samples, prepend=0.0), return_inverse=True)
+    propagators, squarings = [], 0
+    for h in steps:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+            e, s = _expm(h * L)
+        if not np.isfinite(e).all():
+            raise IntegrationError(f"propagator over a tau step of {h} is not finite")
+        propagators.append(e)
+        squarings += s
 
     y = np.zeros(9, dtype=complex)
     y[0] = 1.0
-    t = 0.0
-    h = min(config.dt, t_end)
-    tol = config.tol
-    err_prev = 1.0
-
-    slack = SAMPLE_SLACK * max(1.0, t_end)
     out: list[DensityMatrix3] = []
-    idx = 0
-    while idx < len(samples) and samples[idx] <= t + slack:
-        out.append(_check_sample(y.reshape(3, 3), budget, samples[idx]))
-        idx += 1
-
-    k = np.zeros((7, 9), dtype=complex)
-    k[0] = L @ y
-    steps, rejected, capped = [], 0, 0
-    while t < t_end and idx < len(samples):
-        h = min(h, t_end - t)
-        if samples[idx] <= t + h + slack:
-            d4 = float(np.abs(L3 @ k[0]).max())
-            if d4 * h**4 > cap:
-                h, capped = 0.9 * (cap / d4) ** 0.25, capped + 1
-        if h < _MIN_STEP:
-            raise StiffnessError(f"step size underflow ({h}) at tau={t}")
-        ah = h * _A
-        for i in range(1, 7):
-            acc = y + ah[i, :i] @ k[:i]
-            k[i] = L @ acc
-        y_new = acc  # stage 7 argument equals the 5th-order solution (FSAL)
-        r = h * (_E @ k) / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = float(np.sqrt(np.vdot(r, r).real / 9))  # RMS over the 9 components
-        if err <= 1.0:
-            while idx < len(samples) and samples[idx] <= t + h + slack:
-                theta = min(max((samples[idx] - t) / h, 0.0), 1.0)
-                m = _hermite(y, y_new, k[0], k[6], h, theta)
-                out.append(_check_sample(m.reshape(3, 3), budget, samples[idx]))
-                idx += 1
-            t += h
-            y = y_new
-            k[0] = k[6]
-            steps.append(h)
-            fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, fac))
-            err_prev = max(err, 1e-4)
-        else:
-            rejected += 1
-            h *= max(0.1, 0.9 * err**-0.2)
-    if idx < len(samples):
-        raise IntegrationError(
-            f"integration stopped at tau={t} before the last sample time"
-        )
+    for tau, k in zip(samples, which):
+        y = propagators[k] @ y
+        m = y.reshape(3, 3)
+        try:
+            out.append(DensityMatrix3(0.5 * (m + m.conj().T)))
+        except InvariantError as exc:
+            raise IntegrationError(f"{exc} at tau={tau}") from None
     stats = IntegratorStats(
-        accepted=len(steps), rejected=rejected, capped=capped,
+        propagators=len(steps), squarings=squarings,
         generator_calls=L.shape[1] + 1,  # one probe per basis matrix, one check
-        h_min=min(steps, default=0.0), h_max=max(steps, default=0.0),
         worst_trace_drift=max(float(abs(s.matrix.trace().real - 1.0)) for s in out),
         min_eigenvalue=min(s.min_eigenvalue for s in out),
     )

@@ -1,5 +1,8 @@
 """Sweep engine: concurrence grids, the C_max curve, and the verify battery.
 
+:func:`evaluate` computes one xi by any method; ``evolve`` and the heatmap
+rows both take their columns from it.
+
 Grid points are independent, so the heatmap fans rows out over processes
 when asked to (``LORENTZBATH_WORKERS`` or an explicit ``workers=``); the
 aggregation order is fixed by the grid, never by completion order, so the
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +32,6 @@ POPULATION_CLOSURE_TOL = 1e-8
 
 DEFAULT_N_MODES = 2001
 DEFAULT_WINDOW = 40.0
-DEFAULT_LINDBLAD_TOL = 1e-10
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -96,46 +98,66 @@ class SweepResult:
         return self.records[:, COLUMNS.index(name)]
 
 
+def evaluate(
+    method: str,
+    xi: float,
+    taus: np.ndarray,
+    n_modes: int = DEFAULT_N_MODES,
+    window: float = DEFAULT_WINDOW,
+) -> tuple[dict, dict]:
+    """One xi by any method: named columns over ``taus`` and the run's metadata.
+
+    The columns are those of ``COLUMNS``; the closed form adds its complex
+    amplitudes as ``c_re_e0``, ``c_im_e0``, ``c_re_g1`` and ``c_im_g1``.  The
+    metadata holds an oracle's solver counters and, for the multimode one,
+    its bath.
+    """
+    params = ModelParams(xi=xi)
+    t_end = float(taus[-1])
+    cols, metadata = {}, {}
+    if method == "analytic":
+        ce, cg = analytic._amplitude_arrays(xi, taus)
+        p_e0 = np.abs(ce) ** 2
+        p_g1 = np.abs(cg) ** 2
+        surv = p_e0 + p_g1
+        conc = 2.0 * np.abs(ce) * np.abs(cg)
+        p_g0 = 1.0 - surv
+        cols = {"c_re_e0": ce.real, "c_im_e0": ce.imag, "c_re_g1": cg.real, "c_im_g1": cg.imag}
+    elif method == "lindblad":
+        traj = _lb.integrate(_lb.LindbladConfig(params=params, t_end=t_end), sample_taus=taus)
+        p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
+        surv = p_e0 + p_g1
+        conc = traj.concurrences
+        metadata["solver"] = asdict(traj.solver)
+    else:
+        bath = _mm.sample_bath(params, n_modes, window)
+        traj = _mm.evolve(bath, t_end, sample_taus=taus)
+        p_e0 = traj.p_e
+        # closed unitary dynamics: every non-qubit amplitude is the
+        # one-photon share, nothing has been irreversibly lost
+        p_g1 = 1.0 - p_e0
+        p_g0 = np.zeros_like(p_e0)
+        surv = np.ones_like(p_e0)
+        conc = traj.concurrences
+        metadata["bath"] = {
+            "n_modes": n_modes,
+            "window": window,
+            "recurrence_horizon": bath.recurrence_horizon,
+        }
+        metadata["solver"] = traj.solver
+    cols.update(
+        xi=np.full(len(taus), xi), tau=taus, concurrence=conc,
+        p_e0=p_e0, p_g1=p_g1, p_g0=p_g0, survival=surv,
+    )
+    return cols, metadata
+
+
 def _rows_for_xi(task) -> np.ndarray:
     """One xi-row of the sweep; top level so process pools can ship it."""
-    method, xi, taus, tol, n_modes, window = task
+    method, xi, taus, n_modes, window = task
     try:
-        params = ModelParams(xi=xi)
-        t_end = float(taus[-1])
-        if method == "analytic":
-            ce, cg = analytic._amplitude_arrays(xi, taus)
-            p_e0 = np.abs(ce) ** 2
-            p_g1 = np.abs(cg) ** 2
-            surv = p_e0 + p_g1
-            conc = 2.0 * np.abs(ce) * np.abs(cg)
-            p_g0 = 1.0 - surv
-        elif method == "lindblad":
-            traj = _lb.integrate(
-                _lb.LindbladConfig(params=params, t_end=t_end, tol=tol),
-                sample_taus=taus,
-            )
-            p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
-            surv = p_e0 + p_g1
-            conc = traj.concurrences
-        else:
-            bath = _mm.sample_bath(params, n_modes, window)
-            traj = _mm.evolve(bath, t_end, sample_taus=taus)
-            p_e0 = traj.p_e
-            # closed unitary dynamics: every non-qubit amplitude is the
-            # one-photon share, nothing has been irreversibly lost
-            p_g1 = 1.0 - p_e0
-            p_g0 = np.zeros_like(p_e0)
-            surv = np.ones_like(p_e0)
-            conc = traj.concurrences
-        out = np.empty((len(taus), len(COLUMNS)))
-        out[:, 0] = xi
-        out[:, 1] = taus
-        out[:, 2] = conc
-        out[:, 3] = p_e0
-        out[:, 4] = p_g1
-        out[:, 5] = p_g0
-        out[:, 6] = surv
-        return out
+        cols, _ = evaluate(method, xi, taus, n_modes, window)
+        return np.column_stack([cols[name] for name in COLUMNS])
     except Exception as exc:  # annotate with the failing grid point
         try:
             raise type(exc)(f"{exc} [grid row xi={xi!r}]") from None
@@ -146,7 +168,6 @@ def _rows_for_xi(task) -> np.ndarray:
 def heatmap(
     grid: SweepGrid,
     workers: int | None = None,
-    lindblad_tol: float = DEFAULT_LINDBLAD_TOL,
     n_modes: int = DEFAULT_N_MODES,
     window: float = DEFAULT_WINDOW,
 ) -> SweepResult:
@@ -154,7 +175,7 @@ def heatmap(
     workers = resolve_workers(workers)
     t0 = time.perf_counter()
     tasks = [
-        (grid.method, float(xi), grid.tau_values, lindblad_tol, n_modes, window)
+        (grid.method, float(xi), grid.tau_values, n_modes, window)
         for xi in grid.xi_values
     ]
     if workers > 1 and len(tasks) > 1:
@@ -174,8 +195,6 @@ def heatmap(
         "workers": workers,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    if grid.method == "lindblad":
-        metadata["lindblad_tol"] = lindblad_tol
     if grid.method == "multimode":
         bath = _mm.sample_bath(ModelParams(xi=float(grid.xi_values[0])), n_modes, window)
         metadata["bath"] = {
@@ -323,19 +342,24 @@ def _check_lindblad_equivalence(quick: bool):
     ]
 
 
-def _check_lindblad_tol_convergence(quick: bool):
-    taus = np.linspace(0.0, 6.0, 401)
+def _check_lindblad_refinement(quick: bool):
     p = ModelParams(xi=2.0)
-    coarse = _lb.integrate(_lb.LindbladConfig(params=p, t_end=6.0, tol=1e-8), sample_taus=taus)
-    fine = _lb.integrate(_lb.LindbladConfig(params=p, t_end=6.0, tol=1e-10), sample_taus=taus)
-    measured = float(np.abs(coarse.p_e0 - fine.p_e0).max())
+    coarse, fine = (
+        _lb.integrate(_lb.LindbladConfig(params=p, t_end=6.0), np.linspace(0.0, 6.0, n))
+        for n in (401, 801)
+    )
+    # the fine grid splits every interval in two; compare at the shared samples
+    measured = max(
+        float(np.abs(a.matrix - b.matrix).max())
+        for a, b in zip(coarse.states, fine.states[::2])
+    )
     return [
         CheckResult(
-            "lindblad_tol_convergence",
+            "lindblad_interval_refinement",
             1e-9,
             measured,
             measured < 1e-9,
-            "population shift between tol=1e-8 and tol=1e-10 runs at xi=2",
+            "state shift between 401- and 801-sample grids on [0, 6] at xi=2",
         )
     ]
 
@@ -537,7 +561,7 @@ def _check_mutation(quick: bool):
         detail = f"population deviation {dev:.3e} under sign-flipped coupling element"
     except Exception as exc:
         dev = float("inf")
-        detail = f"mutated generator tripped integrator invariants: {type(exc).__name__}"
+        detail = f"mutated generator tripped the oracle invariants: {type(exc).__name__}"
     return [
         CheckResult(
             "harness_detects_mutated_generator", 1e-3, dev, dev > 1e-3, detail
@@ -573,7 +597,7 @@ def _check_determinism(quick: bool):
 
 _CHECKS = (
     _check_lindblad_equivalence,
-    _check_lindblad_tol_convergence,
+    _check_lindblad_refinement,
     _check_multimode,
     _check_analytic,
     _check_cmax_shape,

@@ -173,10 +173,10 @@ class TestEvolve:
             docs.append(json.loads(capsys.readouterr().out))
         solver = docs[0]["metadata"]["solver"]
         assert set(solver) == {
-            "accepted", "rejected", "capped", "generator_calls", "h_min", "h_max",
-            "worst_trace_drift", "min_eigenvalue",
+            "propagators", "squarings", "generator_calls", "worst_trace_drift",
+            "min_eigenvalue",
         }
-        assert solver["generator_calls"] == 10 and solver["accepted"] > 0
+        assert solver["generator_calls"] == 10 and solver["propagators"] > 0
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lorentzbath.analytic import _amplitude_arrays
-from lorentzbath.errors import DomainError, IntegrationError, StiffnessError
+from lorentzbath.errors import DomainError, IntegrationError
 from lorentzbath.lindblad import (
     KAPPA_RESCALED,
     LindbladConfig,
+    _expm,
     _liouvillian,
     concurrence_from_state,
     integrate,
@@ -67,12 +68,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             LindbladConfig(ModelParams(xi=1.0), t_end=np.inf)
 
-    def test_rejects_bad_step_and_tol(self):
-        with pytest.raises(DomainError):
-            LindbladConfig(ModelParams(xi=1.0), t_end=1.0, dt=0.0)
-        with pytest.raises(DomainError):
-            LindbladConfig(ModelParams(xi=1.0), t_end=1.0, tol=-1e-10)
-
     def test_zero_horizon_is_allowed(self):
         traj = integrate(LindbladConfig(ModelParams(xi=1.0), t_end=0.0))
         assert len(traj.states) == 1
@@ -113,12 +108,12 @@ class TestIntegration:
         cfg = LindbladConfig(ModelParams(xi=2.0), t_end=0.5)
         traj = integrate(cfg, sample_taus=np.array([0.0, 0.25, 0.5]))
         final = traj.states[-1]
-        assert final.p_e0 == pytest.approx(0.4352042923850347, abs=1e-8)
-        assert final.p_g1 == pytest.approx(0.28462992723914709, abs=1e-8)
-        assert final.p_g0 == pytest.approx(0.28016578037581821, abs=1e-8)
-        assert abs(final.coherence) == pytest.approx(0.35195477845273947, abs=1e-8)
+        assert final.p_e0 == pytest.approx(0.4352042923850347, abs=1e-12)
+        assert final.p_g1 == pytest.approx(0.28462992723914709, abs=1e-12)
+        assert final.p_g0 == pytest.approx(0.28016578037581821, abs=1e-12)
+        assert abs(final.coherence) == pytest.approx(0.35195477845273947, abs=1e-12)
         assert concurrence_from_state(final) == pytest.approx(
-            0.70390955690547894, abs=1e-8
+            0.70390955690547894, abs=1e-12
         )
 
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
@@ -126,19 +121,9 @@ class TestIntegration:
         taus = np.linspace(0.0, 4.0, 101)
         traj = integrate(LindbladConfig(ModelParams(xi=xi), t_end=4.0), taus)
         ce, cg = _amplitude_arrays(xi, taus)
-        assert np.abs(traj.p_e0 - np.abs(ce) ** 2).max() < 1e-8
-        assert np.abs(traj.coherences - ce * np.conj(cg)).max() < 1e-8
-        assert np.abs(traj.concurrences - 2 * np.abs(ce) * np.abs(cg)).max() < 1e-8
-
-    def test_tolerance_convergence(self):
-        taus = np.linspace(0.0, 3.0, 31)
-        coarse = integrate(
-            LindbladConfig(ModelParams(xi=2.0), t_end=3.0, tol=1e-6), taus
-        )
-        fine = integrate(
-            LindbladConfig(ModelParams(xi=2.0), t_end=3.0, tol=1e-12), taus
-        )
-        assert np.abs(coarse.p_e0 - fine.p_e0).max() < 1e-5
+        assert np.abs(traj.p_e0 - np.abs(ce) ** 2).max() < 1e-12
+        assert np.abs(traj.coherences - ce * np.conj(cg)).max() < 1e-12
+        assert np.abs(traj.concurrences - 2 * np.abs(ce) * np.abs(cg)).max() < 1e-12
 
     def test_invariants_at_every_sample(self):
         taus = np.linspace(0.0, 6.0, 401)
@@ -147,22 +132,9 @@ class TestIntegration:
             for s in traj.states:
                 assert abs(np.trace(s.matrix).real - 1.0) < 1e-9
                 low = np.linalg.eigvalsh(s.matrix).min()
-                # contract floor is -1e-9; the interpolation guard keeps the
-                # split of the exactly-zero eigenvalue an order lower
-                assert low > -2e-10
-
-    def test_interpolation_cap_keeps_tolerances_consistent(self):
-        # without the pre-step cap on the Hermite error the fine run leaves
-        # the positivity budget; with a cap that scales with tol the coarse
-        # run is off by its interpolation error, about 1e-8
-        taus = np.linspace(0.0, 6.0, 401)
-        runs = [
-            integrate(LindbladConfig(ModelParams(xi=2.0), t_end=6.0, tol=tol), taus)
-            for tol in (1e-8, 1e-10)
-        ]
-        assert np.abs(runs[0].p_e0 - runs[1].p_e0).max() < 1e-9
-        assert np.abs(runs[0].coherences - runs[1].coherences).max() < 1e-9
-        assert runs[0].solver.capped > 0
+                # contract floor is -1e-9; the exact propagator keeps the
+                # exactly-zero eigenvalue at rounding level
+                assert low > -1e-13
 
     def test_solver_counters(self):
         taus = np.linspace(0.0, 6.0, 401)
@@ -171,11 +143,20 @@ class TestIntegration:
         stats = first.solver
         assert stats == second.solver
         assert stats.generator_calls == 10  # nine probes and the linearity check
-        assert stats.accepted > 0 and 0 < stats.capped <= stats.accepted + stats.rejected
-        assert 0 < stats.h_min <= stats.h_max
+        # one propagator per distinct float interval of the grid
+        assert stats.propagators == len(np.unique(np.diff(taus, prepend=0.0)))
+        assert stats.squarings == 0  # every interval is well inside the Pade range
         assert stats.worst_trace_drift < 1e-12
         assert stats.min_eigenvalue == min(s.min_eigenvalue for s in first.states)
-        assert stats.min_eigenvalue > -2e-10
+        assert stats.min_eigenvalue > -1e-13
+
+    def test_long_interval_is_squared(self):
+        traj = integrate(
+            LindbladConfig(ModelParams(xi=2.0), t_end=6.0), np.array([0.0, 6.0])
+        )
+        ce, cg = _amplitude_arrays(2.0, np.array([6.0]))
+        assert traj.solver.propagators == 2 and traj.solver.squarings > 0
+        assert abs(traj.coherences[-1] - ce[0] * np.conj(cg[0])) < 1e-14
 
     def test_trajectory_properties_are_consistent(self):
         taus = np.linspace(0.0, 2.0, 21)
@@ -183,6 +164,26 @@ class TestIntegration:
         assert np.allclose(traj.concurrences, 2.0 * np.abs(traj.coherences))
         closure = traj.p_e0 + traj.p_g1 + traj.p_g0
         assert np.abs(closure - 1.0).max() < 1e-9
+
+
+class TestExpm:
+    @pytest.mark.parametrize("a, h", [(-2.0, 0.75), (1.0, 3.0), (0.5, 20.0), (2j, 5.0)])
+    def test_defective_jordan_block(self, a, h):
+        got, _ = _expm(h * np.array([[a, 1.0], [0.0, a]]))
+        want = np.exp(a * h) * np.array([[1.0, h], [0.0, 1.0]])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_zero_is_exactly_the_identity(self):
+        got, squarings = _expm(np.zeros((9, 9), dtype=complex))
+        assert squarings == 0 and (got == np.eye(9)).all()
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("h", [0.01, 0.5, 3.0])
+    def test_doubling_is_squaring(self, xi, h):
+        L = _liouvillian(rhs, ModelParams(xi=xi))
+        double, _ = _expm(2.0 * h * L)
+        single, _ = _expm(h * L)
+        assert np.abs(double - single @ single).max() < 1e-14
 
 
 class TestFailureModes:
@@ -204,30 +205,43 @@ class TestFailureModes:
                 rhs_fn=lambda m, params: np.asarray(m, dtype=complex),
             )
 
-    @pytest.mark.parametrize("rate, tol", [(1.0, 1e-10), (1e-10, 1e-12)])
-    def test_negative_eigenvalue_beyond_budget_is_caught(self, rate, tol):
-        # trace-preserving, but moves population out of the empty |g,1>; the
-        # second case stays above the state type's -1e-9 floor and is caught
-        # by the tighter 10*tol budget alone
+    @pytest.mark.parametrize("rate, early", [(1.0, 1e-10)])
+    def test_negative_eigenvalue_beyond_budget_is_caught(self, rate, early):
+        # trace-preserving, but moves population out of the empty |g,1>; at
+        # the early sample the dip is still inside the -1e-9 floor, so the
+        # error names the last sample
         def leak(m, params):
             out = np.zeros((3, 3), dtype=complex)
             out[0, 0], out[1, 1] = rate * m[0, 0], -rate * m[0, 0]
             return out
 
-        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0, tol=tol)
-        with pytest.raises(IntegrationError, match="eigenvalue .* at tau=1.0"):
-            integrate(cfg, sample_taus=np.array([0.0, 1.0]), rhs_fn=leak)
-
-    def test_step_underflow_raises_stiffness_error(self):
-        # linear, and stiff enough that no step above 1e-14 passes the error
-        # test, yet small enough that no stage overflows on the way there
         cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
-        with warnings.catch_warnings(), pytest.raises(StiffnessError):
+        with pytest.raises(
+            IntegrationError, match=r"matrix has an eigenvalue below -1e-9 at tau=1.0$"
+        ):
+            integrate(cfg, sample_taus=np.array([0.0, early, 1.0]), rhs_fn=leak)
+
+    def test_stiff_generator_fails_validation(self):
+        # the propagator underflows to zero, so the state loses its trace
+        def stiff(m, params):
+            return -1e20 * np.asarray(m, dtype=complex)
+
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = integrate(cfg, sample_taus=np.array([0.0]), rhs_fn=stiff)
+            with pytest.raises(IntegrationError, match="trace .* at tau=0.5"):
+                integrate(cfg, sample_taus=np.array([0.0, 0.5]), rhs_fn=stiff)
+        assert (at_zero.states[0].matrix == np.diag([1.0, 0.0, 0.0])).all()
+
+    def test_growing_generator_is_not_finite(self):
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
+        with warnings.catch_warnings(), pytest.raises(IntegrationError, match="not finite"):
             warnings.simplefilter("error")
             integrate(
                 cfg,
                 sample_taus=np.array([0.0, 0.5]),
-                rhs_fn=lambda m, params: -1e20 * np.asarray(m, dtype=complex),
+                rhs_fn=lambda m, params: 1e20 * np.asarray(m, dtype=complex),
             )
 
     @pytest.mark.parametrize(
