@@ -354,18 +354,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)  # explicit flags still take precedence
     try:
         return args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TargetNotReachable, IntegrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numeric machinery failed somewhere deeper
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        # str(exc) leaves out the notes, such as the grid row a sweep adds
+        text = " ".join([str(exc), *getattr(exc, "__notes__", ())])
+        if not isinstance(exc, (ValueError, IntegrationError)):  # failed somewhere deeper
+            text = f"{type(exc).__name__}: {text}"
+        print(f"error: {text}", file=sys.stderr)
+        # bad input (DomainError or any other ValueError) is a usage error
+        return 2 if isinstance(exc, ValueError) and not isinstance(exc, TargetNotReachable) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigensolverError, FormError, InvariantError
-from .model import DensityMatrix3, HERMITICITY_TOL, TRACE_TOL, EIGENVALUE_FLOOR
+from .model import DensityMatrix3, validate_density
 
 X_FORM_TOL = 1e-8
 
@@ -31,12 +31,7 @@ class TwoQubitDensity:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvariantError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            raise InvariantError("matrix is not Hermitian within 1e-10")
-        if abs(m.trace().real - 1.0) > TRACE_TOL:
-            raise InvariantError("trace deviates from 1 beyond 1e-9")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < EIGENVALUE_FLOOR:
-            raise InvariantError("matrix has an eigenvalue below -1e-9")
+        validate_density(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, InvariantError
 from .model import DensityMatrix3, ModelParams, RescaledTime, _as_tau, _sample_times
+from .model import validate_density
 
 KAPPA_RESCALED = 4.0
 
@@ -74,24 +75,28 @@ class IntegratorStats:
 @dataclass(frozen=True)
 class LindbladTrajectory:
     taus: np.ndarray
-    states: list[DensityMatrix3]
+    rho: np.ndarray  # read-only (n, 3, 3) stack of the validated states
     solver: IntegratorStats
 
     @property
+    def states(self) -> list[DensityMatrix3]:
+        return [DensityMatrix3(m) for m in self.rho]
+
+    @property
     def p_e0(self) -> np.ndarray:
-        return np.array([s.p_e0 for s in self.states])
+        return self.rho[:, 0, 0].real
 
     @property
     def p_g1(self) -> np.ndarray:
-        return np.array([s.p_g1 for s in self.states])
+        return self.rho[:, 1, 1].real
 
     @property
     def p_g0(self) -> np.ndarray:
-        return np.array([s.p_g0 for s in self.states])
+        return self.rho[:, 2, 2].real
 
     @property
     def coherences(self) -> np.ndarray:
-        return np.array([s.coherence for s in self.states])
+        return self.rho[:, 0, 1]
 
     @property
     def concurrences(self) -> np.ndarray:
@@ -138,9 +143,10 @@ def integrate(
     The generator is probed once into a 9x9 matrix L on the flattened state.
     Each distinct interval h between consecutive samples (the first one
     counted from tau = 0) gets one propagator exp(h L), so a sample costs one
-    matvec.  Every sample is validated as a :class:`DensityMatrix3`; one
-    outside its floors, or a propagator that is not finite, raises
-    ``IntegrationError``.
+    matvec into one array; the symmetrised stack, the trajectory's read-only
+    ``rho``, gets the checks of :class:`DensityMatrix3` in one pass.  The
+    earliest sample outside its floors, or a propagator that is not finite,
+    raises ``IntegrationError`` naming its tau.
 
     ``rhs_fn`` replaces the built-in generator (same signature as :func:`rhs`
     applied to a 3x3 array, and linear like it: it is probed on the nine basis
@@ -168,23 +174,24 @@ def integrate(
         propagators.append(e)
         squarings += s
 
-    y = np.zeros(9, dtype=complex)
-    y[0] = 1.0
-    out: list[DensityMatrix3] = []
-    for tau, k in zip(samples, which):
-        y = propagators[k] @ y
-        m = y.reshape(3, 3)
-        try:
-            out.append(DensityMatrix3(0.5 * (m + m.conj().T)))
-        except InvariantError as exc:
-            raise IntegrationError(f"{exc} at tau={tau}") from None
+    ys = np.empty((len(samples), 9), dtype=complex)
+    y = np.eye(9, dtype=complex)[0]  # rho(0) = |e,0><e,0|
+    for j, k in enumerate(which):
+        y = ys[j] = propagators[k] @ y
+    m = ys.reshape(-1, 3, 3)
+    rho = 0.5 * (m + m.conj().swapaxes(1, 2))
+    try:
+        low = validate_density(rho)
+    except InvariantError as exc:
+        raise IntegrationError(f"{exc} at tau={samples[exc.index]}") from None
+    rho.flags.writeable = False
     stats = IntegratorStats(
         propagators=len(steps), squarings=squarings,
         generator_calls=L.shape[1] + 1,  # one probe per basis matrix, one check
-        worst_trace_drift=max(float(abs(s.matrix.trace().real - 1.0)) for s in out),
-        min_eigenvalue=min(s.min_eigenvalue for s in out),
+        worst_trace_drift=float(np.abs(rho.trace(axis1=1, axis2=2).real - 1.0).max()),
+        min_eigenvalue=float(low.min()),
     )
-    return LindbladTrajectory(samples, out, stats)
+    return LindbladTrajectory(samples, rho, stats)
 
 
 def concurrence_from_state(rho: DensityMatrix3) -> float:

@@ -118,7 +118,34 @@ class PureAmplitudes:
         return abs(self.c_e0) ** 2 + abs(self.c_g1) ** 2
 
 
-_BASIS_LABELS = ("|e,0>", "|g,1>", "|g,0>")
+def validate_density(stack: np.ndarray) -> np.ndarray:
+    """Check a stack ``(..., d, d)`` of density matrices; return each smallest eigenvalue.
+
+    In order: finite entries, Hermitian within 1e-10, trace 1 within 1e-9, and
+    no eigenvalue of the symmetrised matrix below -1e-9 (one batched ``eigvalsh``).
+    The earliest failing matrix raises ``InvariantError`` for its first failed
+    check, with ``index`` set to its flat position in the stack.
+    """
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    flat = np.where(finite[:, None, None], flat, 0.0)  # keeps nan and inf out of eigvalsh
+    adjoint = flat.conj().swapaxes(1, 2)
+    tr = flat.trace(axis1=1, axis2=2).real
+    low = np.linalg.eigvalsh(0.5 * (flat + adjoint)).min(axis=1)
+    fails = (~finite, np.abs(flat - adjoint).max(axis=(1, 2)) > HERMITICITY_TOL,
+             np.abs(tr - 1.0) > TRACE_TOL, low < EIGENVALUE_FLOOR)
+    bad = fails[0] | fails[1] | fails[2] | fails[3]
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = InvariantError((
+            "matrix has a non-finite entry",
+            "matrix is not Hermitian within 1e-10",
+            f"trace {tr[i]} deviates from 1 beyond 1e-9",
+            "matrix has an eigenvalue below -1e-9",
+        )[[f[i] for f in fails].index(True)])
+        exc.index = i
+        raise exc
+    return low.reshape(stack.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -132,14 +159,7 @@ class DensityMatrix3:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (3, 3):
             raise InvariantError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            raise InvariantError("matrix is not Hermitian within 1e-10")
-        tr = m.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantError(f"trace {tr} deviates from 1 beyond 1e-9")
-        low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if low < EIGENVALUE_FLOOR:
-            raise InvariantError("matrix has an eigenvalue below -1e-9")
+        low = float(validate_density(m[None])[0])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "min_eigenvalue", low)

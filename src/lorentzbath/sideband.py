@@ -19,7 +19,6 @@ MAX_ARGUMENT = 700.0
 _SERIES_SPLIT = 9.0
 _RESCALE = 1e250
 _FREQ_MATCH_TOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _series(n: int, x: float) -> float:
@@ -133,28 +132,25 @@ def preferred_sideband_order(xi: float) -> int:
     return 1 if xi < 1.0 else 2
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi] shrunk below width 1e-12 around where ``below`` turns false."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _first_peak(n: int) -> tuple[float, float]:
-    """Location and value of the first maximum of J_n on mu > 0."""
-    hi = n + 6.0 + 2.0 * n ** (1.0 / 3.0)
-    grid = [hi * (i + 1) / 4000.0 for i in range(4000)]
-    vals = [bessel_jn(n, mu) for mu in grid]
-    i = max(range(len(vals)), key=vals.__getitem__)
-    a = grid[i - 1] if i > 0 else 0.0
-    b = grid[i + 1] if i + 1 < len(grid) else hi
-    # golden-section shrink of the bracket
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = bessel_jn(n, c), bessel_jn(n, d)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = bessel_jn(n, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = bessel_jn(n, d)
-    mu = 0.5 * (a + b)
+    """Location and value of the first maximum of J_n on mu > 0 (n >= 1).
+
+    The first zero of J_n' = (J_{n-1} - J_{n+1})/2 = J_{n-1} - n J_n/mu (the
+    second form needs no order above MAX_ORDER).  For every order up to
+    MAX_ORDER, n + 2 n^(1/3) lies between it and the next zero of J_n'.
+    """
+    rising = lambda mu: mu * bessel_jn(n - 1, mu) > n * bessel_jn(n, mu)
+    mu = _bisect(rising, 0.0, n + 2.0 * n ** (1 / 3))
     return mu, bessel_jn(n, mu)
 
 
@@ -183,14 +179,5 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
         )
     if target_lambda >= lam_max:
         return mu_peak * nu
-    # J_n rises monotonically from 0 to its first peak: plain bisection
-    lo, hi = 0.0, mu_peak
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g * bessel_jn(n, mid) < target_lambda:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi) * nu
+    # J_n rises monotonically from 0 to its first peak
+    return _bisect(lambda mu: g * bessel_jn(n, mu) < target_lambda, 0.0, mu_peak) * nu

@@ -205,6 +205,29 @@ class TestHeatmap:
         assert main(["heatmap", "--xi-min", "2.0", "--xi-max", "1.0"]) == 2
         assert main(["heatmap", "--xi-min", "-1.0", "--xi-scale", "log"]) == 2
 
+    def test_failing_lindblad_row_names_its_xi(self, capsys, monkeypatch):
+        from lorentzbath import lindblad
+
+        rhs = lindblad.rhs
+
+        def gains_trace_above_xi_1(m, params):
+            out = rhs(m, params)
+            if params.xi > 1.0:
+                out[2, 2] += m[0, 0]
+            return out
+
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(lindblad, "rhs", gains_trace_above_xi_1)
+        code = main(
+            ["heatmap", "--method", "lindblad", "--xi-min", "0.5", "--xi-max", "2.0",
+             "--xi-steps", "3", "--tau-max", "1.0", "--tau-steps", "5"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: trace ") and err.endswith(
+            "at tau=0.25 [grid row xi=2.0]\n"
+        )
+
     def test_bad_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "several")
         code = main(

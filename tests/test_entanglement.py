@@ -56,6 +56,15 @@ class TestTwoQubitDensity:
         with pytest.raises(InvariantError):
             TwoQubitDensity(np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize("where", ["everywhere", "one coherence"])
+    def test_rejects_nan(self, where):
+        m = np.full((4, 4), np.nan, dtype=complex)
+        if where == "one coherence":
+            m = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+            m[1, 2] = np.nan
+        with pytest.raises(InvariantError, match="non-finite"):
+            TwoQubitDensity(m)
+
     def test_embed_layout(self):
         rho3 = pure_to_density(PureAmplitudes(c_e0=0.6, c_g1=0.8j))
         rho4 = embed(rho3)

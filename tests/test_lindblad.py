@@ -15,6 +15,7 @@ from lorentzbath.lindblad import (
     rhs,
 )
 from lorentzbath.model import (
+    DensityMatrix3,
     ModelParams,
     PureAmplitudes,
     RescaledTime,
@@ -256,3 +257,61 @@ class TestFailureModes:
         cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
         with pytest.raises(DomainError, match="not linear"):
             integrate(cfg, sample_taus=np.array([0.0, 0.5]), rhs_fn=generator)
+
+
+class TestStackedValidation:
+    def test_one_eigvalsh_call_and_no_state_objects(self, monkeypatch):
+        counts = {"states": 0, "eigvalsh": 0}
+        post_init, eigvalsh = DensityMatrix3.__post_init__, np.linalg.eigvalsh
+
+        def counting_post_init(self):
+            counts["states"] += 1
+            post_init(self)
+
+        def counting_eigvalsh(*args, **kwargs):
+            counts["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix3, "__post_init__", counting_post_init)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        traj = integrate(
+            LindbladConfig(ModelParams(xi=2.0), t_end=6.0), np.linspace(0.0, 6.0, 401)
+        )
+        assert len(traj.rho) == 401
+        assert counts == {"states": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("xi", [0.5, 2.0, 10.0])
+    def test_stack_matches_per_sample_validation(self, xi):
+        taus = np.linspace(0.0, 6.0, 401)
+        traj = integrate(LindbladConfig(ModelParams(xi=xi), t_end=6.0), taus)
+        assert traj.rho.shape == (401, 3, 3) and not traj.rho.flags.writeable
+        states = traj.states
+        # reference: each sample checked on its own, as a loop of single matrices
+        low = [float(np.linalg.eigvalsh(m).min()) for m in traj.rho]
+        drift = [float(abs(m.trace().real - 1.0)) for m in traj.rho]
+        assert traj.solver.min_eigenvalue == min(low) == min(s.min_eigenvalue for s in states)
+        assert traj.solver.worst_trace_drift == max(drift)
+        for i, s in enumerate(states):
+            assert (s.matrix == traj.rho[i]).all()
+        assert (traj.p_e0 == [s.p_e0 for s in states]).all()
+        assert (traj.p_g1 == [s.p_g1 for s in states]).all()
+        assert (traj.p_g0 == [s.p_g0 for s in states]).all()
+        assert (traj.coherences == [s.coherence for s in states]).all()
+
+    def test_earliest_failing_sample_is_reported(self):
+        # population leaks out of the empty |g,1>, breaking the eigenvalue
+        # floor at once; a slow trace gain passes 1e-9 only after tau ~ 0.2,
+        # so the later samples fail the trace check, which runs first
+        def leak(m, params):
+            out = np.zeros((3, 3), dtype=complex)
+            out[0, 0], out[1, 1] = m[0, 0], -m[0, 0]
+            out[2, 2] = 5e-9 * m[0, 0]
+            return out
+
+        cfg = LindbladConfig(ModelParams(xi=2.0), t_end=1.0)
+        with pytest.raises(IntegrationError, match=r"trace .* at tau=1.0$"):
+            integrate(cfg, sample_taus=np.array([1.0]), rhs_fn=leak)
+        with pytest.raises(
+            IntegrationError, match=r"^matrix has an eigenvalue below -1e-9 at tau=0.1$"
+        ):
+            integrate(cfg, sample_taus=np.array([0.0, 0.1, 0.5, 1.0]), rhs_fn=leak)

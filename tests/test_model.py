@@ -12,6 +12,7 @@ from lorentzbath.model import (
     params_from_physical,
     pure_to_density,
     tau_from_time,
+    validate_density,
 )
 
 
@@ -145,3 +146,46 @@ class TestDensityMatrix3:
         rho = pure_to_density(PureAmplitudes(c_e0=1.0, c_g1=0.0))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("where", ["everywhere", "one coherence"])
+    def test_rejects_nan(self, where):
+        m = np.full((3, 3), np.nan, dtype=complex)
+        if where == "one coherence":
+            m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            m[0, 1] = np.nan
+        with pytest.raises(InvariantError, match="non-finite"):
+            DensityMatrix3(m)
+
+
+class TestValidateDensity:
+    def test_returns_each_smallest_eigenvalue(self, rng):
+        a = rng.normal(size=(2, 3, 3, 3)) + 1j * rng.normal(size=(2, 3, 3, 3))
+        m = a @ a.conj().swapaxes(-1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        low = validate_density(m)
+        assert low.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert low[idx] == np.linalg.eigvalsh(m[idx]).min()
+
+    def test_earliest_matrix_wins_over_check_order(self):
+        good = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        negative = np.diag([1.1, -0.1, 0.0]).astype(complex)
+        bad_trace = np.diag([0.5, 0.3, 0.1]).astype(complex)
+        nan = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(InvariantError, match="eigenvalue below") as err:
+            validate_density(np.array([good, negative, bad_trace, nan]))
+        assert err.value.index == 1
+        with pytest.raises(InvariantError, match="non-finite") as err:
+            validate_density(np.array([good, nan, negative]))
+        assert err.value.index == 1
+
+    def test_checks_run_in_order_within_a_matrix(self):
+        # fails the trace and the eigenvalue floor: the trace is reported,
+        # with its value, as a matrix-by-matrix loop would
+        m = np.diag([1.5, -0.2, 0.0]).astype(complex)
+        with pytest.raises(InvariantError, match=r"^trace 1.3 deviates from 1 beyond 1e-9$"):
+            validate_density(m[None])
+        m[0, 1] = 0.1
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            validate_density(m[None])

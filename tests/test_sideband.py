@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,6 +86,18 @@ class TestBessel:
         mu, val = _first_peak(1)
         assert mu == pytest.approx(J1_PEAK_MU, abs=1e-6)
         assert val == pytest.approx(J1_PEAK_VALUE, abs=1e-12)
+
+    def test_first_peak_is_a_zero_of_the_derivative(self):
+        for n in range(1, 11):
+            mu, val = _first_peak(n)
+            assert abs(bessel_jn(n - 1, mu) - bessel_jn(n + 1, mu)) <= 1e-12
+            assert val == bessel_jn(n, mu)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 33, MAX_ORDER])
+    def test_first_peak_against_mpmath(self, n):
+        # the bracket end n + 2 n^(1/3) must lie between the first two zeros of J_n'
+        mu, _ = _first_peak(n)
+        assert mu == pytest.approx(float(mpmath.besseljzero(n, 1, derivative=1)), abs=1e-11)
 
 
 class TestSidebandConfig:

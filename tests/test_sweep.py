@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lorentzbath import sweep
 from lorentzbath.analytic import _amplitude_arrays
-from lorentzbath.errors import DomainError
+from lorentzbath.errors import DomainError, TargetNotReachable
 from lorentzbath.sweep import (
     CheckResult,
     COLUMNS,
@@ -155,6 +156,16 @@ class TestHeatmap:
         task = ("multimode", 1.5, np.array([0.0, 1.0]), 2, 100.0)
         with pytest.raises(DomainError, match=r"grid row xi=1.5"):
             _rows_for_xi(task)
+
+    def test_grid_row_note_keeps_the_exception(self, monkeypatch):
+        def unreachable(*args):
+            raise TargetNotReachable("drive too weak", max_xi=0.5)
+
+        monkeypatch.setattr(sweep, "evaluate", unreachable)
+        with pytest.raises(TargetNotReachable) as err:
+            _rows_for_xi(("analytic", 1.5, np.array([0.0, 1.0]), 2, 100.0))
+        assert str(err.value) == "drive too weak" and err.value.max_xi == 0.5
+        assert err.value.__notes__ == ["[grid row xi=1.5]"]
 
 
 class TestCmaxCurve:
