@@ -29,12 +29,11 @@ from .errors import (
     InvariantError,
     TargetNotReachable,
 )
-from .lindblad import LindbladConfig, LindbladTrajectory, concurrence_from_state, integrate, rhs
+from .lindblad import LindbladTrajectory, integrate, rhs
 from .model import (
     DensityMatrix3,
     ModelParams,
     PureAmplitudes,
-    RescaledTime,
     params_from_physical,
     pure_to_density,
     tau_from_time,
@@ -86,15 +85,12 @@ __all__ = [
     "IntegrationError",
     "InvariantError",
     "TargetNotReachable",
-    "LindbladConfig",
     "LindbladTrajectory",
-    "concurrence_from_state",
     "integrate",
     "rhs",
     "DensityMatrix3",
     "ModelParams",
     "PureAmplitudes",
-    "RescaledTime",
     "params_from_physical",
     "pure_to_density",
     "tau_from_time",

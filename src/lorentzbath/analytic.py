@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, PureAmplitudes, RescaledTime, _as_tau
+from .model import ModelParams, PureAmplitudes, _sample_times
 
 
 def _amplitude_arrays(xi, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -52,16 +52,13 @@ def _amplitude_arrays(xi, tau) -> tuple[np.ndarray, np.ndarray]:
     return c_e0 + 0j, -1j * xi * np.where(osc, env * sinc, sinh)
 
 
-def amplitudes(params: ModelParams, tau: RescaledTime | float) -> PureAmplitudes:
+def amplitudes(params: ModelParams, tau: float) -> PureAmplitudes:
     """No-jump amplitudes at a single rescaled time."""
-    t = _as_tau(tau)
-    if t < 0:
-        raise DomainError(f"tau must be >= 0, got {t}")
-    ce, cg = _amplitude_arrays(params.xi, np.asarray([t]))
+    ce, cg = _amplitude_arrays(params.xi, _sample_times([tau]))
     return PureAmplitudes(complex(ce[0]), complex(cg[0]))
 
 
-def survival_probability(params: ModelParams, tau: RescaledTime | float) -> float:
+def survival_probability(params: ModelParams, tau: float) -> float:
     """Norm of the no-jump wavefunction, |c_e0|^2 + |c_g1|^2."""
     psi = amplitudes(params, tau)
     return psi.norm_sq
@@ -72,7 +69,7 @@ def _concurrence_arrays(xi, tau) -> np.ndarray:
     return 2.0 * np.abs(ce) * np.abs(cg)
 
 
-def concurrence(params: ModelParams, tau: RescaledTime | float) -> float:
+def concurrence(params: ModelParams, tau: float) -> float:
     """Extractable concurrence C = 2|c_e0||c_g1| at one time."""
     psi = amplitudes(params, tau)
     return 2.0 * abs(psi.c_e0) * abs(psi.c_g1)
@@ -93,9 +90,9 @@ def _t_opt(xi) -> np.ndarray:
     return np.where(xi >= 1.0, above, below)
 
 
-def t_opt_formula(params: ModelParams) -> RescaledTime:
+def t_opt_formula(params: ModelParams) -> float:
     """Closed-form location of the concurrence maximum, on every branch."""
-    return RescaledTime(float(_t_opt(params.xi)))
+    return float(_t_opt(params.xi))
 
 
 @dataclass(frozen=True)
@@ -127,13 +124,12 @@ def c_max(params: ModelParams) -> OptimumRecord:
 
 
 def c_max_derivative(xi: float, h: float | None = None) -> float:
-    """Central finite difference of c_max with respect to xi."""
+    """Central finite difference of c_max with respect to xi; both xi +- h
+    must be valid couplings."""
     if h is None:
         h = 1e-4 * max(1.0, xi)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
-    if xi - h <= 0:
-        raise DomainError(f"xi - h = {xi - h} must stay positive")
     hi = c_max(ModelParams(xi=xi + h)).c_max
     lo = c_max(ModelParams(xi=xi - h)).c_max
     return (hi - lo) / (2.0 * h)

@@ -113,13 +113,7 @@ def _resolved_config(args) -> dict:
 def _cmd_evolve(args) -> int:
     if args.xi is None:
         raise DomainError("--xi is required (on the command line or in --config)")
-    if args.xi <= 0 or not np.isfinite(args.xi):
-        raise DomainError(f"--xi must be positive, got {args.xi}")
-    if args.steps < 2:
-        raise DomainError(f"--steps must be at least 2, got {args.steps}")
-    if args.tau_max <= 0 or not np.isfinite(args.tau_max):
-        raise DomainError(f"--tau-max must be positive, got {args.tau_max}")
-    taus = np.linspace(0.0, args.tau_max, args.steps)
+    taus = _axis(0.0, args.tau_max, args.steps, "linear", "tau")
     columns, extra = sweep.evaluate(args.method, args.xi, taus, args.n_modes, args.window)
     names = _EVOLVE_COLUMNS_ANALYTIC if args.method == "analytic" else _EVOLVE_COLUMNS_ORACLE
     metadata = {"command": "evolve", "method": args.method, **extra}
@@ -143,8 +137,6 @@ def _axis(lo: float, hi: float, steps: int, scale: str, name: str) -> np.ndarray
 
 def _cmd_heatmap(args) -> int:
     xi = _axis(args.xi_min, args.xi_max, args.xi_steps, args.xi_scale, "xi")
-    if args.tau_max <= 0:
-        raise DomainError(f"--tau-max must be positive, got {args.tau_max}")
     tau = _axis(0.0, args.tau_max, args.tau_steps, "linear", "tau")
     grid = sweep.SweepGrid(
         xi_values=xi,

@@ -31,3 +31,8 @@ class TargetNotReachable(ValueError):
     def __init__(self, message: str, max_xi: float):
         super().__init__(message)
         self.max_xi = max_xi
+
+    def __reduce__(self):
+        # the default rebuilds from self.args alone, which lacks max_xi; the
+        # state dict carries max_xi and any notes across a process pool
+        return type(self), (self.args[0], self.max_xi), self.__dict__

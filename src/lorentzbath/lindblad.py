@@ -9,6 +9,10 @@ with H = xi (|e,0><g,1| + h.c.), a = |g,0><g,1| and kappa~ = 4.  The
 coherence 2|rho_{e0,g1}| of the solution equals the extractable concurrence
 of the closed-form no-jump dynamics, which is what the cross-checks assert.
 The generator is constant, so rho(tau) = exp(tau L) rho(0) holds exactly.
+
+``integrate(params, t_end, sample_taus)`` has the shape of
+``multimode.evolve(bath, t_end, sample_taus)``; both check the horizon and
+the sample times with the one time-grid guard of ``model``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError, InvariantError
-from .model import DensityMatrix3, ModelParams, RescaledTime, _as_tau, _sample_times
-from .model import validate_density
+from .model import DensityMatrix3, ModelParams, _sample_times, validate_density
 
 KAPPA_RESCALED = 4.0
 
@@ -31,20 +34,6 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-
-
-@dataclass(frozen=True)
-class LindbladConfig:
-    """Propagation request: parameters and horizon."""
-
-    params: ModelParams
-    t_end: RescaledTime | float
-
-    def __post_init__(self):
-        t = _as_tau(self.t_end)
-        if t < 0 or not np.isfinite(t):
-            raise DomainError(f"t_end must be nonnegative, got {t}")
-        object.__setattr__(self, "t_end", float(t))
 
 
 def rhs(rho, params: ModelParams) -> np.ndarray:
@@ -134,11 +123,14 @@ def _expm(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def integrate(
-    config: LindbladConfig,
+    params: ModelParams,
+    t_end: float,
     sample_taus: np.ndarray | None = None,
     rhs_fn=None,
 ) -> LindbladTrajectory:
     """Propagate the master equation exactly from one sample time to the next.
+
+    The samples are ``sample_taus``, or 401 points on [0, t_end].
 
     The generator is probed once into a 9x9 matrix L on the flattened state.
     Each distinct interval h between consecutive samples (the first one
@@ -154,13 +146,13 @@ def integrate(
     verification harness uses this to prove the cross-checks catch an
     injected defect.
     """
-    samples = _sample_times(sample_taus, float(config.t_end))
+    samples = _sample_times(sample_taus, t_end)
     f = rhs if rhs_fn is None else rhs_fn
-    L = _liouvillian(f, config.params)
+    L = _liouvillian(f, params)
     # the probes pin a linear generator down; an affine or nonlinear one
     # would be silently replaced, so check it on one generic combination
     probe = np.arange(1.0, 10.0) + 1j * np.arange(9.0, 0.0, -1.0)
-    gap = np.abs(np.asarray(f(probe.reshape(3, 3), config.params)).reshape(9) - L @ probe)
+    gap = np.abs(np.asarray(f(probe.reshape(3, 3), params)).reshape(9) - L @ probe)
     if not gap.max() <= 1e-12 * np.abs(L).max() * np.abs(probe).sum():
         raise DomainError(f"generator is not linear: off by {gap.max()} on a probe state")
 
@@ -192,8 +184,3 @@ def integrate(
         min_eigenvalue=float(low.min()),
     )
     return LindbladTrajectory(samples, rho, stats)
-
-
-def concurrence_from_state(rho: DensityMatrix3) -> float:
-    """Extractable concurrence read off the unconditional state."""
-    return 2.0 * abs(rho.coherence)

@@ -4,6 +4,10 @@ Everything downstream works in dimensionless variables: the coupling ratio
 ``xi = 4*lambda0/kappa`` and the rescaled time ``tau = kappa*t/4``.  Physical
 rates enter only through :func:`params_from_physical` / :func:`tau_from_time`;
 their unit is an opaque tag that both rates must share.
+
+Each input is checked once, here: :func:`_xi_values` is the one coupling
+guard (behind :class:`ModelParams` and every xi grid) and :func:`_sample_times`
+the one time-grid guard (behind every oracle and every tau grid).
 """
 
 from __future__ import annotations
@@ -20,6 +24,20 @@ EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
 CONSISTENCY_TOL = 1e-12
 SAMPLE_SLACK = 1e-12  # relative to max(1, t_end)
+MAX_XI = 1e150  # (xi - 1)*(xi + 1) overflows above ~1.3e154
+
+
+def _xi_values(xi_values) -> np.ndarray:
+    """The coupling guard: a finite, non-empty, strictly increasing 1-d array
+    of ratios in (0, MAX_XI]."""
+    xi = np.asarray(xi_values, dtype=float)
+    if xi.ndim != 1 or len(xi) == 0 or not np.isfinite(xi).all():
+        raise DomainError(f"xi values must be a finite non-empty 1-d array, got {xi}")
+    if not (xi[1:] > xi[:-1]).all():
+        raise DomainError("xi values must be strictly increasing")
+    if not (xi[0] > 0.0 and xi[-1] <= MAX_XI):
+        raise DomainError(f"xi values must lie in (0, {MAX_XI:g}], got {xi[0]} to {xi[-1]}")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -32,8 +50,7 @@ class ModelParams:
     units: str | None = None
 
     def __post_init__(self):
-        if not (self.xi > 0.0) or not np.isfinite(self.xi):
-            raise DomainError(f"xi must be a positive finite real, got {self.xi}")
+        _xi_values([self.xi])
         given = (self.kappa is not None, self.lambda0 is not None)
         if any(given) and not all(given):
             raise DomainError("kappa and lambda0 must be given together")
@@ -58,46 +75,34 @@ def params_from_physical(kappa: float, lambda0: float, units: str) -> ModelParam
     return ModelParams(xi=4.0 * lambda0 / kappa, kappa=kappa, lambda0=lambda0, units=units)
 
 
-@dataclass(frozen=True)
-class RescaledTime:
-    """Dimensionless time tau = kappa*t/4."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0.0:
-            raise DomainError(f"tau must be finite and >= 0, got {self.tau}")
-
-    def __float__(self) -> float:
-        return float(self.tau)
-
-
-def tau_from_time(t: float, kappa: float) -> RescaledTime:
+def tau_from_time(t: float, kappa: float) -> float:
     """Rescale a physical time by kappa/4."""
     if kappa <= 0 or not np.isfinite(kappa):
         raise DomainError(f"kappa must be positive, got {kappa}")
-    if t < 0 or not np.isfinite(t):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    return RescaledTime(kappa * t / 4.0)
+    return float(_sample_times([kappa * t / 4.0])[0])
 
 
-def _as_tau(tau: "RescaledTime | float") -> float:
-    return tau.tau if isinstance(tau, RescaledTime) else float(tau)
+def _sample_times(sample_taus, t_end: float | None = None) -> np.ndarray:
+    """The time-grid guard: the requested sample times, or 401 points on [0, t_end].
 
-
-def _sample_times(sample_taus, t_end: float) -> np.ndarray:
-    """Requested sample times, or 401 points on [0, t_end]; checked against it.
-
-    The last time may pass t_end by SAMPLE_SLACK*max(1, t_end), so a grid that
-    ends at t_end up to rounding is accepted at any horizon.
+    ``t_end`` must be finite and >= 0; the samples finite, 1-d, non-empty,
+    strictly increasing and >= 0.  With a ``t_end`` the last one may pass it
+    by SAMPLE_SLACK*max(1, t_end), so a grid that ends at t_end up to
+    rounding is accepted at any horizon.
     """
+    if t_end is not None and not (np.isfinite(t_end) and t_end >= 0.0):
+        raise DomainError(f"t_end must be finite and >= 0, got {t_end}")
     if sample_taus is None:
         return np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
     samples = np.asarray(sample_taus, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0 or np.any(np.diff(samples) <= 0):
+    if samples.ndim != 1 or len(samples) == 0 or not np.isfinite(samples).all():
+        raise DomainError(f"sample times must be a finite non-empty 1-d array, got {samples}")
+    if not (samples[1:] > samples[:-1]).all():
         raise DomainError("sample times must be strictly increasing")
-    if samples[0] < 0 or samples[-1] > t_end + SAMPLE_SLACK * max(1.0, t_end):
-        raise DomainError("sample times must lie inside [0, t_end]")
+    if samples[0] < 0:
+        raise DomainError(f"sample times must be >= 0, got {samples[0]}")
+    if t_end is not None and samples[-1] > t_end + SAMPLE_SLACK * max(1.0, t_end):
+        raise DomainError(f"sample time {samples[-1]} lies past t_end={t_end}")
     return samples
 
 

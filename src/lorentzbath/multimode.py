@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EigensolverError, IntegrationError
-from .model import ModelParams, _as_tau, _sample_times
+from .model import ModelParams, _sample_times
 
 NORM_BUDGET = 1e-9          # state-type invariant
 NORM_ABORT = 1e-6           # evolve gives up when the weights sum this far from 1
@@ -222,7 +222,7 @@ def _propagate(poles, g, taus, mode_rows):
 
 def evolve(
     bath: DiscretizedBath,
-    t_end,
+    t_end: float,
     sample_taus: np.ndarray | None = None,
     keep_modes: bool = False,
 ) -> MultimodeTrajectory:
@@ -234,7 +234,6 @@ def evolve(
     with w_j = 1/(1 + sum g^2/(E_j - delta)^2).  The weights sum to the norm;
     off by more than NORM_ABORT the run aborts.
     """
-    t_end = float(_as_tau(t_end))
     samples = _sample_times(sample_taus, t_end)
     if samples[-1] > bath.recurrence_horizon:
         raise DomainError(f"sample time {samples[-1]} exceeds the recurrence horizon "

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, TargetNotReachable
+from .model import _xi_values
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -127,8 +128,7 @@ def effective_coupling(cfg: SidebandConfig) -> float:
 def preferred_sideband_order(xi: float) -> int:
     """Crosstalk-avoidance preset used in the experiment: first order below
     xi=1, second order from there up.  A convention, not physics."""
-    if not (xi > 0 and math.isfinite(xi)):
-        raise DomainError(f"xi must be positive, got {xi}")
+    _xi_values([xi])
     return 1 if xi < 1.0 else 2
 
 

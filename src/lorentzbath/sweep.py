@@ -22,7 +22,7 @@ from . import multimode as _mm
 from ._version import __version__
 from .entanglement import embed, wootters_concurrence, xstate_concurrence
 from .errors import DomainError
-from .model import ModelParams, pure_to_density
+from .model import ModelParams, _sample_times, _xi_values, pure_to_density
 from .sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
 
 WORKERS_ENV = "LORENTZBATH_WORKERS"
@@ -58,19 +58,12 @@ class SweepGrid:
     tau_spacing: str = "custom"
 
     def __post_init__(self):
-        xi = np.asarray(self.xi_values, dtype=float)
-        tau = np.asarray(self.tau_values, dtype=float)
-        object.__setattr__(self, "xi_values", xi)
-        object.__setattr__(self, "tau_values", tau)
         if self.method not in METHODS:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name, v, low_ok in (("xi", xi, False), ("tau", tau, True)):
-            if v.ndim != 1 or len(v) == 0 or not np.isfinite(v).all():
-                raise DomainError(f"{name}_values must be a finite non-empty 1-d array")
-            if len(v) > 1 and np.any(np.diff(v) <= 0):
-                raise DomainError(f"{name}_values must be strictly increasing")
-            if (v.min() < 0) or (not low_ok and v.min() <= 0):
-                raise DomainError(f"{name}_values out of range (min {v.min()})")
+        xi = _xi_values(self.xi_values)
+        tau = _sample_times(self.tau_values)
+        object.__setattr__(self, "xi_values", xi)
+        object.__setattr__(self, "tau_values", tau)
         xi.flags.writeable = False
         tau.flags.writeable = False
 
@@ -113,7 +106,7 @@ def evaluate(
     its bath.
     """
     params = ModelParams(xi=xi)
-    t_end = float(taus[-1])
+    taus = _sample_times(taus)
     cols, metadata = {}, {}
     if method == "analytic":
         ce, cg = analytic._amplitude_arrays(xi, taus)
@@ -124,14 +117,14 @@ def evaluate(
         p_g0 = 1.0 - surv
         cols = {"c_re_e0": ce.real, "c_im_e0": ce.imag, "c_re_g1": cg.real, "c_im_g1": cg.imag}
     elif method == "lindblad":
-        traj = _lb.integrate(_lb.LindbladConfig(params=params, t_end=t_end), sample_taus=taus)
+        traj = _lb.integrate(params, taus[-1], sample_taus=taus)
         p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
         surv = p_e0 + p_g1
         conc = traj.concurrences
         metadata["solver"] = asdict(traj.solver)
     else:
         bath = _mm.sample_bath(params, n_modes, window)
-        traj = _mm.evolve(bath, t_end, sample_taus=taus)
+        traj = _mm.evolve(bath, taus[-1], sample_taus=taus)
         p_e0 = traj.p_e
         # closed unitary dynamics: every non-qubit amplitude is the
         # one-photon share, nothing has been irreversibly lost
@@ -250,11 +243,7 @@ class CmaxCurve:
 
 
 def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
-    xi = np.asarray(xi_values, dtype=float)
-    if xi.ndim != 1 or len(xi) == 0 or not np.isfinite(xi).all():
-        raise DomainError("xi_values must be a finite non-empty 1-d array")
-    if xi.min() <= 0 or (len(xi) > 1 and np.any(np.diff(xi) <= 0)):
-        raise DomainError("xi_values must be positive and strictly increasing")
+    xi = _xi_values(xi_values)
     t0 = time.perf_counter()
     recs = analytic.c_max_batch(xi)
     c = np.array([r.c_max for r in recs])
@@ -318,9 +307,7 @@ def _check_lindblad_equivalence(quick: bool):
     taus = np.linspace(0.0, 6.0, 401)
     worst_c = worst_p = 0.0
     for xi in xis:
-        traj = _lb.integrate(
-            _lb.LindbladConfig(params=ModelParams(xi=xi), t_end=6.0), sample_taus=taus
-        )
+        traj = _lb.integrate(ModelParams(xi=xi), 6.0, sample_taus=taus)
         ce, cg = analytic._amplitude_arrays(xi, taus)
         worst_c = max(worst_c, float(np.abs(traj.concurrences - 2 * np.abs(ce) * np.abs(cg)).max()))
         worst_p = max(
@@ -343,7 +330,7 @@ def _check_lindblad_equivalence(quick: bool):
 def _check_lindblad_refinement(quick: bool):
     p = ModelParams(xi=2.0)
     coarse, fine = (
-        _lb.integrate(_lb.LindbladConfig(params=p, t_end=6.0), np.linspace(0.0, 6.0, n))
+        _lb.integrate(p, 6.0, np.linspace(0.0, 6.0, n))
         for n in (401, 801)
     )
     # the fine grid splits every interval in two; compare at the shared samples
@@ -430,7 +417,7 @@ def _check_analytic(quick: bool):
     xis = (1.05, 1.2, 2.0, 5.0, 20.0)
     worst = 0.0
     for xi in xis:
-        tf = float(analytic.t_opt_formula(ModelParams(xi=xi)))
+        tf = analytic.t_opt_formula(ModelParams(xi=xi))
         # C is unimodal on its first lobe [0, pi/w]
         lobe = np.pi / ((xi - 1.0) * (xi + 1.0)) ** 0.5
         conc = lambda t: float(analytic._concurrence_arrays(xi, t))
@@ -478,9 +465,7 @@ def _check_cmax_shape(quick: bool):
 
 def _check_weak_coupling(quick: bool):
     taus = np.linspace(0.0, 400.0, 401)
-    traj = _lb.integrate(
-        _lb.LindbladConfig(params=ModelParams(xi=0.05), t_end=400.0), sample_taus=taus
-    )
+    traj = _lb.integrate(ModelParams(xi=0.05), 400.0, sample_taus=taus)
     rate = float(-np.polyfit(taus[50:], np.log(traj.p_e0[50:]), 1)[0])
     measured = abs(rate - 0.05**2) / 0.05**2
     return [
@@ -547,11 +532,7 @@ def _check_mutation(quick: bool):
     taus = np.linspace(0.0, 3.0, 121)
     ce, _ = analytic._amplitude_arrays(2.0, taus)
     try:
-        traj = _lb.integrate(
-            _lb.LindbladConfig(params=ModelParams(xi=2.0), t_end=3.0),
-            sample_taus=taus,
-            rhs_fn=_mutated_rhs,
-        )
+        traj = _lb.integrate(ModelParams(xi=2.0), 3.0, sample_taus=taus, rhs_fn=_mutated_rhs)
         dev = float(np.abs(traj.p_e0 - np.abs(ce) ** 2).max())
         detail = f"population deviation {dev:.3e} under sign-flipped coupling element"
     except Exception as exc:

@@ -44,9 +44,7 @@ def lindblad_runs():
     taus = np.linspace(0.0, 6.0, 401)
     runs = {}
     for xi in XI_SET:
-        runs[xi] = lb.integrate(
-            lb.LindbladConfig(params=ModelParams(xi=xi), t_end=6.0), sample_taus=taus
-        )
+        runs[xi] = lb.integrate(ModelParams(xi=xi), 6.0, sample_taus=taus)
     return taus, runs
 
 
@@ -162,9 +160,7 @@ def test_06_weak_coupling_markov_limit():
     xi = 0.05
     horizon = 2.0 / xi**2
     taus = np.linspace(0.0, horizon, 401)
-    traj = lb.integrate(
-        lb.LindbladConfig(params=ModelParams(xi=xi), t_end=horizon), sample_taus=taus
-    )
+    traj = lb.integrate(ModelParams(xi=xi), horizon, sample_taus=taus)
     rate_lb = float(-np.polyfit(taus, np.log(traj.p_e0), 1)[0])
 
     bath = mm.sample_bath(ModelParams(xi=xi), n_modes=6001, window=5.0)
@@ -189,7 +185,7 @@ def test_07_optimum_formula_stationarity():
     h = 1e-5
     for xi in (1.2, 2.0, 5.0, 10.0, 50.0):
         params = ModelParams(xi=xi)
-        tf = float(analytic.t_opt_formula(params))
+        tf = analytic.t_opt_formula(params)
         slope = (
             analytic.concurrence(params, tf + h) - analytic.concurrence(params, tf - h)
         ) / (2.0 * h)

@@ -165,13 +165,13 @@ class TestConcurrence:
 class TestOptimum:
     @pytest.mark.parametrize("xi", sorted(set(GOLDEN_OPTIMA) - {100.0}))
     def test_formula_against_reference(self, xi):
-        t = float(t_opt_formula(ModelParams(xi=xi)))
+        t = t_opt_formula(ModelParams(xi=xi))
         assert t == pytest.approx(GOLDEN_OPTIMA[xi][0], rel=1e-13)
 
     @pytest.mark.parametrize("xi", [1.2, 2.0, 5.0, 10.0, 50.0])
     def test_formula_is_stationary(self, xi):
         params = ModelParams(xi=xi)
-        t = float(t_opt_formula(params))
+        t = t_opt_formula(params)
         h = 1e-5
         slope = (concurrence(params, t + h) - concurrence(params, t - h)) / (2 * h)
         assert abs(slope) < 1e-6
@@ -181,12 +181,13 @@ class TestOptimum:
         # C is unimodal on its first lobe, tau <= pi/w above the critical
         # line; below it the maximum lies well inside tau <= 30
         lobe = math.pi / math.sqrt((xi - 1.0) * (xi + 1.0)) if xi > 1.0 else 30.0
-        tf = float(t_opt_formula(ModelParams(xi=xi)))
+        tf = t_opt_formula(ModelParams(xi=xi))
         assert abs(tf - golden_section_max(_conc(xi), 0.0, lobe, 1e-10)) < 1e-6
 
     def test_numeric_at_critical_point(self):
         # the exact optimum solves 1 - 2*tau^2 = 0
-        assert float(t_opt_formula(ModelParams(xi=1.0))) == pytest.approx(2.0**-0.5, abs=1e-15)
+        t_opt = t_opt_formula(ModelParams(xi=1.0))
+        assert type(t_opt) is float and t_opt == pytest.approx(2.0**-0.5, abs=1e-15)
         t = golden_section_max(_conc(1.0), 0.0, 10.0, 1e-10)
         assert t == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-7)
 
@@ -196,7 +197,7 @@ class TestOptimum:
     )
     def test_stationarity_residual(self, xi):
         # dC/dtau = 2 xi (a^2 - b^2) - 4ab with a = c_e0 and b = i c_g1, both real
-        ce, cg = _amplitude_arrays(xi, float(t_opt_formula(ModelParams(xi=xi))))
+        ce, cg = _amplitude_arrays(xi, t_opt_formula(ModelParams(xi=xi)))
         a, b = ce.real, (1j * cg).real
         assert abs(xi * (a * a - b * b) - 2.0 * a * b) <= 1e-12 * a * b
 

@@ -189,6 +189,11 @@ class TestEvolve:
     def test_bad_steps(self):
         assert main(["evolve", "--xi", "1.0", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("tau_max", ["inf", "nan", "0", "-1"])
+    def test_bad_tau_max_is_a_usage_error(self, tau_max, capsys):
+        assert main(["evolve", "--xi", "1.0", "--tau-max", tau_max]) == 2
+        assert capsys.readouterr().err.startswith("error: tau range")
+
 
 class TestHeatmap:
     def test_small_grid(self, capsys):
@@ -238,6 +243,10 @@ class TestHeatmap:
 
 
 class TestCmax:
+    def test_xi_beyond_max_is_a_usage_error(self, capsys):
+        assert main(["cmax", "--xi-max", "1e200"]) == 2
+        assert "xi values must lie in (0, 1e+150]" in capsys.readouterr().err
+
     def test_sources_and_monotonicity(self, capsys):
         assert main(
             ["cmax", "--xi-min", "0.5", "--xi-max", "4.0", "--steps", "8"]

@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lorentzbath import analytic, lindblad, multimode, sweep
 from lorentzbath.errors import DomainError, InvariantError
 from lorentzbath.model import (
+    MAX_XI,
     DensityMatrix3,
     ModelParams,
     PureAmplitudes,
-    RescaledTime,
+    _sample_times,
+    _xi_values,
     params_from_physical,
     pure_to_density,
     tau_from_time,
@@ -49,19 +54,92 @@ class TestModelParams:
 
 class TestRescaledTime:
     def test_zero_time(self):
-        assert float(tau_from_time(0.0, 5.0)) == 0.0
+        assert tau_from_time(0.0, 5.0) == 0.0
 
     def test_definition_point(self):
-        assert float(tau_from_time(4.0 / 5.0, 5.0)) == pytest.approx(1.0, rel=1e-15)
+        tau = tau_from_time(4.0 / 5.0, 5.0)
+        assert type(tau) is float and tau == pytest.approx(1.0, rel=1e-15)
 
     def test_microsecond_example(self):
-        assert float(tau_from_time(0.8, 5.0)) == pytest.approx(1.0, rel=1e-15)
+        assert tau_from_time(0.8, 5.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             tau_from_time(-1.0, 5.0)
-        with pytest.raises(DomainError):
-            RescaledTime(-0.1)
+
+
+class TestTimeGuard:
+    @pytest.mark.parametrize("t_end", [-0.1, np.inf, np.nan])
+    def test_bad_horizon(self, t_end):
+        with pytest.raises(DomainError, match="t_end"):
+            _sample_times(None, t_end)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [0.0, 0.5, 0.5], [0.5, 0.0], [-0.1, 0.5]],
+        ids=["empty", "2-d", "nan", "inf", "repeated", "decreasing", "negative"],
+    )
+    def test_bad_samples(self, samples):
+        with pytest.raises(DomainError, match="sample time"):
+            _sample_times(samples)
+
+    def test_default_grid_and_horizon(self):
+        assert (_sample_times(None, 2.0) == np.linspace(0.0, 2.0, 401)).all()
+        assert (_sample_times(None, 0.0) == [0.0]).all()
+        assert (_sample_times([0.0, 1.0]) == [0.0, 1.0]).all()
+        with pytest.raises(DomainError, match="past t_end"):
+            _sample_times([0.0, 1.0], 0.5)
+
+
+class TestCouplingGuard:
+    @pytest.mark.parametrize(
+        "xi",
+        [[], [[1.0, 2.0]], [1.0, np.nan], [0.0, 1.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2 * MAX_XI]],
+        ids=["empty", "2-d", "nan", "zero", "decreasing", "repeated", "above MAX_XI"],
+    )
+    def test_bad_values(self, xi):
+        with pytest.raises(DomainError, match="xi values"):
+            _xi_values(xi)
+
+    def test_bound_is_accepted(self):
+        assert (_xi_values([1e-300, 1.0, MAX_XI]) == [1e-300, 1.0, MAX_XI]).all()
+        assert ModelParams(xi=MAX_XI).xi == MAX_XI
+
+
+def _one_mode_bath():
+    return multimode.DiscretizedBath(
+        detunings=np.zeros(1), couplings=np.array([2.0]), window=0.0, n_modes=1
+    )
+
+
+class TestGuardedEntryPoints:
+    """Bad input reaches each public entry point's guard, not the numerics."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sweep.evaluate("analytic", 2.0, [-1.0, 0.0]),
+            lambda: multimode.evolve(_one_mode_bath(), -1.0),
+            lambda: multimode.evolve(_one_mode_bath(), np.nan),
+            lambda: lindblad.integrate(ModelParams(xi=2.0), 1.0, [0.0, np.nan]),
+            lambda: analytic.amplitudes(ModelParams(xi=2.0), np.nan),
+            lambda: ModelParams(xi=1e160),
+            lambda: sweep.cmax_curve([1.0, 1e200]),
+        ],
+        ids=["evaluate-negative-tau", "evolve-negative-horizon", "evolve-nan-horizon",
+             "integrate-nan-sample", "amplitudes-nan", "params-overflow", "cmax-overflow"],
+    )
+    def test_domain_error_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call()
+
+    def test_c_max_at_the_bound(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = analytic.c_max(ModelParams(xi=MAX_XI))
+        assert np.isfinite(rec.tau_opt) and 0.0 <= rec.c_max <= 1.0 + 1e-12
 
 
 class TestPureAmplitudes:

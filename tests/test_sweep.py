@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,14 @@ class TestHeatmap:
             _rows_for_xi(("analytic", 1.5, np.array([0.0, 1.0]), 2, 100.0))
         assert str(err.value) == "drive too weak" and err.value.max_xi == 0.5
         assert err.value.__notes__ == ["[grid row xi=1.5]"]
+
+    def test_noted_exception_survives_pickling(self):
+        # a process-pool worker sends its exception back to the parent pickled
+        exc = TargetNotReachable("drive too weak", max_xi=0.5)
+        exc.add_note("[grid row xi=1.5]")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is TargetNotReachable and str(back) == "drive too weak"
+        assert back.max_xi == 0.5 and back.__notes__ == ["[grid row xi=1.5]"]
 
 
 class TestCmaxCurve:
