@@ -3,14 +3,17 @@
 Modulating the qubit at frequency nu with amplitude epsilon couples it to
 the resonator through the nth sideband with strength g * J_n(epsilon/nu).
 This module evaluates that map, inverts it for a target coupling ratio xi,
-and carries its own Bessel evaluation (ascending series at small argument,
-Miller downward recurrence at large) so the forward and inverse paths share
-one consistent J_n.
+and carries the package's Bessel evaluation (ascending series at small
+argument, Miller downward recurrence at large) so the forward and inverse
+paths share one consistent J_n.  The continuum oracle's Chebyshev propagator
+takes its J_n(rho*tau) from the same recurrence and start rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, TargetNotReachable
 from .model import _xi_values
@@ -19,6 +22,7 @@ MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
 _SERIES_SPLIT = 9.0
 _RESCALE = 1e250
+_TINY = 1e-50  # least recurrence argument: a step grows b by < 1e58, inside _RESCALE
 _FREQ_MATCH_TOL = 1e-9
 
 
@@ -38,18 +42,24 @@ def _series(n: int, x: float) -> float:
         m += 1
 
 
-def _miller(n: int, x: float) -> float:
-    """Downward recurrence from a padded even order, normalized by the
-    identity J_0 + 2*sum(J_even) = 1.  Valid for x > 0."""
+def _miller_start(n: int, x: float) -> int:
+    """Even order at which the downward recurrence for J_0..J_n at x starts,
+    padded far enough past max(n, x) that its arbitrary seed has died out."""
     m0 = max(n, int(x))
     start = m0 + 40 + int(1.1 * m0 ** (2.0 / 3.0))
-    if start % 2:
-        start += 1
+    return start + start % 2
+
+
+def _miller(n: int, x: float) -> list:
+    """J_0..J_start at x >= 0: downward recurrence from _miller_start(n, x),
+    normalized by the identity J_0 + 2*sum(J_even) = 1."""
+    # below _TINY, J_k(x) = q^k J_k(_TINY) to a relative _TINY^2
+    q, x = min(x / _TINY, 1.0), max(x, _TINY)
     b_hi = 0.0          # b[k+1]
     b = 1e-290          # b[k], seeded at k = start
     even_sum = 2.0 * b  # start is even and >= 2
-    ans = 0.0
-    for k in range(start, 0, -1):
+    out = [b]
+    for k in range(_miller_start(n, x), 0, -1):
         b_lo = (2.0 * k / x) * b - b_hi
         b_hi = b
         b = b_lo
@@ -57,15 +67,43 @@ def _miller(n: int, x: float) -> float:
             b *= 1.0 / _RESCALE
             b_hi *= 1.0 / _RESCALE
             even_sum *= 1.0 / _RESCALE
-            ans *= 1.0 / _RESCALE
+            out = [v * (1.0 / _RESCALE) for v in out]
         idx = k - 1
         if idx == 0:
             even_sum += b
         elif idx % 2 == 0:
             even_sum += 2.0 * b
-        if idx == n:
-            ans = b
-    return ans / even_sum
+        out.append(b)
+    return [v / even_sum * q**k for k, v in enumerate(reversed(out))]
+
+
+def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] * J_k(x_s) for each x_s >= 0, one row per argument.
+
+    The recurrence of :func:`_miller` in ratio form, r_k = J_k/J_(k-1) =
+    x/(2k - x*r_(k+1)), runs across all arguments at once and sums by Horner's
+    rule; it never divides by x, so it needs neither _RESCALE nor _TINY.  Each
+    argument starts from r = 0 at its own _miller_start(0, x_s), so its row
+    does not depend on the others.  ``coef`` needs a row per order up to the
+    largest start.
+    """
+    starts = {}
+    for s, start in enumerate(_miller_start(0, v) for v in x.tolist()):
+        starts.setdefault(start, []).append(s)
+    evens = np.resize([2.0, 0.0], len(coef))
+    evens[0] = 1.0
+    w = np.c_[coef, evens][:, :, None]  # the last row sums to J_0 + 2*sum(J_even) over J_0
+    r, acc = np.zeros(len(x)), np.zeros((w.shape[1], len(x)))
+    for k in range(max(starts), 0, -1):
+        if k in starts:
+            r[starts[k]] = 0.0
+        acc *= r  # r = r_(k+1)
+        acc += w[k]
+        np.multiply(x, r, out=r)
+        np.subtract(2.0 * k, r, out=r)
+        np.divide(x, r, out=r)
+    acc = acc * r + w[0]
+    return (acc[:-1] / acc[-1]).T
 
 
 def bessel_jn(n: int, mu: float) -> float:
@@ -81,7 +119,7 @@ def bessel_jn(n: int, mu: float) -> float:
     x = abs(mu)
     if x <= _SERIES_SPLIT:
         return sign * _series(n, x)
-    return sign * _miller(n, x)
+    return sign * _miller(n, x)[n]
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,7 @@ def test_09_structural_invariants(lindblad_runs, multimode_runs):
             worst_trace = max(worst_trace, abs(np.trace(state.matrix).real - 1.0))
             worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(state.matrix).min()))
     _, m_runs = multimode_runs
-    worst_norm = max(
-        float(np.abs(traj.norms - 1.0).max()) for traj in m_runs.values()
-    )
+    worst_norm = max(traj.solver["norm_defect"] for traj in m_runs.values())
     _line(
         "criterion 09: structural invariants",
         f"trace {worst_trace:.3e}, -eigmin {worst_eig:.3e}, norm {worst_norm:.3e}",

@@ -9,6 +9,7 @@ import pytest
 
 from lorentzbath import SCHEMA_VERSION, __version__
 from lorentzbath.cli import _emit, main
+from lorentzbath.sideband import _miller_start
 from lorentzbath.sweep import WORKERS_ENV
 
 
@@ -157,10 +158,12 @@ class TestEvolve:
             assert main(argv) == 0
             docs.append(json.loads(capsys.readouterr().out))
         solver = docs[0]["metadata"]["solver"]
-        assert set(solver) == {
-            "roots", "iterations", "max_iterations", "bisections", "weight_defect"
-        }
-        assert solver["roots"] == 202
+        assert set(solver) == {"terms", "spectral_radius", "norm_defect"}
+        # rho = 40 + sqrt(coupling mass), the mass at most xi^2 = 4, and one
+        # term per order up to the recurrence start at rho * tau_max
+        assert 40.0 < solver["spectral_radius"] <= 42.0 + 1e-9
+        assert solver["terms"] == _miller_start(0, 2.0 * solver["spectral_radius"]) + 1
+        assert solver["norm_defect"] <= 1e-12
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]
 

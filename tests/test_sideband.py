@@ -1,6 +1,8 @@
+import functools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from lorentzbath.sideband import (
     MAX_ORDER,
     SidebandConfig,
     _first_peak,
+    _miller,
+    _miller_start,
+    _miller_sums,
     bessel_jn,
     effective_coupling,
     preferred_sideband_order,
@@ -98,6 +103,61 @@ class TestBessel:
         # the bracket end n + 2 n^(1/3) must lie between the first two zeros of J_n'
         mu, _ = _first_peak(n)
         assert mu == pytest.approx(float(mpmath.besseljzero(n, 1, derivative=1)), abs=1e-11)
+
+
+# the continuum oracle's Chebyshev propagator evaluates J_n(rho*tau) from
+# rho*tau -> 0 up to thousands; mpmath is the reference for both passes
+RECURRENCE_ARGS = (1e-300, 1e-8, 0.5, 9.0, 450.0, 2200.0)
+
+
+def _reference_orders(x: float) -> list:
+    """Orders 0..8, then every 61st, and the recurrence's start."""
+    top = _miller_start(0, x)
+    return sorted({*range(9), *range(0, top + 1, 61), top})
+
+
+@functools.cache
+def _mp_besselj(k: int, x: float) -> float:
+    return float(mpmath.besselj(k, x))
+
+
+class TestMillerRecurrence:
+    @pytest.mark.parametrize("x", RECURRENCE_ARGS)
+    def test_every_order_against_mpmath(self, x):
+        orders = _miller(0, x)
+        assert len(orders) == _miller_start(0, x) + 1
+        for k in _reference_orders(x):
+            assert abs(orders[k] - _mp_besselj(k, x)) <= 1e-13
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-60])
+    def test_tiny_arguments_keep_relative_accuracy(self, x):
+        # below the recurrence floor the orders still scale as x^k
+        orders = _miller(0, x)
+        assert orders[0] == 1.0
+        assert abs(orders[1] - 0.5 * x) <= 1e-15 * (0.5 * x)
+
+    def test_sums_against_mpmath(self):
+        # one call over every argument at once, tau = 0 included; the
+        # coefficients touch only the reference orders of the largest one
+        x = np.array((0.0,) + RECURRENCE_ARGS)
+        top = _miller_start(0, x[-1])
+        coef = np.zeros((top + 1, 2))
+        rng = np.random.default_rng(5)
+        for k in _reference_orders(x[-1]):
+            coef[k] = rng.uniform(-2.0, 2.0, size=2)
+        sums = _miller_sums(x, coef)
+        assert sums.shape == (len(x), 2)
+        for row, xs in zip(sums, x):
+            ref = sum(
+                coef[k] * _mp_besselj(k, float(xs))
+                for k in _reference_orders(x[-1])
+                if k <= _miller_start(0, xs)
+            )
+            assert np.abs(row - ref).max() <= 1e-13
+
+    def test_sums_at_zero_are_exact(self):
+        coef = np.arange(82.0).reshape(41, 2)
+        assert (_miller_sums(np.zeros(1), coef) == coef[0]).all()
 
 
 class TestSidebandConfig:

@@ -74,9 +74,15 @@ class TestSweepGrid:
             SweepGrid(np.array([1.0]), np.array([-0.5, 0.5]), method="analytic")
 
     def test_arrays_are_frozen(self):
-        g = SweepGrid(np.array([1.0]), np.array([0.0, 1.0]), method="analytic")
+        xi, tau = np.geomspace(0.5, 2.0, 3), np.linspace(0.0, 1.0, 5)
+        g = SweepGrid(xi, tau, method="analytic")
         with pytest.raises(ValueError):
             g.xi_values[0] = 2.0
+        with pytest.raises(ValueError):
+            g.tau_values[0] = 0.5
+        # the caller's own arrays stay writable and detached from the grid
+        xi[0], tau[0] = 0.7, 0.1
+        assert g.xi_values[0] == 0.5 and g.tau_values[0] == 0.0
 
 
 class TestSweepResult:
@@ -247,6 +253,9 @@ class TestVerify:
         assert all(status == "pass" for _, _, _, status in report.rows())
         assert "recurrence_horizon" in report.metadata
         assert report.metadata["quick"] is True
+        wall = report.metadata["check_wall_s"]
+        assert set(wall) == set(names)
+        assert all(seconds >= 0.0 for seconds in wall.values())
 
     def test_report_failure_aggregation(self):
         rep = VerificationReport(
