@@ -4,6 +4,9 @@ The three-level state on (|e,0>, |g,1>, |g,0>) embeds into the two-qubit
 space ordered (|e,1>, |e,0>, |g,1>, |g,0>) by padding the never-populated
 |e,1> level with zeros.  For states of this X-like form the Wootters
 concurrence collapses to twice the |e,0><g,1| coherence.
+
+Every function takes one state or a ``(..., d, d)`` stack of them and acts
+over the leading axes; for one state a concurrence is a ``float``.
 """
 
 from __future__ import annotations
@@ -23,23 +26,23 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """Validated 4x4 density matrix on (|e,1>, |e,0>, |g,1>, |g,0>)."""
+    """Validated 4x4 density matrix, or stack of them, on (|e,1>, |e,0>, |g,1>, |g,0>)."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvariantError(f"expected a 4x4 matrix, got shape {m.shape}")
-        validate_density(m[None])
+        if m.shape[-2:] != (4, 4):
+            raise InvariantError(f"expected 4x4 matrices, got shape {m.shape}")
+        validate_density(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
 def embed(rho: DensityMatrix3) -> TwoQubitDensity:
     """Pad the empty |e,1> level; rho_{e0,g1} lands in the (2,3) block entry."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[1:, 1:] = rho.matrix
+    m = np.zeros(rho.matrix.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 1:, 1:] = rho.matrix
     return TwoQubitDensity(m)
 
 
@@ -60,20 +63,23 @@ def wootters_concurrence(rho: TwoQubitDensity) -> float:
     try:
         evals, vecs = np.linalg.eigh(m)
         evals = np.where(evals < 0.0, 0.0, evals)
-        sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
+        sqrt_rho = (vecs * np.sqrt(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
         flip_half = sqrt_rho @ _YY @ sqrt_rho.conj()
         lam = np.linalg.svd(flip_half, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed on:\n{m!r}") from exc
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def xstate_concurrence(rho: DensityMatrix3) -> float:
     """Shortcut 2|rho_{e0,g1}| valid when |g,0> carries no coherence."""
     m = rho.matrix
-    leak = max(abs(m[0, 2]), abs(m[1, 2]))
-    if leak > X_FORM_TOL:
-        raise FormError(
-            f"|g,0> coherences of magnitude {leak} break the X form"
-        )
-    return 2.0 * abs(m[0, 1])
+    leak = np.maximum(np.abs(m[..., 0, 2]), np.abs(m[..., 1, 2])).reshape(-1)
+    if (leak > X_FORM_TOL).any():
+        i = int(np.argmax(leak > X_FORM_TOL))
+        exc = FormError(f"|g,0> coherences of magnitude {leak[i]} break the X form at index {i}")
+        exc.index = i  # flat position in the stack, as validate_density sets it
+        raise exc
+    c = 2.0 * np.abs(m[..., 0, 1])
+    return float(c) if c.ndim == 0 else c

@@ -155,36 +155,37 @@ def validate_density(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix3:
-    """Validated density matrix on the basis (|e,0>, |g,1>, |g,0>)."""
+    """Validated density matrix, or ``(..., 3, 3)`` stack of them, on the basis
+    (|e,0>, |g,1>, |g,0>); each property has the stack's leading shape."""
 
     matrix: np.ndarray = field(repr=False)
     min_eigenvalue: float = field(init=False, repr=False, compare=False)  # found by validation
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise InvariantError(f"expected a 3x3 matrix, got shape {m.shape}")
-        low = float(validate_density(m[None])[0])
+        if m.shape[-2:] != (3, 3):
+            raise InvariantError(f"expected 3x3 matrices, got shape {m.shape}")
+        low = validate_density(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_eigenvalue", low)
+        object.__setattr__(self, "min_eigenvalue", float(low) if low.ndim == 0 else low)
 
     @property
     def p_e0(self) -> float:
-        return self.matrix[0, 0].real
+        return self.matrix[..., 0, 0].real[()]
 
     @property
     def p_g1(self) -> float:
-        return self.matrix[1, 1].real
+        return self.matrix[..., 1, 1].real[()]
 
     @property
     def p_g0(self) -> float:
-        return self.matrix[2, 2].real
+        return self.matrix[..., 2, 2].real[()]
 
     @property
     def coherence(self) -> complex:
         """The |e,0><g,1| matrix element."""
-        return self.matrix[0, 1]
+        return self.matrix[..., 0, 1][()]
 
     @property
     def survival(self) -> float:
@@ -193,15 +194,20 @@ class DensityMatrix3:
 
 
 def pure_to_density(psi: PureAmplitudes) -> DensityMatrix3:
-    """Unconditional state: |psi><psi| plus the jump weight on |g,0><g,0|.
+    """Unconditional state: |psi><psi| plus the jump weight on |g,0><g,0|."""
+    return _pure_density(psi.c_e0, psi.c_g1)
+
+
+def _pure_density(c_e0, c_g1) -> DensityMatrix3:
+    """:func:`pure_to_density` of amplitude arrays, as one stack of that shape.
 
     The |g,0> row and column are exactly zero off the diagonal: the emitted
     photon carries no coherence back into the no-jump sector.
     """
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = abs(psi.c_e0) ** 2
-    m[1, 1] = abs(psi.c_g1) ** 2
-    m[0, 1] = psi.c_e0 * np.conj(psi.c_g1)
-    m[1, 0] = np.conj(m[0, 1])
-    m[2, 2] = max(1.0 - (m[0, 0].real + m[1, 1].real), 0.0)
+    m = np.zeros(np.shape(c_e0) + (3, 3), dtype=complex)
+    m[..., 0, 0] = np.abs(c_e0) ** 2
+    m[..., 1, 1] = np.abs(c_g1) ** 2
+    m[..., 0, 1] = c_e0 * np.conj(c_g1)
+    m[..., 1, 0] = np.conj(m[..., 0, 1])
+    m[..., 2, 2] = np.maximum(1.0 - (m[..., 0, 0].real + m[..., 1, 1].real), 0.0)
     return DensityMatrix3(m)

@@ -77,8 +77,10 @@ class DiscretizedBath:
         accuracy claims past it are meaningless.  Equal detunings count once;
         a bath with a single detuning never dephases (infinite horizon).
         """
-        spacing = np.diff(np.unique(self.detunings))
-        return float(2.0 * np.pi / spacing.min()) if len(spacing) else float("inf")
+        # the positive gaps of a sort, not np.diff(np.unique(...)): np.unique imports numpy.ma
+        gaps = np.diff(np.sort(self.detunings))
+        gaps = gaps[gaps > 0.0]
+        return float(2.0 * np.pi / gaps.min()) if len(gaps) else float("inf")
 
 
 def sample_bath(params: ModelParams, n_modes: int, window: float) -> DiscretizedBath:

@@ -22,7 +22,7 @@ from . import multimode as _mm
 from ._version import __version__
 from .entanglement import embed, wootters_concurrence, xstate_concurrence
 from .errors import DomainError
-from .model import ModelParams, _sample_times, _xi_values, pure_to_density
+from .model import ModelParams, _pure_density, _sample_times, _xi_values
 from .sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
 
 WORKERS_ENV = "LORENTZBATH_WORKERS"
@@ -395,33 +395,33 @@ def _check_multimode(quick: bool):
     ]
 
 
-def _golden_section_max(f, a: float, b: float) -> float:
-    """Plain golden-section search for the maximum of a unimodal f on [a, b],
-    to a bracket of 1e-10."""
+def _golden_section_max(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Golden-section search for the maximum of a unimodal, array-valued f on
+    each bracket [a_i, b_i] to 1e-10.  The brackets narrow in lockstep, one f call
+    a step, each frozen once narrow: its iterates are those of a search alone."""
     r = (5.0**0.5 - 1.0) / 2.0
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
+    while (live := b - a > 1e-10).any():
+        left = live & (fc >= fd)  # the maximum lies in [a, d]
+        right = live & ~(fc >= fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(left, b - r * (b - a), np.where(right, d, c)),
+                        np.where(right, a + r * (b - a), np.where(left, c, d)),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        fx = f(np.where(left, c, d))
+        fc, fd = np.where(left, fx, fc), np.where(right, fx, fd)
     return 0.5 * (a + b)
 
 
 def _check_analytic(quick: bool):
     xis = (1.05, 1.2, 2.0, 5.0, 20.0)
-    worst = 0.0
-    for xi in xis:
-        tf = analytic.t_opt_formula(ModelParams(xi=xi))
-        # C is unimodal on its first lobe [0, pi/w]
-        lobe = np.pi / ((xi - 1.0) * (xi + 1.0)) ** 0.5
-        conc = lambda t: float(analytic._concurrence_arrays(xi, t))
-        worst = max(worst, abs(tf - _golden_section_max(conc, 0.0, lobe)))
+    xi = np.array(xis)
+    tf = analytic._t_opt(xi)
+    # C is unimodal on its first lobe [0, pi/w]
+    lobe = np.pi / ((xi - 1.0) * (xi + 1.0)) ** 0.5
+    conc = lambda t: analytic._concurrence_arrays(xi, t)
+    worst = float(np.abs(tf - _golden_section_max(conc, np.zeros_like(xi), lobe)).max())
     at1 = analytic.c_max(ModelParams(xi=1.0))
     at2 = analytic.c_max(ModelParams(xi=2.0))
     golden = max(
@@ -478,16 +478,13 @@ def _check_weak_coupling(quick: bool):
 
 def _check_entanglement(quick: bool):
     rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(60 if quick else 200):
-        tau = rng.uniform(0.05, 4.0)
-        xi = rng.uniform(0.05, 8.0)
-        amp = analytic.amplitudes(ModelParams(xi=xi), tau)
-        rho = pure_to_density(amp)
-        w = wootters_concurrence(embed(rho))
-        x = xstate_concurrence(rho)
-        c = 2.0 * abs(amp.c_e0) * abs(amp.c_g1)
-        worst = max(worst, abs(w - c), abs(x - c))
+    # one (tau, xi) pair per row, drawn in the order of one pair per state
+    tau, xi = rng.uniform((0.05, 0.05), (4.0, 8.0), size=(60 if quick else 200, 2)).T
+    ce, cg = analytic._amplitude_arrays(xi, tau)
+    rho = _pure_density(ce, cg)
+    c = 2.0 * np.abs(ce) * np.abs(cg)
+    worst = float(max(np.abs(wootters_concurrence(embed(rho)) - c).max(),
+                      np.abs(xstate_concurrence(rho) - c).max()))
     return [
         CheckResult(
             "wootters_matches_closed_form", 1e-8, worst, worst < 1e-8,

@@ -349,6 +349,10 @@ class TestConfigFile:
         assert main(["evolve", "--config", "/no/such/file.cfg"]) == 2
 
 
+# imported only where a command needs them: masked arrays, random draws, process pools
+COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures")
+
+
 class TestProcessLevel:
     def test_version_flag(self):
         code, out, _ = run_cli("--version")
@@ -368,6 +372,32 @@ class TestProcessLevel:
         meta, header, rows = csv_sections(out)
         assert header == "name,budget,measured,status"
         assert all(r.rsplit(",", 1)[1] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
+          "--tau-max", "1", "--steps", "11"), ("numpy.ma",)),
+        (("verify", "--quick"), ("numpy.ma",)),
+        *((argv, COLD_MODULES) for argv in (
+            ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),
+            ("cmax", "--steps", "25"),
+            ("evolve", "--xi", "2"),
+            ("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1"),
+        )),
+    ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "sideband"])
+    def test_fresh_process_leaves_cold_modules_unloaded(self, argv, unused, monkeypatch):
+        # a cold import of one costs ~4-25 ms, a visible share of a short command;
+        # a worker pool would import concurrent.futures, so the child runs serially
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        probe = (
+            "import contextlib, io, sys\n"
+            "from lorentzbath.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            f"print(code, *[m for m in {unused!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
     def test_heatmap_bytes_stable_under_parallelism(self):
         argv = (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentzbath.analytic import amplitudes, concurrence
+from lorentzbath.analytic import _amplitude_arrays, amplitudes, concurrence
 from lorentzbath.entanglement import (
     TwoQubitDensity,
     embed,
@@ -11,7 +11,13 @@ from lorentzbath.entanglement import (
     xstate_concurrence,
 )
 from lorentzbath.errors import FormError, InvariantError
-from lorentzbath.model import DensityMatrix3, ModelParams, PureAmplitudes, pure_to_density
+from lorentzbath.model import (
+    DensityMatrix3,
+    ModelParams,
+    PureAmplitudes,
+    _pure_density,
+    pure_to_density,
+)
 
 
 def _random_model_state(rng):
@@ -146,3 +152,54 @@ class TestXState:
     def test_reads_coherence(self):
         rho = pure_to_density(PureAmplitudes(c_e0=0.6, c_g1=0.8))
         assert xstate_concurrence(rho) == pytest.approx(2 * 0.48, abs=1e-15)
+
+
+def _battery_states() -> DensityMatrix3:
+    """The 200 states of verify's Wootters check, as one stack."""
+    rng = np.random.default_rng(20240817)
+    tau, xi = rng.uniform((0.05, 0.05), (4.0, 8.0), size=(200, 2)).T
+    return _pure_density(*_amplitude_arrays(xi, tau))
+
+
+class TestStacks:
+    def test_battery_stack_is_the_per_state_battery(self):
+        # one (tau, xi) draw per state, as the battery once drew them
+        rng = np.random.default_rng(20240817)
+        pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(200)]
+        rho = _battery_states()
+        for i, (tau, xi) in enumerate(pairs):
+            one = pure_to_density(amplitudes(ModelParams(xi=xi), tau))
+            assert np.array_equal(rho.matrix[i], one.matrix)
+
+    def test_stack_equals_per_state_loop_bit_for_bit(self):
+        rho = _battery_states()
+        singles = [DensityMatrix3(m) for m in rho.matrix]
+        assert np.array_equal(rho.min_eigenvalue, [s.min_eigenvalue for s in singles])
+        full = wootters_concurrence(embed(rho))
+        short = xstate_concurrence(rho)
+        assert full.shape == short.shape == (200,)
+        assert full.tolist() == [wootters_concurrence(embed(s)) for s in singles]
+        assert short.tolist() == [xstate_concurrence(s) for s in singles]
+
+    def test_single_state_calls_return_float(self):
+        rho = pure_to_density(PureAmplitudes(c_e0=0.6, c_g1=0.8j))
+        assert type(rho.min_eigenvalue) is float
+        assert all(type(p) is np.float64 for p in (rho.p_e0, rho.p_g1, rho.p_g0, rho.survival))
+        assert type(rho.coherence) is np.complex128
+        assert type(wootters_concurrence(embed(rho))) is float
+        assert type(xstate_concurrence(rho)) is float
+
+    @pytest.mark.parametrize("cls, dim", [(DensityMatrix3, 3), (TwoQubitDensity, 4)])
+    def test_bad_matrix_in_a_stack_is_named_by_index(self, cls, dim):
+        stack = np.array([np.eye(dim, dtype=complex) / dim] * 6).reshape(2, 3, dim, dim)
+        stack[1, 1, 0, 0] += 0.1
+        with pytest.raises(InvariantError, match="trace") as err:
+            cls(stack)
+        assert err.value.index == 4
+
+    def test_leaking_coherence_in_a_stack_is_named_by_index(self):
+        stack = np.array([np.diag([0.4, 0.3, 0.3]).astype(complex)] * 5)
+        stack[3, 1, 2] = stack[3, 2, 1] = 2e-8
+        with pytest.raises(FormError, match="index 3") as err:
+            xstate_concurrence(DensityMatrix3(stack))
+        assert err.value.index == 3

@@ -81,6 +81,15 @@ class TestDiscretizedBath:
         expect = np.pi * 2000 / 160.0
         assert bath.recurrence_horizon == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("n_modes", [2, 201, 2001])
+    def test_recurrence_horizon_equals_unique_spacing_formula(self, n_modes):
+        # sample_bath's detuning grid; two modes fail its coupling-mass check,
+        # so the bath is built directly
+        d = np.linspace(-160.0, 160.0, n_modes)
+        bath = DiscretizedBath(d, np.full(n_modes, 0.1), window=40.0, n_modes=n_modes)
+        spacing = np.diff(np.unique(bath.detunings)).min()
+        assert bath.recurrence_horizon == float(2.0 * np.pi / spacing)
+
 
 class TestSampleBath:
     def test_rejects_degenerate_requests(self):
@@ -187,7 +196,7 @@ class TestEvolve:
     def test_repeated_detunings_share_one_horizon(self):
         bath = _hand_built_bath(np.random.default_rng(3))
         spacing = np.diff(np.unique(bath.detunings)).min()
-        assert bath.recurrence_horizon == pytest.approx(2.0 * np.pi / spacing, rel=1e-15)
+        assert bath.recurrence_horizon == float(2.0 * np.pi / spacing)
 
     def test_solver_counters_repeat(self):
         bath = sample_bath(ModelParams(xi=2.0), n_modes=501, window=40.0)
