@@ -19,10 +19,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import sweep
+from . import sideband, sweep
 from ._version import SCHEMA_VERSION, __version__
 from .errors import DomainError, IntegrationError, TargetNotReachable
-from .sideband import SidebandConfig, effective_coupling, solve_amplitude
+from .model import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV
 
 _EVOLVE_COLUMNS_ANALYTIC = (
     "tau", "c_re_e0", "c_im_e0", "c_re_g1", "c_im_g1",
@@ -170,17 +170,19 @@ def _cmd_sideband(args) -> int:
     if args.kappa <= 0 or not np.isfinite(args.kappa):
         raise DomainError(f"--kappa must be positive, got {args.kappa}")
     if args.target_xi is not None:
-        eps = solve_amplitude(
+        eps = sideband.solve_amplitude(
             g=args.g, nu=args.nu, n=args.n, kappa=args.kappa, target_xi=args.target_xi
         )
-        lam = effective_coupling(SidebandConfig(g=args.g, epsilon=eps, nu=args.nu, n=args.n))
+        lam = sideband.effective_coupling(
+            sideband.SidebandConfig(g=args.g, epsilon=eps, nu=args.nu, n=args.n)
+        )
         row = (
             "inverse", args.g, args.kappa, args.nu, args.n,
             eps, eps / args.nu, lam, args.target_xi,
         )
     else:
-        cfg = SidebandConfig(g=args.g, epsilon=args.epsilon, nu=args.nu, n=args.n)
-        lam = effective_coupling(cfg)
+        cfg = sideband.SidebandConfig(g=args.g, epsilon=args.epsilon, nu=args.nu, n=args.n)
+        lam = sideband.effective_coupling(cfg)
         row = (
             "forward", args.g, args.kappa, args.nu, args.n,
             args.epsilon, args.epsilon / args.nu, lam, 4.0 * abs(lam) / args.kappa,
@@ -218,7 +220,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="lorentzbath",
         description="Extractable qubit-reservoir entanglement for a Lorentzian bath.",
-        epilog=f"Set {sweep.WORKERS_ENV} to parallelize sweeps (wall time only; "
+        epilog=f"Set {WORKERS_ENV} to parallelize sweeps (wall time only; "
                "output bytes are identical).",
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -229,10 +231,10 @@ def build_parser():
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--tau-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=301)
-    p.add_argument("--method", choices=sweep.METHODS, default="analytic")
-    p.add_argument("--n-modes", type=int, default=sweep.DEFAULT_N_MODES,
+    p.add_argument("--method", choices=METHODS, default="analytic")
+    p.add_argument("--n-modes", type=int, default=DEFAULT_N_MODES,
                    help="bath modes (multimode method only)")
-    p.add_argument("--window", type=float, default=sweep.DEFAULT_WINDOW,
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW,
                    help="bath half-width in units of kappa (multimode only)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_evolve)
@@ -245,9 +247,9 @@ def build_parser():
     p.add_argument("--xi-scale", choices=("log", "linear"), default="log")
     p.add_argument("--tau-max", type=float, default=3.0)
     p.add_argument("--tau-steps", type=int, default=301)
-    p.add_argument("--method", choices=sweep.METHODS, default="analytic")
-    p.add_argument("--n-modes", type=int, default=sweep.DEFAULT_N_MODES)
-    p.add_argument("--window", type=float, default=sweep.DEFAULT_WINDOW)
+    p.add_argument("--method", choices=METHODS, default="analytic")
+    p.add_argument("--n-modes", type=int, default=DEFAULT_N_MODES)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_heatmap)
     registry["heatmap"] = p

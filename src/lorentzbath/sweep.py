@@ -16,22 +16,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import analytic
+from . import analytic, entanglement, sideband
 from . import lindblad as _lb
 from . import multimode as _mm
 from ._version import __version__
-from .entanglement import embed, wootters_concurrence, xstate_concurrence
 from .errors import DomainError
-from .model import ModelParams, _pure_density, _sample_times, _xi_values
-from .sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
+from .model import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, ModelParams
+from .model import _pure_density, _sample_times, _xi_values
 
-WORKERS_ENV = "LORENTZBATH_WORKERS"
-METHODS = ("analytic", "lindblad", "multimode")
 COLUMNS = ("xi", "tau", "concurrence", "p_e0", "p_g1", "p_g0", "survival")
 POPULATION_CLOSURE_TOL = 1e-8
-
-DEFAULT_N_MODES = 2001
-DEFAULT_WINDOW = 40.0
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -483,8 +477,10 @@ def _check_entanglement(quick: bool):
     ce, cg = analytic._amplitude_arrays(xi, tau)
     rho = _pure_density(ce, cg)
     c = 2.0 * np.abs(ce) * np.abs(cg)
-    worst = float(max(np.abs(wootters_concurrence(embed(rho)) - c).max(),
-                      np.abs(xstate_concurrence(rho) - c).max()))
+    worst = float(max(
+        np.abs(entanglement.wootters_concurrence(entanglement.embed(rho)) - c).max(),
+        np.abs(entanglement.xstate_concurrence(rho) - c).max(),
+    ))
     return [
         CheckResult(
             "wootters_matches_closed_form", 1e-8, worst, worst < 1e-8,
@@ -494,23 +490,22 @@ def _check_entanglement(quick: bool):
 
 
 def _check_bessel(quick: bool):
-    from .sideband import _miller, _series
-
     split = 0.0
     for n in range(0, 11):
         for x in (8.9, 9.1, 12.0):
-            split = max(split, abs(_series(n, x) - _miller(n, x)[n]))
+            split = max(split, abs(sideband._series(n, x) - sideband._miller(n, x)[n]))
+    jn = sideband.bessel_jn
     recur = max(
-        abs(bessel_jn(n - 1, x) + bessel_jn(n + 1, x) - (2.0 * n / x) * bessel_jn(n, x))
+        abs(jn(n - 1, x) + jn(n + 1, x) - (2.0 * n / x) * jn(n, x))
         for n in range(1, 11)
         for x in (0.5, 1.0, 2.0, 5.0, 10.0)
     )
     sumrule = max(
-        abs(bessel_jn(0, x) ** 2 + 2.0 * sum(bessel_jn(k, x) ** 2 for k in range(1, 21)) - 1.0)
+        abs(jn(0, x) ** 2 + 2.0 * sum(jn(k, x) ** 2 for k in range(1, 21)) - 1.0)
         for x in (0.5, 2.0, 5.0)
     )
-    eps = solve_amplitude(g=2.5, nu=1.3, n=1, kappa=5.0, target_xi=1.0)
-    lam = effective_coupling(SidebandConfig(g=2.5, epsilon=eps, nu=1.3, n=1))
+    eps = sideband.solve_amplitude(g=2.5, nu=1.3, n=1, kappa=5.0, target_xi=1.0)
+    lam = sideband.effective_coupling(sideband.SidebandConfig(g=2.5, epsilon=eps, nu=1.3, n=1))
     round_trip = abs(lam - 1.25) / 1.25
     measured = max(split, recur, sumrule, round_trip)
     return [

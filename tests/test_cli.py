@@ -351,6 +351,8 @@ class TestConfigFile:
 
 # imported only where a command needs them: masked arrays, random draws, process pools
 COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures")
+# package modules the closed-form commands never run
+ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband")
 
 
 class TestProcessLevel:
@@ -373,27 +375,33 @@ class TestProcessLevel:
         assert header == "name,budget,measured,status"
         assert all(r.rsplit(",", 1)[1] == "pass" for r in rows)
 
-    @pytest.mark.parametrize("argv, unused", [
+    @pytest.mark.parametrize("argv, unused, never_run", [
         (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
-          "--tau-max", "1", "--steps", "11"), ("numpy.ma",)),
-        (("verify", "--quick"), ("numpy.ma",)),
-        *((argv, COLD_MODULES) for argv in (
+          "--tau-max", "1", "--steps", "11"), ("numpy.ma",), ("lindblad", "entanglement")),
+        (("verify", "--quick"), ("numpy.ma",), ()),
+        *((argv, COLD_MODULES, ANALYTIC_NEVER_RUN) for argv in (
             ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),
             ("cmax", "--steps", "25"),
             ("evolve", "--xi", "2"),
-            ("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1"),
         )),
+        (("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1"),
+         COLD_MODULES, ("sweep", "analytic", "lindblad", "multimode", "entanglement")),
     ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "sideband"])
-    def test_fresh_process_leaves_cold_modules_unloaded(self, argv, unused, monkeypatch):
+    def test_fresh_process_leaves_cold_modules_unloaded(self, argv, unused, never_run,
+                                                        monkeypatch):
         # a cold import of one costs ~4-25 ms, a visible share of a short command;
-        # a worker pool would import concurrent.futures, so the child runs serially
+        # a worker pool would import concurrent.futures, so the child runs serially.
+        # A package module sits in sys.modules from the start, lazily registered,
+        # and its type becomes ModuleType only once its code has run.
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         probe = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, types\n"
             "from lorentzbath.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(sys.argv[1:])\n"
-            f"print(code, *[m for m in {unused!r} if m in sys.modules])\n"
+            f"print(code, *[m for m in {unused!r} if m in sys.modules],\n"
+            f"      *[m for m in {never_run!r}\n"
+            "        if type(sys.modules['lorentzbath.' + m]) is types.ModuleType])\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +161,25 @@ class TestHeatmap:
         c = heatmap(grid, workers=2)
         assert a.records.tobytes() == b.records.tobytes()
         assert a.records.tobytes() == c.records.tobytes()
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_workers_started_fresh_give_the_serial_bytes(self, start_method):
+        # a fresh worker unpickles _rows_for_xi out of a lazily registered
+        # lorentzbath.sweep, which runs on that first attribute access
+        probe = (
+            "import multiprocessing, sys\n"
+            "import numpy as np\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from lorentzbath import sweep\n"
+            "grid = sweep.SweepGrid(np.geomspace(0.5, 4.0, 3), np.linspace(0.0, 2.0, 11),\n"
+            "                       method='lindblad')\n"
+            "serial, pooled = (sweep.heatmap(grid, workers=w).records for w in (1, 2))\n"
+            "print(serial.tobytes() == pooled.tobytes())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, start_method],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
     def test_failures_name_the_grid_row(self):
         task = ("multimode", 1.5, np.array([0.0, 1.0]), 2, 100.0)

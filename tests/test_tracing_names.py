@@ -7,6 +7,8 @@ crash.  The tracer is loaded from its file, unchanged, and only read.
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +36,31 @@ def test_traced_name_resolves(name):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_tracer_installs_over_lazily_loaded_modules():
+    # after `import lorentzbath.cli` most package modules have not run yet;
+    # install() must still find every traced function and uninstall() must
+    # put each original back
+    probe = """
+import importlib.util, sys, types
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+T = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(T)
+import lorentzbath.cli
+pending = [m for m, mod in sys.modules.items()
+           if m.startswith("lorentzbath.") and type(mod) is not types.ModuleType]
+tracer = T.Tracer()
+tracer.install()
+traced = [*(n.split(".") for n in T.SPANS), *T.LEAVES.values()]
+unbound = [f"{m}.{a}" for m, a in traced if f"lorentzbath.{m}.{a}" not in tracer.bindings]
+patches = list(tracer._patches)
+tracer.uninstall()
+restored = all(getattr(owner, key) is original for owner, key, original in patches)
+own = all(getattr(sys.modules["lorentzbath." + m], a).__qualname__ == a for m, a in traced)
+print(len(pending) > 0, unbound, restored, own)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe, str(TRACING)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "[]", "True", "True"]
