@@ -12,7 +12,7 @@ kappa/4, so the Lorentzian has half-width 2 and total coupling strength xi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,16 +138,14 @@ class MultimodeState:
 class MultimodeTrajectory:
     """Sampled evolution: qubit amplitude per sample time.
 
-    Mode amplitudes are only retained for the final state (and per sample
-    when ``evolve`` is asked to keep them), since N complex numbers per
-    sample adds up fast at N in the thousands.
+    Mode amplitudes are kept for the final state only; N complex numbers per
+    sample add up fast at N in the thousands.
     """
 
     taus: np.ndarray
     c_e: np.ndarray
     final: MultimodeState
     solver: dict  # deterministic counters: terms, spectral_radius, norm_defect
-    modes: list | None = field(default=None, repr=False)
 
     @property
     def p_e(self) -> np.ndarray:
@@ -160,10 +158,7 @@ class MultimodeTrajectory:
 
 
 def evolve(
-    bath: DiscretizedBath,
-    t_end: float,
-    sample_taus: np.ndarray | None = None,
-    keep_modes: bool = False,
+    bath: DiscretizedBath, t_end: float, sample_taus: np.ndarray | None = None
 ) -> MultimodeTrajectory:
     """Propagate |e, vac> under H = [[0, g^T], [g, diag(delta)]] by Chebyshev expansion.
 
@@ -185,16 +180,14 @@ def evolve(
     terms = len(j_end)
     w = np.resize([2.0, -2.0, -2.0, 2.0], terms)
     w[0] = 1.0
-    # J_n(rho tau) at every sample, or at the last only; S x terms only if asked
-    bessel = sideband._miller_sums(x, np.eye(terms)) if keep_modes else np.array([j_end])
-    weights = w * bessel  # mode amplitudes: real parts from even n, imaginary from odd
+    weights = (w * j_end).tolist()  # final mode amplitudes: Re from even n, Im from odd
     d2, g1 = 2.0 * bath.detunings / rho, bath.couplings / rho
-    mu, parts = np.zeros(terms), np.zeros((2, len(bessel), bath.n_modes))
+    mu, parts = np.zeros(terms), np.zeros((2, bath.n_modes))
     mu[0] = 1.0
     pe, p, ve, v = 1.0, np.zeros(bath.n_modes), 0.0, g1.copy()  # T_0 e and T_1 e
     for n in range(1, terms):
         mu[n] = ve
-        parts[n % 2] += weights[:, n, None] * v
+        parts[n % 2] += weights[n] * v
         # T_(n+1) e = 2 (H/rho) T_n e - T_(n-1) e, with T_n e = (ve, v)
         np.subtract(d2 * v, p, out=p)
         p += (2.0 * ve) * g1
@@ -203,10 +196,9 @@ def evolve(
     coef = np.zeros((terms, 2))  # even orders feed Re c_e, odd orders Im c_e
     coef[np.arange(terms), np.arange(terms) % 2] = w * mu
     c_e = sideband._miller_sums(x, coef) @ [1.0, 1j]
-    amps = parts[0] + 1j * parts[1]
-    final = MultimodeState(c_e=complex(c_e[-1]), c_k=amps[-1].copy())
+    final = MultimodeState(c_e=complex(c_e[-1]), c_k=parts[0] + 1j * parts[1])
     stats = {"terms": terms, "spectral_radius": rho, "norm_defect": abs(final.norm_sq - 1.0)}
-    return MultimodeTrajectory(samples, c_e, final, stats, [*amps] if keep_modes else None)
+    return MultimodeTrajectory(samples, c_e, final, stats)
 
 
 def reservoir_concurrence(state: MultimodeState) -> float:

@@ -3,10 +3,10 @@
 Modulating the qubit at frequency nu with amplitude epsilon couples it to
 the resonator through the nth sideband with strength g * J_n(epsilon/nu).
 This module evaluates that map, inverts it for a target coupling ratio xi,
-and carries the package's Bessel evaluation (ascending series at small
-argument, Miller downward recurrence at large) so the forward and inverse
-paths share one consistent J_n.  The continuum oracle's Chebyshev propagator
-takes its J_n(rho*tau) from the same recurrence and start rule.
+and carries the package's one Bessel evaluation, the Miller downward
+recurrence in ratio form (Gautschi, SIAM Rev. 9, 24, 1967), so the forward
+and inverse paths share one consistent J_n.  The continuum oracle's Chebyshev
+propagator takes its J_n(rho*tau) from the same recurrence and start rule.
 """
 from __future__ import annotations
 
@@ -20,26 +20,7 @@ from .model import _xi_values
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
-_SERIES_SPLIT = 9.0
-_RESCALE = 1e250
-_TINY = 1e-50  # least recurrence argument: a step grows b by < 1e58, inside _RESCALE
 _FREQ_MATCH_TOL = 1e-9
-
-
-def _series(n: int, x: float) -> float:
-    """Ascending power series, term-recursive; converges fast for |x| <= 9."""
-    half = 0.5 * x
-    term = 1.0
-    for m in range(1, n + 1):
-        term *= half / m
-    total = term
-    m = 1
-    while True:
-        term *= -(half * half) / (m * (n + m))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300 or m > 400:
-            return total
-        m += 1
 
 
 def _miller_start(n: int, x: float) -> int:
@@ -51,41 +32,33 @@ def _miller_start(n: int, x: float) -> int:
 
 
 def _miller(n: int, x: float) -> list:
-    """J_0..J_start at x >= 0: downward recurrence from _miller_start(n, x),
-    normalized by the identity J_0 + 2*sum(J_even) = 1."""
-    # below _TINY, J_k(x) = q^k J_k(_TINY) to a relative _TINY^2
-    q, x = min(x / _TINY, 1.0), max(x, _TINY)
-    b_hi = 0.0          # b[k+1]
-    b = 1e-290          # b[k], seeded at k = start
-    even_sum = 2.0 * b  # start is even and >= 2
-    out = [b]
+    """J_0..J_start at x >= 0, start = _miller_start(n, x).
+
+    The ratios r_k = J_k/J_(k-1) = x/(2k - x*r_(k+1)) run down from r = 0 at
+    the start, the orders J_k = J_(k-1)*r_k run up from J_0 = 1, and the
+    identity J_0 + 2*sum(J_even) = 1 normalizes them.  No step divides by x,
+    so no argument, however small, needs rescaling.
+    """
+    x = float(x)
+    r, ratios = 0.0, []
     for k in range(_miller_start(n, x), 0, -1):
-        b_lo = (2.0 * k / x) * b - b_hi
-        b_hi = b
-        b = b_lo
-        if abs(b) > _RESCALE:
-            b *= 1.0 / _RESCALE
-            b_hi *= 1.0 / _RESCALE
-            even_sum *= 1.0 / _RESCALE
-            out = [v * (1.0 / _RESCALE) for v in out]
-        idx = k - 1
-        if idx == 0:
-            even_sum += b
-        elif idx % 2 == 0:
-            even_sum += 2.0 * b
-        out.append(b)
-    return [v / even_sum * q**k for k, v in enumerate(reversed(out))]
+        r = x / (2.0 * k - x * r)
+        ratios.append(r)
+    out = [1.0]
+    for r in reversed(ratios):
+        out.append(out[-1] * r)
+    norm = out[0] + 2.0 * sum(out[2::2])
+    return [v / norm for v in out]
 
 
 def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[k] * J_k(x_s) for each x_s >= 0, one row per argument.
 
-    The recurrence of :func:`_miller` in ratio form, r_k = J_k/J_(k-1) =
+    The ratio recurrence of :func:`_miller`, r_k = J_k/J_(k-1) =
     x/(2k - x*r_(k+1)), runs across all arguments at once and sums by Horner's
-    rule; it never divides by x, so it needs neither _RESCALE nor _TINY.  Each
-    argument starts from r = 0 at its own _miller_start(0, x_s), so its row
-    does not depend on the others.  ``coef`` needs a row per order up to the
-    largest start.
+    rule.  Each argument starts from r = 0 at its own _miller_start(0, x_s),
+    so its row does not depend on the others.  ``coef`` needs a row per order
+    up to the largest start.
     """
     starts = {}
     for s, start in enumerate(_miller_start(0, v) for v in x.tolist()):
@@ -116,10 +89,7 @@ def bessel_jn(n: int, mu: float) -> float:
     if not math.isfinite(mu) or abs(mu) >= MAX_ARGUMENT:
         raise DomainError(f"argument must satisfy |mu| < {MAX_ARGUMENT}, got {mu}")
     sign = -1.0 if (mu < 0 and n % 2) else 1.0
-    x = abs(mu)
-    if x <= _SERIES_SPLIT:
-        return sign * _series(n, x)
-    return sign * _miller(n, x)[n]
+    return sign * _miller(n, abs(mu))[n]
 
 
 @dataclass(frozen=True)
@@ -139,8 +109,9 @@ class SidebandConfig:
     omega_r: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"sideband order must be an integer >= 0, got {self.n!r}")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_ORDER:
+            raise DomainError(f"sideband order must be an integer in [0, {MAX_ORDER}], got {n!r}")
         if not (self.g > 0 and math.isfinite(self.g)):
             raise DomainError(f"g must be positive, got {self.g}")
         if not (self.nu > 0 and math.isfinite(self.nu)):
@@ -198,10 +169,11 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
     Inverts on the first rising branch of J_n only (smallest drive);
     a target beyond the first maximum raises with the reachable ceiling.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"solve_amplitude needs a sideband order >= 1, got {n!r}")
-    if not (g > 0 and nu > 0 and kappa > 0):
-        raise DomainError("g, nu and kappa must all be positive")
+    SidebandConfig(g=g, epsilon=0.0, nu=nu, n=n)  # the drive guards, before any J_n
+    if n < 1:
+        raise DomainError(f"solve_amplitude needs a sideband order >= 1, got {n}")
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise DomainError(f"kappa must be positive, got {kappa}")
     if not (target_xi >= 0 and math.isfinite(target_xi)):
         raise DomainError(f"target_xi must be non-negative, got {target_xi}")
     if target_xi == 0.0:

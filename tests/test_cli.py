@@ -313,6 +313,16 @@ class TestSideband:
     def test_missing_required_flag(self):
         assert main(["sideband", "--g", "1.0", "--target-xi", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--g", "2", "--n", "70", "--target-xi", "0.1"], "got 70"),
+        (["--g", "inf", "--n", "1", "--target-xi", "0.1"], "g must be positive, got inf"),
+        (["--g", "2", "--n", "1", "--nu", "inf", "--target-xi", "0.5"],
+         "nu must be positive, got inf"),
+    ])
+    def test_bad_drive_is_a_usage_error_naming_the_value(self, argv, named, capsys):
+        assert main(["sideband", "--kappa", "5", *argv]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_seeds_flags(self, tmp_path, capsys):

@@ -8,8 +8,9 @@ means to move numbers rewrites them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and the diff shows every cell that moved.  The bytes are those of the
-numpy and libm the files were written with.
+and the diff shows every cell that moved.  The script writes nothing unless
+every case succeeds.  The bytes are those of the numpy and libm the files
+were written with.
 """
 import io
 import pathlib
@@ -60,7 +61,9 @@ def test_data_bytes_match_golden(case):
 
 
 if __name__ == "__main__":
+    # every case runs before any file is written: a failing case leaves the set as it was
+    sections = {case: data_section(argv) for case, argv in CASES.items()}
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
-        (GOLDEN / f"{case}.csv").write_bytes(data_section(argv).encode())
+    for case, text in sections.items():
+        (GOLDEN / f"{case}.csv").write_bytes(text.encode())
         print(f"wrote {case}", file=sys.stderr)

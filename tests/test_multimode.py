@@ -174,19 +174,6 @@ class TestEvolve:
         assert traj.solver["norm_defect"] < 1e-9
         assert traj.solver["norm_defect"] == abs(traj.final.norm_sq - 1.0)
 
-    def test_keep_modes(self):
-        bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
-        taus = np.linspace(0.0, 1.0, 5)
-        traj = evolve(bath, t_end=1.0, sample_taus=taus, keep_modes=True)
-        assert traj.modes is not None and len(traj.modes) == 5
-        assert all(len(m) == 51 for m in traj.modes)
-        assert np.allclose(traj.modes[-1], traj.final.c_k)
-
-    def test_modes_dropped_by_default(self):
-        bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
-        traj = evolve(bath, t_end=1.0, sample_taus=np.linspace(0.0, 1.0, 5))
-        assert traj.modes is None
-
     def test_rejects_samples_past_the_recurrence_horizon(self):
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
         with pytest.raises(DomainError, match="recurrence horizon"):
@@ -267,13 +254,14 @@ class TestDenseReference:
         bath = _hand_built_bath(np.random.default_rng(seed))
         taus = np.linspace(0.0, 6.0, 25)
         assert taus[-1] < bath.recurrence_horizon
-        traj = evolve(bath, t_end=6.0, sample_taus=taus, keep_modes=True)
         ref = _dense_propagation(bath, taus)
-        assert np.abs(traj.c_e - ref[:, 0]).max() < 1e-12
-        assert np.abs(np.array(traj.modes) - ref[:, 1:]).max() < 1e-12
-        assert (np.array(traj.modes)[:, 7] == 0.0).all()  # the uncoupled mode
-        assert traj.c_e[0] == 1.0 and not traj.modes[0].any()  # tau = 0, exactly
-        assert np.abs(traj.final.c_k - ref[-1, 1:]).max() < 1e-12
+        # one run per horizon: the final state carries the modes at taus[i]
+        runs = [evolve(bath, t_end=tau, sample_taus=taus[: i + 1]) for i, tau in enumerate(taus)]
+        for i, traj in enumerate(runs):
+            assert np.abs(traj.c_e - ref[: i + 1, 0]).max() < 1e-12
+            assert np.abs(traj.final.c_k - ref[i, 1:]).max() < 1e-12
+            assert traj.final.c_k[7] == 0.0  # the uncoupled mode
+        assert runs[0].c_e[0] == 1.0 and not runs[0].final.c_k.any()  # tau = 0, exactly
 
     def test_weak_mode_on_a_degenerate_detuning(self):
         # the weak middle mode sits on an eigenvalue of the outer pair, where

@@ -56,11 +56,13 @@ class TestBessel:
         )
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [0, 2, 5])
-    def test_branches_agree_at_the_split(self, n):
-        below = bessel_jn(n, 9.0)
-        above = bessel_jn(n, 9.0 + 1e-9)
-        assert abs(below - above) < 1e-9
+    # relative accuracy down to J_63(1e-3) ~ 5e-296; the pair 9, 9 + 1e-9
+    # also checks continuity across x = 9
+    @pytest.mark.parametrize("x", [*np.geomspace(1e-3, 9.0, 20), 9.0 + 1e-9])
+    def test_relative_accuracy_against_mpmath(self, x):
+        for n in range(0, MAX_ORDER + 1, 3):
+            ref = mpmath.besselj(n, mpmath.mpf(float(x)))
+            assert abs(bessel_jn(n, x) - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_negative_argument_parity(self, n):
@@ -176,6 +178,8 @@ class TestSidebandConfig:
             SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=-1)
         with pytest.raises(DomainError):
             SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=True)
+        with pytest.raises(DomainError, match=f"got {MAX_ORDER + 1}"):
+            SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=MAX_ORDER + 1)
 
     def test_frequencies_must_come_together(self):
         with pytest.raises(DomainError):
@@ -257,3 +261,16 @@ class TestSolveAmplitude:
             solve_amplitude(g=-1.0, nu=1.0, n=1, kappa=2.0, target_xi=0.5)
         with pytest.raises(DomainError):
             solve_amplitude(g=1.0, nu=1.0, n=1, kappa=2.0, target_xi=-0.5)
+
+    @pytest.mark.parametrize("drive, named", [
+        ({"g": 2.0, "nu": 1.0, "n": MAX_ORDER + 6}, "got 70"),
+        ({"g": math.inf, "nu": 1.0, "n": 1}, "g must be positive, got inf"),
+        ({"g": 2.0, "nu": math.inf, "n": 1}, "nu must be positive, got inf"),
+    ])
+    def test_drive_is_checked_before_any_bessel_call(self, drive, named, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("J_n evaluated before the drive was checked")
+
+        monkeypatch.setattr("lorentzbath.sideband._miller", no_bessel)
+        with pytest.raises(DomainError, match=named):
+            solve_amplitude(kappa=5.0, target_xi=0.5, **drive)
