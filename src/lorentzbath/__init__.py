@@ -29,8 +29,7 @@ _EXPORTS = {
              "pure_to_density tau_from_time",
     "multimode": "DiscretizedBath MultimodeState MultimodeTrajectory collective_amplitude "
                  "evolve reservoir_concurrence sample_bath",
-    "sideband": "SidebandConfig bessel_jn effective_coupling preferred_sideband_order "
-                "solve_amplitude",
+    "sideband": "SidebandConfig bessel_jn effective_coupling solve_amplitude",
     "sweep": "CheckResult CmaxCurve SweepGrid SweepResult VerificationReport cmax_curve "
              "heatmap verify",
 }

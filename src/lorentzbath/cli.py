@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import sideband, sweep
-from ._version import SCHEMA_VERSION, __version__
+from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, SCHEMA_VERSION, WORKERS_ENV
+from ._version import __version__
 from .errors import DomainError, IntegrationError, TargetNotReachable
-from .model import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV
 
 _EVOLVE_COLUMNS_ANALYTIC = (
     "tau", "c_re_e0", "c_im_e0", "c_re_g1", "c_im_g1",
@@ -39,13 +38,9 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
+    if type(value).__module__ == "numpy":  # a numpy scalar, spotted without importing numpy
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
 
@@ -54,27 +49,28 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _encode_column(column, fmt: str) -> list:
-    """The cells of one column as text, encoded once by the column's type."""
-    values = np.asarray(column)
-    items = values.tolist()
-    kind = values.dtype.kind
-    if kind == "b":
+    """The cells of one column as text, encoded once by the type of its first
+    cell: bool, int, float or str."""
+    items = column.tolist() if hasattr(column, "tolist") else column
+    first = items[0] if len(items) else ""
+    if isinstance(first, bool):
         return ["true" if v else "false" for v in items]
-    if kind in "iu":
+    if isinstance(first, int):
         return list(map(str, items))
-    if kind == "f":
+    if isinstance(first, float):
         if fmt == "csv":
             return ["%.17g" % v for v in items]
         cells = list(map(float.__repr__, items))
-        if not np.isfinite(values).all():
+        if not math.isfinite(sum(items)):  # a nan or inf cell, or an overflowing sum
             cells = [_JSON_NONFINITE.get(c, c) for c in cells]
         return cells
     return items if fmt == "csv" else list(map(encode_basestring_ascii, items))
 
 
 def _emit(args, metadata: dict, names, columns) -> int:
-    """Write one table; ``columns`` holds one equal-length sequence per name
-    (the transpose of a 2-D array works)."""
+    """Write one table; ``columns`` holds one equal-length sequence per name,
+    a numpy array or a sequence of Python cells of one type (the transpose of
+    a 2-D array works)."""
     metadata = dict(metadata)
     metadata["artifact_version"] = __version__
     metadata["schema_version"] = SCHEMA_VERSION
@@ -113,7 +109,7 @@ def _resolved_config(args) -> dict:
 def _cmd_evolve(args) -> int:
     if args.xi is None:
         raise DomainError("--xi is required (on the command line or in --config)")
-    taus = _axis(0.0, args.tau_max, args.steps, "linear", "tau")
+    taus = sweep._axis(0.0, args.tau_max, args.steps, "linear", "tau")
     columns, extra = sweep.evaluate(args.method, args.xi, taus, args.n_modes, args.window)
     names = _EVOLVE_COLUMNS_ANALYTIC if args.method == "analytic" else _EVOLVE_COLUMNS_ORACLE
     metadata = {"command": "evolve", "method": args.method, **extra}
@@ -123,21 +119,9 @@ def _cmd_evolve(args) -> int:
 # ---------------------------------------------------------------- heatmap
 
 
-def _axis(lo: float, hi: float, steps: int, scale: str, name: str) -> np.ndarray:
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise DomainError(f"{name} range [{lo}, {hi}] is empty or not finite")
-    if steps < 2:
-        raise DomainError(f"{name} needs at least 2 steps, got {steps}")
-    if scale == "log":
-        if lo <= 0:
-            raise DomainError(f"log-scaled {name} needs a positive minimum, got {lo}")
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
-
-
 def _cmd_heatmap(args) -> int:
-    xi = _axis(args.xi_min, args.xi_max, args.xi_steps, args.xi_scale, "xi")
-    tau = _axis(0.0, args.tau_max, args.tau_steps, "linear", "tau")
+    xi = sweep._axis(args.xi_min, args.xi_max, args.xi_steps, args.xi_scale, "xi")
+    tau = sweep._axis(0.0, args.tau_max, args.tau_steps, "linear", "tau")
     grid = sweep.SweepGrid(
         xi_values=xi,
         tau_values=tau,
@@ -153,7 +137,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_cmax(args) -> int:
-    xi = _axis(args.xi_min, args.xi_max, args.steps, args.scale, "xi")
+    xi = sweep._axis(args.xi_min, args.xi_max, args.steps, args.scale, "xi")
     curve = sweep.cmax_curve(xi, spacing=args.scale)
     return _emit(args, curve.metadata, sweep.CMAX_COLUMNS, curve.columns)
 
@@ -167,26 +151,19 @@ def _cmd_sideband(args) -> int:
             raise DomainError(f"--{name} is required (on the command line or in --config)")
     if (args.target_xi is None) == (args.epsilon is None):
         raise DomainError("exactly one of --target-xi / --epsilon must be given")
-    if args.kappa <= 0 or not np.isfinite(args.kappa):
+    if args.kappa <= 0 or not math.isfinite(args.kappa):
         raise DomainError(f"--kappa must be positive, got {args.kappa}")
-    if args.target_xi is not None:
+    inverse, eps = args.target_xi is not None, args.epsilon
+    if inverse:
         eps = sideband.solve_amplitude(
             g=args.g, nu=args.nu, n=args.n, kappa=args.kappa, target_xi=args.target_xi
         )
-        lam = sideband.effective_coupling(
-            sideband.SidebandConfig(g=args.g, epsilon=eps, nu=args.nu, n=args.n)
-        )
-        row = (
-            "inverse", args.g, args.kappa, args.nu, args.n,
-            eps, eps / args.nu, lam, args.target_xi,
-        )
-    else:
-        cfg = sideband.SidebandConfig(g=args.g, epsilon=args.epsilon, nu=args.nu, n=args.n)
-        lam = sideband.effective_coupling(cfg)
-        row = (
-            "forward", args.g, args.kappa, args.nu, args.n,
-            args.epsilon, args.epsilon / args.nu, lam, 4.0 * abs(lam) / args.kappa,
-        )
+    cfg = sideband.SidebandConfig(g=args.g, epsilon=eps, nu=args.nu, n=args.n)
+    lam = sideband.effective_coupling(cfg)
+    row = (
+        "inverse" if inverse else "forward", args.g, args.kappa, args.nu, args.n,
+        eps, eps / args.nu, lam, args.target_xi if inverse else 4.0 * abs(lam) / args.kappa,
+    )
     return _emit(args, {"command": "sideband"}, _SIDEBAND_COLUMNS, [[v] for v in row])
 
 
@@ -308,6 +285,11 @@ def _parse_config_value(raw: str, action) -> object:
     return value
 
 
+def _chosen(group, values: dict) -> list:
+    """Dests of an exclusive group that ``values`` sets off their defaults (argparse's test)."""
+    return [a.dest for a in group._group_actions if values.get(a.dest, a.default) != a.default]
+
+
 def load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
     """Read a flat ``key = value`` file into defaults for one subcommand."""
     actions = {
@@ -332,6 +314,9 @@ def load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
         if dest not in actions:
             raise DomainError(f"{path}:{ln}: unknown config key {key.strip()!r}")
         overrides[dest] = _parse_config_value(val.strip(), actions[dest])
+    for group in subparser._mutually_exclusive_groups:
+        if len(clash := _chosen(group, overrides)) > 1:
+            raise DomainError(f"{path}: keys {' and '.join(map(repr, clash))} exclude each other")
     return overrides
 
 
@@ -344,6 +329,10 @@ def main(argv=None) -> int:
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        for group in registry[args.command]._mutually_exclusive_groups:
+            if _chosen(group, vars(args)):  # the command line picked this group's member
+                for action in group._group_actions:
+                    overrides.pop(action.dest, None)
         registry[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)  # explicit flags still take precedence
     try:

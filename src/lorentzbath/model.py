@@ -26,12 +26,6 @@ CONSISTENCY_TOL = 1e-12
 SAMPLE_SLACK = 1e-12  # relative to max(1, t_end)
 MAX_XI = 1e150  # (xi - 1)*(xi + 1) overflows above ~1.3e154
 
-# the evaluation methods and the bath and worker defaults every entry point shares
-METHODS = ("analytic", "lindblad", "multimode")
-DEFAULT_N_MODES = 2001
-DEFAULT_WINDOW = 40.0
-WORKERS_ENV = "LORENTZBATH_WORKERS"
-
 
 def _xi_values(xi_values) -> np.ndarray:
     """The coupling guard: a finite, non-empty, strictly increasing 1-d array

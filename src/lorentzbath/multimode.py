@@ -3,7 +3,9 @@
 The Lorentzian reservoir is sampled on a uniform frequency grid and the
 single-excitation state is propagated under the arrowhead Hamiltonian
 [[0, g^T], [g, diag(delta)]] by a Chebyshev expansion of exp(-iH tau), exact
-to rounding and free of eigenvectors.  Nothing here knows about
+to rounding and free of eigenvectors.  Its Bessel weights come from the Miller
+recurrence of ``sideband``, run here across every sample time at once
+(:func:`_miller_sums`).  Nothing here knows about
 the closed-form amplitudes or the lossy-mode picture; agreement with them is
 what the oracle is for.
 
@@ -27,6 +29,34 @@ _SYMMETRY_TOL = 1e-9
 def _lorentzian(delta: np.ndarray) -> np.ndarray:
     """Rescaled spectral density, unit mass, half-width 2."""
     return (2.0 / np.pi) / (delta * delta + 4.0)
+
+
+def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] * J_k(x_s) for each x_s >= 0, one row per argument.
+
+    The ratio recurrence of :func:`sideband._miller`, r_k = J_k/J_(k-1) =
+    x/(2k - x*r_(k+1)), runs across all arguments at once and sums by Horner's
+    rule.  Each argument starts from r = 0 at its own
+    ``sideband._miller_start(0, x_s)``, so its row does not depend on the
+    others.  ``coef`` needs a row per order up to the largest start.
+    """
+    starts = {}
+    for s, start in enumerate(sideband._miller_start(0, v) for v in x.tolist()):
+        starts.setdefault(start, []).append(s)
+    evens = np.resize([2.0, 0.0], len(coef))
+    evens[0] = 1.0
+    w = np.c_[coef, evens][:, :, None]  # the last row sums to J_0 + 2*sum(J_even) over J_0
+    r, acc = np.zeros(len(x)), np.zeros((w.shape[1], len(x)))
+    for k in range(max(starts), 0, -1):
+        if k in starts:
+            r[starts[k]] = 0.0
+        acc *= r  # r = r_(k+1)
+        acc += w[k]
+        np.multiply(x, r, out=r)
+        np.subtract(2.0 * k, r, out=r)
+        np.divide(x, r, out=r)
+    acc = acc * r + w[0]
+    return (acc[:-1] / acc[-1]).T
 
 
 @dataclass(frozen=True)
@@ -195,7 +225,7 @@ def evolve(
         p, v = v, p
     coef = np.zeros((terms, 2))  # even orders feed Re c_e, odd orders Im c_e
     coef[np.arange(terms), np.arange(terms) % 2] = w * mu
-    c_e = sideband._miller_sums(x, coef) @ [1.0, 1j]
+    c_e = _miller_sums(x, coef) @ [1.0, 1j]
     final = MultimodeState(c_e=complex(c_e[-1]), c_k=parts[0] + 1j * parts[1])
     stats = {"terms": terms, "spectral_radius": rho, "norm_defect": abs(final.norm_sq - 1.0)}
     return MultimodeTrajectory(samples, c_e, final, stats)

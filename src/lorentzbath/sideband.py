@@ -6,17 +6,17 @@ This module evaluates that map, inverts it for a target coupling ratio xi,
 and carries the package's one Bessel evaluation, the Miller downward
 recurrence in ratio form (Gautschi, SIAM Rev. 9, 24, 1967), so the forward
 and inverse paths share one consistent J_n.  The continuum oracle's Chebyshev
-propagator takes its J_n(rho*tau) from the same recurrence and start rule.
+propagator takes its J_n(rho*tau) from the same recurrence and start rule,
+running it across many arguments at once in ``multimode``.
+
+Everything here is scalar Python: the module loads no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, TargetNotReachable
-from .model import _xi_values
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -49,34 +49,6 @@ def _miller(n: int, x: float) -> list:
         out.append(out[-1] * r)
     norm = out[0] + 2.0 * sum(out[2::2])
     return [v / norm for v in out]
-
-
-def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] * J_k(x_s) for each x_s >= 0, one row per argument.
-
-    The ratio recurrence of :func:`_miller`, r_k = J_k/J_(k-1) =
-    x/(2k - x*r_(k+1)), runs across all arguments at once and sums by Horner's
-    rule.  Each argument starts from r = 0 at its own _miller_start(0, x_s),
-    so its row does not depend on the others.  ``coef`` needs a row per order
-    up to the largest start.
-    """
-    starts = {}
-    for s, start in enumerate(_miller_start(0, v) for v in x.tolist()):
-        starts.setdefault(start, []).append(s)
-    evens = np.resize([2.0, 0.0], len(coef))
-    evens[0] = 1.0
-    w = np.c_[coef, evens][:, :, None]  # the last row sums to J_0 + 2*sum(J_even) over J_0
-    r, acc = np.zeros(len(x)), np.zeros((w.shape[1], len(x)))
-    for k in range(max(starts), 0, -1):
-        if k in starts:
-            r[starts[k]] = 0.0
-        acc *= r  # r = r_(k+1)
-        acc += w[k]
-        np.multiply(x, r, out=r)
-        np.subtract(2.0 * k, r, out=r)
-        np.divide(x, r, out=r)
-    acc = acc * r + w[0]
-    return (acc[:-1] / acc[-1]).T
 
 
 def bessel_jn(n: int, mu: float) -> float:
@@ -134,13 +106,6 @@ def effective_coupling(cfg: SidebandConfig) -> float:
     return cfg.g * bessel_jn(cfg.n, cfg.epsilon / cfg.nu)
 
 
-def preferred_sideband_order(xi: float) -> int:
-    """Crosstalk-avoidance preset used in the experiment: first order below
-    xi=1, second order from there up.  A convention, not physics."""
-    _xi_values([xi])
-    return 1 if xi < 1.0 else 2
-
-
 def _bisect(below, lo: float, hi: float) -> float:
     """Midpoint of [lo, hi] shrunk below width 1e-12 around where ``below`` turns false."""
     for _ in range(200):
@@ -157,8 +122,11 @@ def _first_peak(n: int) -> tuple[float, float]:
     The first zero of J_n' = (J_{n-1} - J_{n+1})/2 = J_{n-1} - n J_n/mu (the
     second form needs no order above MAX_ORDER).  For every order up to
     MAX_ORDER, n + 2 n^(1/3) lies between it and the next zero of J_n'.
+    One recurrence per bisection step gives both J_{n-1} and J_n.
     """
-    rising = lambda mu: mu * bessel_jn(n - 1, mu) > n * bessel_jn(n, mu)
+    def rising(mu):
+        j = _miller(n, mu)
+        return mu * j[n - 1] > n * j[n]
     mu = _bisect(rising, 0.0, n + 2.0 * n ** (1 / 3))
     return mu, bessel_jn(n, mu)
 

@@ -19,10 +19,9 @@ import numpy as np
 from . import analytic, entanglement, sideband
 from . import lindblad as _lb
 from . import multimode as _mm
-from ._version import __version__
+from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, __version__
 from .errors import DomainError
-from .model import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, ModelParams
-from .model import _pure_density, _sample_times, _xi_values
+from .model import ModelParams, _pure_density, _sample_times, _xi_values
 
 COLUMNS = ("xi", "tau", "concurrence", "p_e0", "p_g1", "p_g0", "survival")
 POPULATION_CLOSURE_TOL = 1e-8
@@ -189,6 +188,19 @@ def heatmap(
             "note": "discrete bath is only faithful for tau well inside the horizon",
         }
     return SweepResult(records=records, metadata=metadata)
+
+
+def _axis(lo: float, hi: float, steps: int, scale: str, name: str) -> np.ndarray:
+    """The grid guard: ``steps`` >= 2 points from ``lo`` to ``hi``, linear or log-spaced."""
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
+        raise DomainError(f"{name} range [{lo}, {hi}] is empty or not finite")
+    if steps < 2:
+        raise DomainError(f"{name} needs at least 2 steps, got {steps}")
+    if scale == "log":
+        if lo <= 0:
+            raise DomainError(f"log-scaled {name} needs a positive minimum, got {lo}")
+        return np.geomspace(lo, hi, steps)
+    return np.linspace(lo, hi, steps)
 
 
 def _axis_spec(values: np.ndarray, spacing: str) -> dict:

@@ -358,11 +358,43 @@ class TestConfigFile:
     def test_missing_file(self):
         assert main(["evolve", "--config", "/no/such/file.cfg"]) == 2
 
+    def test_explicit_full_beats_quick_in_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("quick = true\n")
+        assert main(["verify", "--full", "--config", str(cfg), "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert meta["quick"] is False
+        assert (meta["config"]["full"], meta["config"]["quick"]) == (True, False)
+
+    def test_explicit_epsilon_beats_target_xi_in_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target_xi = 0.5\n")
+        argv = ["sideband", "--g", "1", "--kappa", "2", "--n", "1", "--epsilon", "1"]
+        assert main([*argv, "--config", str(cfg)]) == 0
+        _, _, rows = csv_sections(capsys.readouterr().out)
+        assert rows[0].split(",")[0] == "forward"
+
+    @pytest.mark.parametrize("text, argv, keys", [
+        ("target-xi = 0.5\nepsilon = 1\n",
+         ["sideband", "--g", "1", "--kappa", "2", "--n", "1", "--epsilon", "1"],
+         ("'target_xi'", "'epsilon'")),
+        ("quick = true\nfull = yes\n", ["verify"], ("'quick'", "'full'")),
+    ], ids=["sideband", "verify"])
+    def test_file_setting_two_exclusive_keys_is_a_usage_error(self, tmp_path, capsys,
+                                                              text, argv, keys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+
 
 # imported only where a command needs them: masked arrays, random draws, process pools
 COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures")
 # package modules the closed-form commands never run
 ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband")
+# sideband is scalar Python: it needs no array module, hence no numpy
+SIDEBAND_NEVER_RUN = ("model", "sweep", "analytic", "lindblad", "multimode", "entanglement")
 
 
 class TestProcessLevel:
@@ -394,9 +426,11 @@ class TestProcessLevel:
             ("cmax", "--steps", "25"),
             ("evolve", "--xi", "2"),
         )),
-        (("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1"),
-         COLD_MODULES, ("sweep", "analytic", "lindblad", "multimode", "entanglement")),
-    ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "sideband"])
+        *((("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", *mode),
+           ("numpy", *COLD_MODULES), SIDEBAND_NEVER_RUN)
+          for mode in (("--target-xi", "1"), ("--epsilon", "1.5"))),
+    ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "sideband",
+            "sideband-forward"])
     def test_fresh_process_leaves_cold_modules_unloaded(self, argv, unused, never_run,
                                                         monkeypatch):
         # a cold import of one costs ~4-25 ms, a visible share of a short command;
@@ -416,6 +450,33 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+    @pytest.mark.parametrize("argv, code", [
+        ((), 0),
+        (("--version",), 0),
+        (("--help",), 0),
+        (("evolve", "--xi", "1.0", "--bogus"), 2),
+        (("evolve", "--config", "{bad}"), 2),
+    ], ids=["build-parser", "version", "help", "usage-error", "bad-config"])
+    def test_no_numpy_until_an_array_is_computed(self, argv, code, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("xj = 2.0\n")
+        probe = (
+            "import contextlib, io, sys\n"
+            "from lorentzbath.cli import build_parser, main\n"
+            "build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        argv = [a.format(bad=bad) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(code), "False"]
 
     def test_heatmap_bytes_stable_under_parallelism(self):
         argv = (

@@ -1,8 +1,10 @@
 """Golden data sections of every subcommand, compared byte for byte.
 
 Each case runs the CLI in process on a small fixed argv and compares the
-CSV header and data rows with ``tests/golden/<case>.csv``.  The metadata
-preamble is left out: it carries the wall time.  A refactor that must not
+CSV header and data rows with ``tests/golden/<case>.csv``; a JSON case
+compares the ``"data"`` member of ``--format json`` with
+``tests/golden/<case>.json``.  The metadata is left out: it carries the wall
+time.  A refactor that must not
 change any output proves it by leaving these files untouched; a change that
 means to move numbers rewrites them with
 
@@ -42,15 +44,28 @@ CASES = {
     ],
     "verify-quick": ["verify", "--quick"],
 }
+# the JSON encoder classifies each column by its cells' type: strings, ints,
+# floats and a non-finite float (verify's mutation check measures inf)
+JSON_CASES = {
+    "sideband": CASES["sideband"],
+    "sideband-forward": [
+        "sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--epsilon", "1.5",
+    ],
+    "verify-quick": CASES["verify-quick"],
+    "heatmap": CASES["heatmap"],
+}
 
 
 def data_section(argv) -> str:
-    """Header and data rows of one CSV run; the ``# `` metadata is dropped."""
+    """Header and data rows of a CSV run, or the ``"data"`` member of a JSON one."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
     assert code == 0
-    lines = out.getvalue().splitlines(keepends=True)
+    text = out.getvalue()
+    if argv[-1] == "json":
+        return text[text.index('\n  "data": ') + 1:]
+    lines = text.splitlines(keepends=True)
     return "".join(line for line in lines if not line.startswith("# "))
 
 
@@ -60,10 +75,18 @@ def test_data_bytes_match_golden(case):
     assert data_section(CASES[case]).encode() == expected
 
 
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_data_bytes_match_golden(case):
+    expected = (GOLDEN / f"{case}.json").read_bytes()
+    assert data_section([*JSON_CASES[case], "--format", "json"]).encode() == expected
+
+
 if __name__ == "__main__":
     # every case runs before any file is written: a failing case leaves the set as it was
-    sections = {case: data_section(argv) for case, argv in CASES.items()}
+    sections = {f"{case}.csv": data_section(argv) for case, argv in CASES.items()}
+    sections.update({f"{case}.json": data_section([*argv, "--format", "json"])
+                     for case, argv in JSON_CASES.items()})
     GOLDEN.mkdir(exist_ok=True)
-    for case, text in sections.items():
-        (GOLDEN / f"{case}.csv").write_bytes(text.encode())
-        print(f"wrote {case}", file=sys.stderr)
+    for name, text in sections.items():
+        (GOLDEN / name).write_bytes(text.encode())
+        print(f"wrote {name}", file=sys.stderr)

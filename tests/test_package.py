@@ -24,8 +24,7 @@ EXPORTS = {
               "pure_to_density", "tau_from_time"),
     "multimode": ("DiscretizedBath", "MultimodeState", "MultimodeTrajectory",
                   "collective_amplitude", "evolve", "reservoir_concurrence", "sample_bath"),
-    "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling",
-                 "preferred_sideband_order", "solve_amplitude"),
+    "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling", "solve_amplitude"),
     "sweep": ("CheckResult", "CmaxCurve", "SweepGrid", "SweepResult", "VerificationReport",
               "cmax_curve", "heatmap", "verify"),
 }
@@ -56,7 +55,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 48
+    assert out["star"] == NAMES and len(NAMES) == 47
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lorentzbath import sideband
 from lorentzbath.errors import DomainError, TargetNotReachable
+from lorentzbath.multimode import _miller_sums
 from lorentzbath.sideband import (
     MAX_ARGUMENT,
     MAX_ORDER,
@@ -15,10 +17,8 @@ from lorentzbath.sideband import (
     _first_peak,
     _miller,
     _miller_start,
-    _miller_sums,
     bessel_jn,
     effective_coupling,
-    preferred_sideband_order,
     solve_amplitude,
 )
 
@@ -99,6 +99,29 @@ class TestBessel:
             mu, val = _first_peak(n)
             assert abs(bessel_jn(n - 1, mu) - bessel_jn(n + 1, mu)) <= 1e-12
             assert val == bessel_jn(n, mu)
+
+    @pytest.mark.parametrize("n", [1, 7, MAX_ORDER])
+    def test_first_peak_runs_one_recurrence_per_bisection_step(self, n, monkeypatch):
+        # J_(n-1) and J_n of one step come from one recurrence; the last
+        # call is the peak value
+        counts = {"steps": 0, "miller": 0}
+        bisect, miller = sideband._bisect, sideband._miller
+
+        def counted_bisect(below, lo, hi):
+            def step(mu):
+                counts["steps"] += 1
+                return below(mu)
+            return bisect(step, lo, hi)
+
+        def counted_miller(*args):
+            counts["miller"] += 1
+            return miller(*args)
+
+        monkeypatch.setattr(sideband, "_bisect", counted_bisect)
+        monkeypatch.setattr(sideband, "_miller", counted_miller)
+        _first_peak(n)
+        assert counts["steps"] > 30
+        assert counts["miller"] == counts["steps"] + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 33, MAX_ORDER])
     def test_first_peak_against_mpmath(self, n):
@@ -203,17 +226,6 @@ class TestSidebandConfig:
         # J_1 is negative past its first zero near 3.83
         cfg = SidebandConfig(g=1.0, epsilon=5.0, nu=1.0, n=1)
         assert effective_coupling(cfg) < 0
-
-
-class TestPreferredOrder:
-    def test_convention(self):
-        assert preferred_sideband_order(0.5) == 1
-        assert preferred_sideband_order(1.0) == 2
-        assert preferred_sideband_order(50.0) == 2
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            preferred_sideband_order(0.0)
 
 
 class TestSolveAmplitude:
