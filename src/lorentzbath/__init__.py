@@ -19,8 +19,7 @@ from ._version import SCHEMA_VERSION, __version__
 
 # defining submodule -> its public names, in the order of __all__
 _EXPORTS = {
-    "analytic": "OptimumRecord amplitudes c_max c_max_derivative concurrence "
-                "survival_probability t_opt_formula",
+    "analytic": "OptimumRecord amplitudes c_max concurrence survival_probability t_opt_formula",
     "entanglement": "TwoQubitDensity embed wootters_concurrence xstate_concurrence",
     "errors": "DomainError EigensolverError FormError IntegrationError InvariantError "
               "TargetNotReachable",

@@ -17,6 +17,12 @@ and ``R = sqrt(1+xi^2)`` it sits at ``tau* = arctan(w/R)/w`` for xi > 1,
 vanishes exactly where ``tan(2*theta) = xi`` with ``tan(theta) =
 |c_g1|/|c_e0|``.  Each later local maximum is ``(xi/R)`` times a smaller
 survival ``|c_e0|^2 + |c_g1|^2``, so ``C_max = C(tau*)``.
+
+There ``|c_g1| = exp(-tau*)/sqrt 2``, so ``C_max = (1+R)/xi * exp(-2*tau*)``
+and ``dC_max/dxi = 2*xi*C_max*G/R^3``.  With ``u = w/R``, ``u^3*G`` is
+``arctan(u) - u/(1+u^2)`` for xi > 1 and ``u/(1-u^2) - artanh(u)`` for
+xi < 1: each is 0 at u = 0 and has the derivative ``2u^2/(1 +- u^2)^2 > 0``,
+and ``G = 2/3`` at xi = 1.  So C_max grows strictly with xi for every xi > 0.
 """
 
 from __future__ import annotations
@@ -123,13 +129,21 @@ def c_max(params: ModelParams) -> OptimumRecord:
     return c_max_batch([params.xi])[0]
 
 
-def c_max_derivative(xi: float, h: float | None = None) -> float:
-    """Central finite difference of c_max with respect to xi; both xi +- h
-    must be valid couplings."""
-    if h is None:
-        h = 1e-4 * max(1.0, xi)
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
-    hi = c_max(ModelParams(xi=xi + h)).c_max
-    lo = c_max(ModelParams(xi=xi - h)).c_max
-    return (hi - lo) / (2.0 * h)
+# G(s) = sum_(k=1..17) 2k(-s)^(k-1)/(2k+1), highest power first, for np.polyval
+_G_SERIES = np.array([2.0 * k / (2 * k + 1) for k in range(17, 0, -1)])
+
+
+def _dcmax_dxi(xi, tau_opt, c_max) -> np.ndarray:
+    """Exact dC_max/dxi for every xi of an array, from its optimum.
+
+    ``C_max (2 xi tau* - R/xi)/((xi-1)(xi+1))`` for ``|s| >= 0.1``, where
+    ``s = (xi^2-1)/(xi^2+1)``; near the critical line, where that quotient
+    is 0/0, ``2 xi C_max G(s)/R^3``.
+    """
+    xi, tau, c = (np.asarray(a, dtype=float) for a in (xi, tau_opt, c_max))
+    r = np.sqrt(1.0 + xi * xi)
+    w2 = (xi - 1.0) * (xi + 1.0)
+    s = w2 / (1.0 + xi * xi)
+    # xi/R/R/R underflows where R^3 would overflow
+    series = 2.0 * c * np.polyval(_G_SERIES, -s) * (xi / r / r / r)
+    return np.divide(c * (2.0 * xi * tau - r / xi), w2, out=series, where=np.abs(s) >= 0.1)

@@ -124,8 +124,7 @@ def test_03_golden_optimum_points():
 def test_04_monotonicity_and_saturation(cmax_curve_200):
     curve = cmax_curve_200
     saturation = float(curve.c_max[-1])
-    d_low = analytic.c_max_derivative(0.5)
-    d_high = analytic.c_max_derivative(50.0)
+    d_low, d_high = sweep.cmax_curve([0.5, 50.0]).derivative
     _line(
         "criterion 04: monotone growth and saturation",
         f"violations={len(curve.violations)}, C(100)={saturation:.4f}, "

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from lorentzbath.analytic import (
     _amplitude_arrays,
     amplitudes,
     c_max,
-    c_max_derivative,
     concurrence,
     survival_probability,
     t_opt_formula,
@@ -235,16 +235,34 @@ class TestOptimum:
             OptimumRecord(1.0, 0.5, 1.5)
 
     def test_derivative_positive_and_flattening(self):
-        d_low = c_max_derivative(0.5)
-        d_high = c_max_derivative(50.0)
+        d_low, d_high = cmax_curve(np.array([0.5, 50.0])).derivative
         assert d_low > 0 and d_high > 0
         assert d_high < d_low
 
-    def test_derivative_validation(self):
-        with pytest.raises(DomainError):
-            c_max_derivative(2.0, h=0.0)
-        with pytest.raises(DomainError):
-            c_max_derivative(1e-5)
+
+def _explicit_c_max(x):
+    """C_max = (1+R)/xi * exp(-2 tau*) in mpmath arithmetic, on every branch."""
+    r = mpmath.sqrt(1 + x * x)
+    w = mpmath.sqrt(abs(x * x - 1))
+    if x == 1:
+        tau = 1 / mpmath.sqrt(2)
+    else:
+        tau = (mpmath.atan(w / r) if x > 1 else mpmath.atanh(w / r)) / w
+    return (1 + r) / x * mpmath.exp(-2 * tau)
+
+
+class TestExactDerivative:
+    NEAR_ONE = 1.0 + np.array([-1e-6 / 2, -3e-7, -1e-8, 0.0, 1e-8, 1e-7, 3e-7])
+    XI = np.unique(np.concatenate([np.geomspace(1e-6, 1e8, 60), NEAR_ONE, [0.8, 0.95, 1.05, 1.2]]))
+
+    def test_matches_mpmath_derivative_of_the_explicit_form(self):
+        assert len(self.XI) >= 50 and (np.abs(self.XI - 1.0) <= 1e-6).sum() >= 5
+        tau = analytic._t_opt(self.XI)
+        d = analytic._dcmax_dxi(self.XI, tau, analytic._concurrence_arrays(self.XI, tau))
+        with mpmath.workdps(40):
+            ref = [mpmath.diff(_explicit_c_max, mpmath.mpf(float(x))) for x in self.XI]
+        for x, got, want in zip(self.XI, d, ref):
+            assert abs(got - float(want)) <= 1e-13 * abs(float(want)), x
 
 
 class TestWeakCoupling:

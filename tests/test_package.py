@@ -14,8 +14,8 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # defining module -> public names, in the order of lorentzbath.__all__
 EXPORTS = {
     "_version": ("SCHEMA_VERSION", "__version__"),
-    "analytic": ("OptimumRecord", "amplitudes", "c_max", "c_max_derivative", "concurrence",
-                 "survival_probability", "t_opt_formula"),
+    "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "survival_probability",
+                 "t_opt_formula"),
     "entanglement": ("TwoQubitDensity", "embed", "wootters_concurrence", "xstate_concurrence"),
     "errors": ("DomainError", "EigensolverError", "FormError", "IntegrationError",
                "InvariantError", "TargetNotReachable"),
@@ -55,7 +55,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 47
+    assert out["star"] == NAMES and len(NAMES) == 46
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"

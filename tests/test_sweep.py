@@ -1,6 +1,7 @@
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,17 @@ class TestCmaxCurve:
         assert curve.metadata["monotone_nondecreasing"] is True
         assert (curve.derivative > 0).all()
 
+    def test_single_point_derivative_is_that_of_a_longer_grid(self):
+        one = cmax_curve([2.0])
+        assert np.isfinite(one.derivative).all()
+        assert one.derivative[0] == pytest.approx(cmax_curve([1.0, 2.0, 3.0]).derivative[1], rel=1e-15)
+
+    def test_derivative_finite_and_positive_over_the_whole_domain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = cmax_curve(np.geomspace(1e-300, 1e150, 2000)).derivative
+        assert np.isfinite(d).all() and (d > 0).all()
+
     def test_validation(self):
         with pytest.raises(DomainError):
             cmax_curve(np.array([2.0, 1.0]))
@@ -279,12 +291,27 @@ class TestVerify:
         assert all(seconds >= 0.0 for seconds in wall.values())
 
     def test_report_failure_aggregation(self):
+        nan, inf = float("nan"), float("inf")
         rep = VerificationReport(
             checks=(
-                CheckResult("a", 1.0, 0.5, True),
-                CheckResult("b", 1.0, 2.0, False),
+                CheckResult("a", 1.0, 0.5),
+                CheckResult("b", 1.0, 2.0),
+                CheckResult("at_budget", 1.0, 1.0),
+                CheckResult("floor", 1e-3, inf, floor=True),
+                CheckResult("under_floor", 1e-3, 0.0, floor=True),
+                CheckResult("crashed", nan, inf),
+                CheckResult("nan_floor", 1e-3, nan, floor=True),
             ),
             metadata={},
         )
         assert not rep.passed
-        assert rep.rows()[1][3] == "FAIL"
+        assert [r[3] for r in rep.rows()] == ["pass", "FAIL", "pass", "pass", "FAIL", "FAIL", "FAIL"]
+        assert VerificationReport(checks=rep.checks[:1] + rep.checks[2:4], metadata={}).passed
+
+    def test_each_row_passes_by_the_one_rule(self):
+        report = verify(quick=True)
+        for check, (name, budget, measured, status) in zip(report.checks, report.rows()):
+            holds = budget <= measured if check.floor else measured <= budget
+            assert status == ("pass" if holds else "FAIL"), name
+        floors = [c.name for c in report.checks if c.floor]
+        assert floors == ["cmax_saturates_at_xi_100", "harness_detects_mutated_generator"]
