@@ -91,7 +91,11 @@ def _emit(args, metadata: dict, names, columns) -> int:
         lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        try:
+            fh = open(args.out, "w", newline="\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write output file {args.out}: {exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

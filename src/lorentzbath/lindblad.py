@@ -10,9 +10,9 @@ coherence 2|rho_{e0,g1}| of the solution equals the extractable concurrence
 of the closed-form no-jump dynamics, which is what the cross-checks assert.
 The generator is constant, so rho(tau) = exp(tau L) rho(0) holds exactly.
 
-``integrate(params, t_end, sample_taus)`` has the shape of
-``multimode.evolve(bath, t_end, sample_taus)``; both check the horizon and
-the sample times with the one time-grid guard of ``model``.
+``integrate(params, taus)`` has the shape of ``multimode.evolve(bath, taus)``:
+both run to the last sample time and check the times with the one time-grid
+guard of ``model``.
 """
 
 from __future__ import annotations
@@ -122,15 +122,8 @@ def _expm(a: np.ndarray) -> tuple[np.ndarray, int]:
     return e, s
 
 
-def integrate(
-    params: ModelParams,
-    t_end: float,
-    sample_taus: np.ndarray | None = None,
-    rhs_fn=None,
-) -> LindbladTrajectory:
+def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
     """Propagate the master equation exactly from one sample time to the next.
-
-    The samples are ``sample_taus``, or 401 points on [0, t_end].
 
     The generator is probed once into a 9x9 matrix L on the flattened state.
     Each distinct interval h between consecutive samples (the first one
@@ -146,7 +139,7 @@ def integrate(
     verification harness uses this to prove the cross-checks catch an
     injected defect.
     """
-    samples = _sample_times(sample_taus, t_end)
+    samples = _sample_times(taus)
     f = rhs if rhs_fn is None else rhs_fn
     L = _liouvillian(f, params)
     # the probes pin a linear generator down; an affine or nonlinear one

@@ -2,8 +2,8 @@
 
 Everything downstream works in dimensionless variables: the coupling ratio
 ``xi = 4*lambda0/kappa`` and the rescaled time ``tau = kappa*t/4``.  Physical
-rates enter only through :func:`params_from_physical` / :func:`tau_from_time`;
-their unit is an opaque tag that both rates must share.
+rates, both in one unit of the caller's choosing, enter only through
+:func:`params_from_physical` / :func:`tau_from_time`, which keep only xi and tau.
 
 Each input is checked once, here: :func:`_xi_values` is the one coupling
 guard (behind :class:`ModelParams` and every xi grid) and :func:`_sample_times`
@@ -22,8 +22,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
-CONSISTENCY_TOL = 1e-12
-SAMPLE_SLACK = 1e-12  # relative to max(1, t_end)
 MAX_XI = 1e150  # (xi - 1)*(xi + 1) overflows above ~1.3e154
 
 
@@ -42,37 +40,21 @@ def _xi_values(xi_values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless coupling ratio, optionally tied to physical rates."""
+    """The dimensionless coupling ratio xi = 4*lambda0/kappa, the model's one input."""
 
     xi: float
-    kappa: float | None = None
-    lambda0: float | None = None
-    units: str | None = None
 
     def __post_init__(self):
         _xi_values([self.xi])
-        given = (self.kappa is not None, self.lambda0 is not None)
-        if any(given) and not all(given):
-            raise DomainError("kappa and lambda0 must be given together")
-        if all(given):
-            if self.units is None:
-                raise DomainError("physical rates require a units tag")
-            if self.kappa <= 0 or self.lambda0 <= 0:
-                raise DomainError("kappa and lambda0 must be positive")
-            implied = 4.0 * self.lambda0 / self.kappa
-            if abs(implied - self.xi) > CONSISTENCY_TOL * max(abs(self.xi), 1.0):
-                raise InvariantError(
-                    f"xi={self.xi} inconsistent with 4*lambda0/kappa={implied}"
-                )
 
 
-def params_from_physical(kappa: float, lambda0: float, units: str) -> ModelParams:
-    """Build :class:`ModelParams` from physical rates sharing one unit tag."""
+def params_from_physical(kappa: float, lambda0: float) -> ModelParams:
+    """Build :class:`ModelParams` from the two physical rates, given in one unit."""
     if kappa <= 0 or not np.isfinite(kappa):
         raise DomainError(f"kappa must be positive, got {kappa}")
     if lambda0 <= 0 or not np.isfinite(lambda0):
         raise DomainError(f"lambda0 must be positive, got {lambda0}")
-    return ModelParams(xi=4.0 * lambda0 / kappa, kappa=kappa, lambda0=lambda0, units=units)
+    return ModelParams(xi=4.0 * lambda0 / kappa)
 
 
 def tau_from_time(t: float, kappa: float) -> float:
@@ -82,27 +64,18 @@ def tau_from_time(t: float, kappa: float) -> float:
     return float(_sample_times([kappa * t / 4.0])[0])
 
 
-def _sample_times(sample_taus, t_end: float | None = None) -> np.ndarray:
-    """The time-grid guard: the requested sample times, or 401 points on [0, t_end].
+def _sample_times(taus) -> np.ndarray:
+    """The time-grid guard: finite, 1-d, non-empty, strictly increasing and >= 0.
 
-    ``t_end`` must be finite and >= 0; the samples finite, 1-d, non-empty,
-    strictly increasing and >= 0.  With a ``t_end`` the last one may pass it
-    by SAMPLE_SLACK*max(1, t_end), so a grid that ends at t_end up to
-    rounding is accepted at any horizon.
+    An oracle runs to the last sample, so these checks also cover its horizon.
     """
-    if t_end is not None and not (np.isfinite(t_end) and t_end >= 0.0):
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end}")
-    if sample_taus is None:
-        return np.linspace(0.0, t_end, 401) if t_end > 0 else np.zeros(1)
-    samples = np.asarray(sample_taus, dtype=float)
+    samples = np.asarray(taus, dtype=float)
     if samples.ndim != 1 or len(samples) == 0 or not np.isfinite(samples).all():
         raise DomainError(f"sample times must be a finite non-empty 1-d array, got {samples}")
     if not (samples[1:] > samples[:-1]).all():
         raise DomainError("sample times must be strictly increasing")
     if samples[0] < 0:
         raise DomainError(f"sample times must be >= 0, got {samples[0]}")
-    if t_end is not None and samples[-1] > t_end + SAMPLE_SLACK * max(1.0, t_end):
-        raise DomainError(f"sample time {samples[-1]} lies past t_end={t_end}")
     return samples
 
 

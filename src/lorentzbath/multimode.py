@@ -63,36 +63,34 @@ def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
 class DiscretizedBath:
     """A finite stand-in for the continuum: detunings and couplings per mode.
 
-    ``window`` is the sampled half-width in units of kappa (so the rescaled
-    detunings span [-4*window, 4*window]).  Hand-built baths with a single
-    mode are allowed; ``sample_bath`` is the quadrature constructor.
+    The mode count is the length of the arrays.  Hand-built baths with a
+    single mode are allowed; ``sample_bath`` is the quadrature constructor.
     """
 
     detunings: np.ndarray
     couplings: np.ndarray
-    window: float
-    n_modes: int
 
     def __post_init__(self):
         d = np.asarray(self.detunings, dtype=float)
         g = np.asarray(self.couplings, dtype=float)
         object.__setattr__(self, "detunings", d)
         object.__setattr__(self, "couplings", g)
-        if d.ndim != 1 or g.shape != d.shape:
-            raise DomainError("detunings and couplings must be matching 1-d arrays")
-        if self.n_modes != len(d) or self.n_modes < 1:
-            raise DomainError(f"n_modes={self.n_modes} does not match {len(d)} modes")
+        if d.ndim != 1 or g.shape != d.shape or len(d) < 1:
+            raise DomainError("detunings and couplings must be matching 1-d arrays "
+                              "with at least one mode")
         if not (np.isfinite(d).all() and np.isfinite(g).all()):
             raise DomainError("bath arrays must be finite")
         if (g < 0).any():
             raise DomainError("couplings must be non-negative")
-        if self.window < 0 or not np.isfinite(self.window):
-            raise DomainError(f"window must be non-negative, got {self.window}")
         # resonant qubit: the sampled interval is centred on the line
         if abs(np.sort(d)[::-1] + np.sort(d)).max() > _SYMMETRY_TOL:
             raise DomainError("detunings must be symmetric about zero")
         d.flags.writeable = False
         g.flags.writeable = False
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.detunings)
 
     @property
     def coupling_mass(self) -> float:
@@ -124,13 +122,14 @@ def sample_bath(params: ModelParams, n_modes: int, window: float) -> Discretized
     """
     if n_modes < 2:
         raise DomainError(f"sample_bath needs n_modes >= 2, got {n_modes}")
-    if window <= 0 or not np.isfinite(window):
-        raise DomainError(f"window must be positive, got {window}")
+    reach = 4.0 * float(window)  # the largest detuning, which _lorentzian squares
+    if not (reach > 0.0 and reach * reach < np.inf):
+        raise DomainError(f"window must be positive with (4*window)^2 finite, got {window}")
     xi = params.xi
-    delta = np.linspace(-4.0 * window, 4.0 * window, n_modes)
+    delta = np.linspace(-reach, reach, n_modes)
     h = delta[1] - delta[0]
     g = xi * np.sqrt(_lorentzian(delta) * h)
-    bath = DiscretizedBath(detunings=delta, couplings=g, window=float(window), n_modes=n_modes)
+    bath = DiscretizedBath(detunings=delta, couplings=g)
     mass = bath.coupling_mass
     lo = xi * xi * (1.0 - 1.0 / (np.pi * window))
     hi = xi * xi * (1.0 + 1e-9)
@@ -187,9 +186,7 @@ class MultimodeTrajectory:
         return 2.0 * a * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
 
 
-def evolve(
-    bath: DiscretizedBath, t_end: float, sample_taus: np.ndarray | None = None
-) -> MultimodeTrajectory:
+def evolve(bath: DiscretizedBath, taus) -> MultimodeTrajectory:
     """Propagate |e, vac> under H = [[0, g^T], [g, diag(delta)]] by Chebyshev expansion.
 
     With rho = max|delta| + |g| >= |H| (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
@@ -200,7 +197,7 @@ def evolve(
     reach machine precision.  No eigenvectors are formed.  The final state
     must keep its norm to NORM_BUDGET.
     """
-    samples = _sample_times(sample_taus, t_end)
+    samples = _sample_times(taus)
     if samples[-1] > bath.recurrence_horizon:
         raise DomainError(f"sample time {samples[-1]} exceeds the recurrence horizon "
                           f"{bath.recurrence_horizon:.3f} of the N={bath.n_modes} bath")

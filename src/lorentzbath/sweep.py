@@ -110,14 +110,14 @@ def evaluate(
         p_g0 = 1.0 - surv
         cols = {"c_re_e0": ce.real, "c_im_e0": ce.imag, "c_re_g1": cg.real, "c_im_g1": cg.imag}
     elif method == "lindblad":
-        traj = _lb.integrate(params, taus[-1], sample_taus=taus)
+        traj = _lb.integrate(params, taus)
         p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
         surv = p_e0 + p_g1
         conc = traj.concurrences
         metadata["solver"] = asdict(traj.solver)
     else:
         bath = _mm.sample_bath(params, n_modes, window)
-        traj = _mm.evolve(bath, taus[-1], sample_taus=taus)
+        traj = _mm.evolve(bath, taus)
         p_e0 = traj.p_e
         # closed unitary dynamics: every non-qubit amplitude is the
         # one-photon share, nothing has been irreversibly lost
@@ -320,7 +320,7 @@ def _check_lindblad_equivalence(quick: bool):
     taus = np.linspace(0.0, 6.0, 401)
     worst_c = worst_p = 0.0
     for xi in xis:
-        traj = _lb.integrate(ModelParams(xi=xi), 6.0, sample_taus=taus)
+        traj = _lb.integrate(ModelParams(xi=xi), taus)
         ce, cg = analytic._amplitude_arrays(xi, taus)
         worst_c = max(worst_c, float(np.abs(traj.concurrences - 2 * np.abs(ce) * np.abs(cg)).max()))
         worst_p = max(
@@ -338,7 +338,7 @@ def _check_lindblad_equivalence(quick: bool):
 def _check_lindblad_refinement(quick: bool):
     p = ModelParams(xi=2.0)
     coarse, fine = (
-        _lb.integrate(p, 6.0, np.linspace(0.0, 6.0, n))
+        _lb.integrate(p, np.linspace(0.0, 6.0, n))
         for n in (401, 801)
     )
     # the fine grid splits every interval in two; compare at the shared samples
@@ -354,7 +354,7 @@ def _check_multimode(quick: bool):
     taus = np.linspace(0.0, 3.0, 301)
     params = ModelParams(xi=2.0)
     bath = _mm.sample_bath(params, n_modes, DEFAULT_WINDOW)
-    traj = _mm.evolve(bath, 3.0, sample_taus=taus)
+    traj = _mm.evolve(bath, taus)
     ce, _ = analytic._amplitude_arrays(2.0, taus)
     track = float(np.abs(traj.p_e - np.abs(ce) ** 2).max())
     drift = traj.solver["norm_defect"]
@@ -364,11 +364,9 @@ def _check_multimode(quick: bool):
     kern = phases @ (bath.couplings**2)
     kern_err = float(np.abs(kern - 4.0 * np.exp(-2.0 * kern_taus)).max() / 4.0)
 
-    jc = _mm.DiscretizedBath(
-        detunings=np.zeros(1), couplings=np.array([2.0]), window=0.0, n_modes=1
-    )
+    jc = _mm.DiscretizedBath(detunings=np.zeros(1), couplings=np.array([2.0]))
     jt = np.linspace(0.0, 2.0, 81)
-    jtraj = _mm.evolve(jc, 2.0, sample_taus=jt)
+    jtraj = _mm.evolve(jc, jt)
     jc_err = float(np.abs(jtraj.p_e - np.cos(2.0 * jt) ** 2).max())
 
     return [
@@ -473,7 +471,7 @@ def _check_cmax_shape(quick: bool):
 
 def _check_weak_coupling(quick: bool):
     taus = np.linspace(0.0, 400.0, 401)
-    traj = _lb.integrate(ModelParams(xi=0.05), 400.0, sample_taus=taus)
+    traj = _lb.integrate(ModelParams(xi=0.05), taus)
     rate = float(-np.polyfit(taus[50:], np.log(traj.p_e0[50:]), 1)[0])
     measured = abs(rate - 0.05**2) / 0.05**2
     return [CheckResult(
@@ -542,7 +540,7 @@ def _check_mutation(quick: bool):
     taus = np.linspace(0.0, 3.0, 121)
     ce, _ = analytic._amplitude_arrays(2.0, taus)
     try:
-        traj = _lb.integrate(ModelParams(xi=2.0), 3.0, sample_taus=taus, rhs_fn=_mutated_rhs)
+        traj = _lb.integrate(ModelParams(xi=2.0), taus, rhs_fn=_mutated_rhs)
         dev = float(np.abs(traj.p_e0 - np.abs(ce) ** 2).max())
         detail = f"population deviation {dev:.3e} under sign-flipped coupling element"
     except Exception as exc:

@@ -44,7 +44,7 @@ def lindblad_runs():
     taus = np.linspace(0.0, 6.0, 401)
     runs = {}
     for xi in XI_SET:
-        runs[xi] = lb.integrate(ModelParams(xi=xi), 6.0, sample_taus=taus)
+        runs[xi] = lb.integrate(ModelParams(xi=xi), taus)
     return taus, runs
 
 
@@ -54,7 +54,7 @@ def multimode_runs():
     runs = {}
     for n in N_STUDY:
         bath = mm.sample_bath(ModelParams(xi=2.0), n_modes=n, window=STUDY_WINDOW)
-        runs[n] = mm.evolve(bath, 3.0, sample_taus=taus)
+        runs[n] = mm.evolve(bath, taus)
     return taus, runs
 
 
@@ -159,13 +159,13 @@ def test_06_weak_coupling_markov_limit():
     xi = 0.05
     horizon = 2.0 / xi**2
     taus = np.linspace(0.0, horizon, 401)
-    traj = lb.integrate(ModelParams(xi=xi), horizon, sample_taus=taus)
+    traj = lb.integrate(ModelParams(xi=xi), taus)
     rate_lb = float(-np.polyfit(taus, np.log(traj.p_e0), 1)[0])
 
     bath = mm.sample_bath(ModelParams(xi=xi), n_modes=6001, window=5.0)
     assert bath.recurrence_horizon > horizon
     m_taus = np.linspace(0.0, horizon, 201)
-    m_traj = mm.evolve(bath, horizon, sample_taus=m_taus)
+    m_traj = mm.evolve(bath, m_taus)
     rate_mm = float(-np.polyfit(m_taus, np.log(m_traj.p_e), 1)[0])
 
     dev_lb = abs(rate_lb - xi * xi) / (xi * xi)

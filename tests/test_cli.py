@@ -131,6 +131,13 @@ class TestEvolve:
         assert capsys.readouterr().out == ""
         assert target.read_text().endswith("\n")
 
+    def test_out_file_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "run.csv"
+        assert main(["cmax", "--steps", "3", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output file {target}: ")
+
     def test_lindblad_method_matches_analytic(self, capsys):
         assert main(["evolve", "--xi", "2.0", "--steps", "31", "--method", "lindblad"]) == 0
         _, header, lrows = csv_sections(capsys.readouterr().out)

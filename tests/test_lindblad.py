@@ -62,19 +62,19 @@ class TestGenerator:
 class TestConfig:
     def test_rejects_negative_horizon(self):
         with pytest.raises(DomainError):
-            integrate(ModelParams(xi=1.0), -1.0)
+            integrate(ModelParams(xi=1.0), [-1.0])
 
     def test_rejects_infinite_horizon(self):
         with pytest.raises(DomainError):
-            integrate(ModelParams(xi=1.0), np.inf)
+            integrate(ModelParams(xi=1.0), [0.0, np.inf])
 
     def test_zero_horizon_is_allowed(self):
-        traj = integrate(ModelParams(xi=1.0), 0.0)
+        traj = integrate(ModelParams(xi=1.0), [0.0])
         assert len(traj.states) == 1
         assert np.allclose(traj.states[0].matrix, np.diag([1.0, 0.0, 0.0]))
 
     def test_horizon_accepts_rescaled_time(self):
-        traj = integrate(ModelParams(xi=1.0), tau_from_time(1.2, 5.0))
+        traj = integrate(ModelParams(xi=1.0), [0.0, tau_from_time(1.2, 5.0)])
         assert traj.taus[-1] == 1.5
 
 
@@ -82,31 +82,13 @@ class TestSampling:
     def test_rejects_unsorted_samples(self):
         params = ModelParams(xi=1.0)
         with pytest.raises(DomainError):
-            integrate(params, 1.0, sample_taus=np.array([0.0, 0.5, 0.5]))
-
-    def test_rejects_samples_outside_horizon(self):
-        params = ModelParams(xi=1.0)
-        with pytest.raises(DomainError):
-            integrate(params, 1.0, sample_taus=np.array([0.0, 1.5]))
-        with pytest.raises(DomainError):
-            integrate(params, 1.0, sample_taus=np.array([-0.1, 0.5]))
-
-    def test_end_slack_is_relative_to_the_horizon(self):
-        params = ModelParams(xi=2.0)
-        traj = integrate(params, 400.0, sample_taus=np.array([0.0, 400.0 * (1 + 5e-13)]))
-        assert len(traj.states) == 2
-        with pytest.raises(DomainError):
-            integrate(params, 400.0, sample_taus=np.array([0.0, 400.0 + 1e-9]))
-
-    def test_default_grid_has_401_points(self):
-        traj = integrate(ModelParams(xi=2.0), 1.0)
-        assert len(traj.taus) == 401 and len(traj.states) == 401
+            integrate(params, np.array([0.0, 0.5, 0.5]))
 
 
 class TestIntegration:
     def test_point_values_against_closed_form(self):
         params = ModelParams(xi=2.0)
-        traj = integrate(params, 0.5, sample_taus=np.array([0.0, 0.25, 0.5]))
+        traj = integrate(params, np.array([0.0, 0.25, 0.5]))
         final = traj.states[-1]
         assert final.p_e0 == pytest.approx(0.4352042923850347, abs=1e-12)
         assert final.p_g1 == pytest.approx(0.28462992723914709, abs=1e-12)
@@ -119,7 +101,7 @@ class TestIntegration:
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
     def test_tracks_no_jump_solution(self, xi):
         taus = np.linspace(0.0, 4.0, 101)
-        traj = integrate(ModelParams(xi=xi), 4.0, taus)
+        traj = integrate(ModelParams(xi=xi), taus)
         ce, cg = _amplitude_arrays(xi, taus)
         assert np.abs(traj.p_e0 - np.abs(ce) ** 2).max() < 1e-12
         assert np.abs(traj.coherences - ce * np.conj(cg)).max() < 1e-12
@@ -128,7 +110,7 @@ class TestIntegration:
     def test_invariants_at_every_sample(self):
         taus = np.linspace(0.0, 6.0, 401)
         for xi in (0.5, 2.0, 10.0):
-            traj = integrate(ModelParams(xi=xi), 6.0, taus)
+            traj = integrate(ModelParams(xi=xi), taus)
             for s in traj.states:
                 assert abs(np.trace(s.matrix).real - 1.0) < 1e-9
                 low = np.linalg.eigvalsh(s.matrix).min()
@@ -139,7 +121,7 @@ class TestIntegration:
     def test_solver_counters(self):
         taus = np.linspace(0.0, 6.0, 401)
         params = ModelParams(xi=2.0)
-        first, second = integrate(params, 6.0, taus), integrate(params, 6.0, taus)
+        first, second = integrate(params, taus), integrate(params, taus)
         stats = first.solver
         assert stats == second.solver
         assert stats.generator_calls == 10  # nine probes and the linearity check
@@ -151,14 +133,14 @@ class TestIntegration:
         assert stats.min_eigenvalue > -1e-13
 
     def test_long_interval_is_squared(self):
-        traj = integrate(ModelParams(xi=2.0), 6.0, np.array([0.0, 6.0]))
+        traj = integrate(ModelParams(xi=2.0), np.array([0.0, 6.0]))
         ce, cg = _amplitude_arrays(2.0, np.array([6.0]))
         assert traj.solver.propagators == 2 and traj.solver.squarings > 0
         assert abs(traj.coherences[-1] - ce[0] * np.conj(cg[0])) < 1e-14
 
     def test_trajectory_properties_are_consistent(self):
         taus = np.linspace(0.0, 2.0, 21)
-        traj = integrate(ModelParams(xi=1.5), 2.0, taus)
+        traj = integrate(ModelParams(xi=1.5), taus)
         assert np.allclose(traj.concurrences, 2.0 * np.abs(traj.coherences))
         closure = traj.p_e0 + traj.p_g1 + traj.p_g0
         assert np.abs(closure - 1.0).max() < 1e-9
@@ -188,8 +170,7 @@ class TestFailureModes:
     def test_injected_zero_generator_freezes_the_state(self):
         params = ModelParams(xi=2.0)
         traj = integrate(
-            params, 1.0,
-            sample_taus=np.array([0.0, 1.0]),
+            params, np.array([0.0, 1.0]),
             rhs_fn=lambda m, params: np.zeros((3, 3), dtype=complex),
         )
         assert np.allclose(traj.states[-1].matrix, np.diag([1.0, 0.0, 0.0]))
@@ -198,8 +179,7 @@ class TestFailureModes:
         params = ModelParams(xi=2.0)
         with pytest.raises(IntegrationError):
             integrate(
-                params, 1.0,
-                sample_taus=np.array([0.0, 0.5]),
+                params, np.array([0.0, 0.5]),
                 rhs_fn=lambda m, params: np.asarray(m, dtype=complex),
             )
 
@@ -217,7 +197,7 @@ class TestFailureModes:
         with pytest.raises(
             IntegrationError, match=r"matrix has an eigenvalue below -1e-9 at tau=1.0$"
         ):
-            integrate(params, 1.0, sample_taus=np.array([0.0, early, 1.0]), rhs_fn=leak)
+            integrate(params, np.array([0.0, early, 1.0]), rhs_fn=leak)
 
     def test_stiff_generator_fails_validation(self):
         # the propagator underflows to zero, so the state loses its trace
@@ -227,9 +207,9 @@ class TestFailureModes:
         params = ModelParams(xi=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at_zero = integrate(params, 1.0, sample_taus=np.array([0.0]), rhs_fn=stiff)
+            at_zero = integrate(params, np.array([0.0]), rhs_fn=stiff)
             with pytest.raises(IntegrationError, match="trace .* at tau=0.5"):
-                integrate(params, 1.0, sample_taus=np.array([0.0, 0.5]), rhs_fn=stiff)
+                integrate(params, np.array([0.0, 0.5]), rhs_fn=stiff)
         assert (at_zero.states[0].matrix == np.diag([1.0, 0.0, 0.0])).all()
 
     def test_growing_generator_is_not_finite(self):
@@ -237,8 +217,7 @@ class TestFailureModes:
         with warnings.catch_warnings(), pytest.raises(IntegrationError, match="not finite"):
             warnings.simplefilter("error")
             integrate(
-                params, 1.0,
-                sample_taus=np.array([0.0, 0.5]),
+                params, np.array([0.0, 0.5]),
                 rhs_fn=lambda m, params: 1e20 * np.asarray(m, dtype=complex),
             )
 
@@ -253,7 +232,7 @@ class TestFailureModes:
     def test_nonlinear_generator_rejected(self, generator):
         params = ModelParams(xi=2.0)
         with pytest.raises(DomainError, match="not linear"):
-            integrate(params, 1.0, sample_taus=np.array([0.0, 0.5]), rhs_fn=generator)
+            integrate(params, np.array([0.0, 0.5]), rhs_fn=generator)
 
 
 class TestStackedValidation:
@@ -271,14 +250,14 @@ class TestStackedValidation:
 
         monkeypatch.setattr(DensityMatrix3, "__post_init__", counting_post_init)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        traj = integrate(ModelParams(xi=2.0), 6.0, np.linspace(0.0, 6.0, 401))
+        traj = integrate(ModelParams(xi=2.0), np.linspace(0.0, 6.0, 401))
         assert len(traj.rho) == 401
         assert counts == {"states": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("xi", [0.5, 2.0, 10.0])
     def test_stack_matches_per_sample_validation(self, xi):
         taus = np.linspace(0.0, 6.0, 401)
-        traj = integrate(ModelParams(xi=xi), 6.0, taus)
+        traj = integrate(ModelParams(xi=xi), taus)
         assert traj.rho.shape == (401, 3, 3) and not traj.rho.flags.writeable
         states = traj.states
         # reference: each sample checked on its own, as a loop of single matrices
@@ -305,8 +284,8 @@ class TestStackedValidation:
 
         params = ModelParams(xi=2.0)
         with pytest.raises(IntegrationError, match=r"trace .* at tau=1.0$"):
-            integrate(params, 1.0, sample_taus=np.array([1.0]), rhs_fn=leak)
+            integrate(params, np.array([1.0]), rhs_fn=leak)
         with pytest.raises(
             IntegrationError, match=r"^matrix has an eigenvalue below -1e-9 at tau=0.1$"
         ):
-            integrate(params, 1.0, sample_taus=np.array([0.0, 0.1, 0.5, 1.0]), rhs_fn=leak)
+            integrate(params, np.array([0.0, 0.1, 0.5, 1.0]), rhs_fn=leak)

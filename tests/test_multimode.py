@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,12 +22,7 @@ from lorentzbath.multimode import (
 
 def _jc_bath(xi: float) -> DiscretizedBath:
     """Single resonant mode: the bath degenerates to vacuum Rabi dynamics."""
-    return DiscretizedBath(
-        detunings=np.array([0.0]),
-        couplings=np.array([xi]),
-        window=0.0,
-        n_modes=1,
-    )
+    return DiscretizedBath(detunings=np.array([0.0]), couplings=np.array([xi]))
 
 
 class TestSpectralDensity:
@@ -44,29 +40,28 @@ class TestSpectralDensity:
 class TestDiscretizedBath:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
-            DiscretizedBath(np.zeros(3), np.zeros(2), window=1.0, n_modes=3)
+            DiscretizedBath(np.zeros(3), np.zeros(2))
 
-    def test_rejects_wrong_count(self):
-        with pytest.raises(DomainError):
-            DiscretizedBath(np.zeros(3), np.zeros(3), window=1.0, n_modes=4)
+    def test_rejects_empty_bath(self):
+        with pytest.raises(DomainError, match="at least one mode"):
+            DiscretizedBath(np.zeros(0), np.zeros(0))
+
+    def test_mode_count_is_the_array_length(self):
+        bath = DiscretizedBath(np.array([-1.0, 0.0, 1.0]), np.full(3, 0.1))
+        assert bath.n_modes == 3
+        assert [f.name for f in dataclasses.fields(bath)] == ["detunings", "couplings"]
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(DomainError):
-            DiscretizedBath(
-                np.array([-1.0, 1.0]), np.array([0.1, -0.1]), window=1.0, n_modes=2
-            )
+            DiscretizedBath(np.array([-1.0, 1.0]), np.array([0.1, -0.1]))
 
     def test_rejects_asymmetric_detunings(self):
         with pytest.raises(DomainError):
-            DiscretizedBath(
-                np.array([-1.0, 2.0]), np.array([0.1, 0.1]), window=1.0, n_modes=2
-            )
+            DiscretizedBath(np.array([-1.0, 2.0]), np.array([0.1, 0.1]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            DiscretizedBath(
-                np.array([-np.inf, np.inf]), np.array([0.1, 0.1]), window=1.0, n_modes=2
-            )
+            DiscretizedBath(np.array([-np.inf, np.inf]), np.array([0.1, 0.1]))
 
     def test_arrays_are_frozen(self):
         bath = _jc_bath(1.0)
@@ -86,7 +81,7 @@ class TestDiscretizedBath:
         # sample_bath's detuning grid; two modes fail its coupling-mass check,
         # so the bath is built directly
         d = np.linspace(-160.0, 160.0, n_modes)
-        bath = DiscretizedBath(d, np.full(n_modes, 0.1), window=40.0, n_modes=n_modes)
+        bath = DiscretizedBath(d, np.full(n_modes, 0.1))
         spacing = np.diff(np.unique(bath.detunings)).min()
         assert bath.recurrence_horizon == float(2.0 * np.pi / spacing)
 
@@ -135,28 +130,19 @@ class TestMultimodeState:
 
 class TestEvolve:
     def test_zero_horizon(self):
-        traj = evolve(_jc_bath(1.0), t_end=0.0)
+        traj = evolve(_jc_bath(1.0), [0.0])
         assert len(traj.taus) == 1
         assert traj.c_e[0] == 1.0 and traj.solver["norm_defect"] == 0.0
 
     def test_sample_validation(self):
         bath = _jc_bath(1.0)
         with pytest.raises(DomainError):
-            evolve(bath, 1.0, sample_taus=np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            evolve(bath, 1.0, sample_taus=np.array([0.0, 2.0]))
-
-    def test_end_slack_is_relative_to_the_horizon(self):
-        bath = _jc_bath(1.0)
-        traj = evolve(bath, 400.0, sample_taus=np.array([0.0, 400.0 * (1 + 5e-13)]))
-        assert len(traj.c_e) == 2
-        with pytest.raises(DomainError):
-            evolve(bath, 400.0, sample_taus=np.array([0.0, 400.0 + 1e-9]))
+            evolve(bath, np.array([0.5, 0.5]))
 
     def test_resonant_single_mode_is_rabi(self):
         taus = np.linspace(0.0, 3.0, 61)
         for xi in (2.0, 0.0):  # xi = 0 leaves H = 0, with a zero spectral radius
-            traj = evolve(_jc_bath(xi), t_end=3.0, sample_taus=taus)
+            traj = evolve(_jc_bath(xi), taus)
             assert np.abs(traj.c_e - np.cos(xi * taus)).max() < 1e-9
 
     def test_tracks_continuum_inside_horizon(self):
@@ -164,21 +150,21 @@ class TestEvolve:
         bath = sample_bath(ModelParams(xi=xi), n_modes=501, window=40.0)
         assert bath.recurrence_horizon > 3.0
         taus = np.linspace(0.0, 3.0, 31)
-        traj = evolve(bath, t_end=3.0, sample_taus=taus)
+        traj = evolve(bath, taus)
         ce, _ = _amplitude_arrays(xi, taus)
         assert np.abs(traj.p_e - np.abs(ce) ** 2).max() < 1e-3
 
     def test_norm_is_conserved(self):
         bath = sample_bath(ModelParams(xi=2.0), n_modes=501, window=40.0)
-        traj = evolve(bath, t_end=3.0, sample_taus=np.linspace(0.0, 3.0, 31))
+        traj = evolve(bath, np.linspace(0.0, 3.0, 31))
         assert traj.solver["norm_defect"] < 1e-9
         assert traj.solver["norm_defect"] == abs(traj.final.norm_sq - 1.0)
 
     def test_rejects_samples_past_the_recurrence_horizon(self):
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
         with pytest.raises(DomainError, match="recurrence horizon"):
-            evolve(bath, t_end=10.0)
-        assert evolve(bath, t_end=10.0, sample_taus=np.array([0.0, 7.5])).taus[-1] == 7.5
+            evolve(bath, np.linspace(0.0, 10.0, 401))
+        assert evolve(bath, np.array([0.0, 7.5])).taus[-1] == 7.5
 
     def test_repeated_detunings_share_one_horizon(self):
         bath = _hand_built_bath(np.random.default_rng(3))
@@ -187,27 +173,28 @@ class TestEvolve:
 
     def test_solver_counters_repeat(self):
         bath = sample_bath(ModelParams(xi=2.0), n_modes=501, window=40.0)
-        first, second = (evolve(bath, t_end=3.0) for _ in range(2))
+        first, second = (evolve(bath, np.linspace(0.0, 3.0, 401)) for _ in range(2))
         assert first.solver == second.solver
         rho = 160.0 + math.sqrt(bath.coupling_mass)
         assert first.solver["spectral_radius"] == pytest.approx(rho, rel=1e-15)
-        # one term per order of the Bessel recurrence at rho * t_end
+        # one term per order of the Bessel recurrence at rho times the last sample
         assert first.solver["terms"] == sideband._miller_start(0, 3.0 * rho) + 1
         assert first.solver["norm_defect"] <= 1e-12
 
     def test_truncated_expansion_raises(self, monkeypatch):
-        # a start order below rho*t_end cuts the series where its terms are
+        # a start order below rho*tau cuts the series where its terms are
         # still of order one; the final norm check must catch it
         monkeypatch.setattr(sideband, "_miller_start", lambda n, x: 2 * (int(x) // 4) + 2)
         with pytest.raises(DomainError, match="norm"):
-            evolve(sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0), t_end=1.0)
+            bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
+            evolve(bath, np.linspace(0.0, 1.0, 401))
 
     @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-8])
     def test_tiny_times_stay_finite(self, tau):
         bath = _hand_built_bath(np.random.default_rng(11))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = evolve(bath, t_end=tau, sample_taus=np.array([tau]))
+            traj = evolve(bath, np.array([tau]))
         rho_tau = traj.solver["spectral_radius"] * tau
         assert np.isfinite(traj.c_e).all()
         assert abs(traj.c_e[0] - 1.0) <= rho_tau**2
@@ -216,8 +203,8 @@ class TestEvolve:
     def test_ce_does_not_depend_on_the_sample_grid(self):
         bath = sample_bath(ModelParams(xi=2.0), n_modes=201, window=10.0)
         tau = 1.3
-        alone = evolve(bath, t_end=2.0, sample_taus=np.array([tau]))
-        among = evolve(bath, t_end=2.0, sample_taus=np.r_[np.linspace(0.0, 1.2, 7), tau, 1.9])
+        alone = evolve(bath, np.array([tau]))
+        among = evolve(bath, np.r_[np.linspace(0.0, 1.2, 7), tau, 1.9])
         assert alone.c_e[0] == among.c_e[7]
 
 
@@ -232,7 +219,7 @@ def _hand_built_bath(rng) -> DiscretizedBath:
     couplings = rng.uniform(0.05, 0.6, size=41)
     couplings[7] = 0.0
     couplings[[12, 30]] = 1e-5
-    return DiscretizedBath(detunings, couplings, window=3.0, n_modes=41)
+    return DiscretizedBath(detunings, couplings)
 
 
 def _dense_propagation(bath: DiscretizedBath, taus: np.ndarray) -> np.ndarray:
@@ -256,7 +243,7 @@ class TestDenseReference:
         assert taus[-1] < bath.recurrence_horizon
         ref = _dense_propagation(bath, taus)
         # one run per horizon: the final state carries the modes at taus[i]
-        runs = [evolve(bath, t_end=tau, sample_taus=taus[: i + 1]) for i, tau in enumerate(taus)]
+        runs = [evolve(bath, taus[: i + 1]) for i in range(len(taus))]
         for i, traj in enumerate(runs):
             assert np.abs(traj.c_e - ref[: i + 1, 0]).max() < 1e-12
             assert np.abs(traj.final.c_k - ref[i, 1:]).max() < 1e-12
@@ -267,11 +254,9 @@ class TestDenseReference:
         # the weak middle mode sits on an eigenvalue of the outer pair, where
         # eigenvectors built from the given couplings instead of Lowner-
         # recomputed ones lose orthogonality (Gu & Eisenstat, SIMAX 15, 1994)
-        bath = DiscretizedBath(
-            np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1e-9, 0.5]), window=1.0, n_modes=3
-        )
+        bath = DiscretizedBath(np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1e-9, 0.5]))
         taus = np.linspace(0.0, 3.0, 31)
-        traj = evolve(bath, t_end=3.0, sample_taus=taus)
+        traj = evolve(bath, taus)
         ref = _dense_propagation(bath, taus)
         assert traj.solver["norm_defect"] <= 1e-9
         assert np.abs(traj.c_e - ref[:, 0]).max() < 1e-12
@@ -288,7 +273,7 @@ class TestConcurrence:
     def test_trajectory_concurrence_matches_state_formula(self):
         bath = sample_bath(ModelParams(xi=2.0), n_modes=101, window=5.0)
         taus = np.linspace(0.0, 1.0, 11)
-        traj = evolve(bath, t_end=1.0, sample_taus=taus)
+        traj = evolve(bath, taus)
         final_c = reservoir_concurrence(traj.final)
         assert final_c == pytest.approx(traj.concurrences[-1], abs=1e-12)
 
@@ -303,7 +288,7 @@ class TestConcurrence:
         # coupling-weighted mode recovers the extractable value
         xi, topt = 2.0, 0.38050733439596325
         bath = sample_bath(ModelParams(xi=xi), n_modes=4001, window=60.0)
-        traj = evolve(bath, t_end=topt, sample_taus=np.array([0.0, topt]))
+        traj = evolve(bath, np.array([0.0, topt]))
         cpm = collective_amplitude(bath, traj.final)
         rec = 2.0 * abs(traj.final.c_e) * abs(cpm)
         assert rec == pytest.approx(0.75593276364720863, abs=2e-2)

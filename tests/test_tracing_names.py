@@ -64,3 +64,30 @@ print(len(pending) > 0, unbound, restored, own)
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "[]", "True", "True"]
+
+
+def test_tracer_counts_the_oracle_samples():
+    # the tracer reads the sample count off each trajectory and the mode
+    # count off the bath handed to multimode.evolve
+    probe = """
+import importlib.util, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+T = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(T)
+import lorentzbath.cli  # install() patches cli.main too
+from lorentzbath import sweep
+tracer = T.Tracer()
+tracer.install()
+taus = np.linspace(0.0, 2.0, 9)
+sweep.evaluate("lindblad", 2.0, taus)
+sweep.evaluate("multimode", 2.0, taus, 201, 20.0)
+tracer.uninstall()
+print(len(taus), tracer.counts["lindblad.samples"], tracer.counts["multimode.mode_samples"])
+"""
+    proc = subprocess.run([sys.executable, "-c", probe, str(TRACING)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    n, samples, mode_samples = map(int, proc.stdout.split())
+    assert samples == n
+    assert mode_samples == 201 * n
