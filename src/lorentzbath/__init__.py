@@ -19,7 +19,7 @@ from ._version import SCHEMA_VERSION, __version__
 
 # defining submodule -> its public names, in the order of __all__
 _EXPORTS = {
-    "analytic": "OptimumRecord amplitudes c_max concurrence survival_probability t_opt_formula",
+    "analytic": "OptimumRecord amplitudes c_max concurrence t_opt_formula",
     "entanglement": "TwoQubitDensity embed wootters_concurrence xstate_concurrence",
     "errors": "DomainError EigensolverError FormError IntegrationError InvariantError "
               "TargetNotReachable",
@@ -27,7 +27,7 @@ _EXPORTS = {
     "model": "DensityMatrix3 ModelParams PureAmplitudes params_from_physical "
              "pure_to_density tau_from_time",
     "multimode": "DiscretizedBath MultimodeState MultimodeTrajectory collective_amplitude "
-                 "evolve reservoir_concurrence sample_bath",
+                 "evolve sample_bath",
     "sideband": "SidebandConfig bessel_jn effective_coupling solve_amplitude",
     "sweep": "CheckResult CmaxCurve SweepGrid SweepResult VerificationReport cmax_curve "
              "heatmap verify",

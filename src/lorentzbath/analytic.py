@@ -64,12 +64,6 @@ def amplitudes(params: ModelParams, tau: float) -> PureAmplitudes:
     return PureAmplitudes(complex(ce[0]), complex(cg[0]))
 
 
-def survival_probability(params: ModelParams, tau: float) -> float:
-    """Norm of the no-jump wavefunction, |c_e0|^2 + |c_g1|^2."""
-    psi = amplitudes(params, tau)
-    return psi.norm_sq
-
-
 def _concurrence_arrays(xi, tau) -> np.ndarray:
     ce, cg = _amplitude_arrays(xi, tau)
     return 2.0 * np.abs(ce) * np.abs(cg)
@@ -77,8 +71,7 @@ def _concurrence_arrays(xi, tau) -> np.ndarray:
 
 def concurrence(params: ModelParams, tau: float) -> float:
     """Extractable concurrence C = 2|c_e0||c_g1| at one time."""
-    psi = amplitudes(params, tau)
-    return 2.0 * abs(psi.c_e0) * abs(psi.c_g1)
+    return float(_concurrence_arrays(params.xi, _sample_times([tau]))[0])
 
 
 def _t_opt(xi) -> np.ndarray:
@@ -116,17 +109,17 @@ class OptimumRecord:
             raise DomainError(f"c_max {self.c_max} outside [0, 1]")
 
 
-def c_max_batch(xi_values) -> tuple:
-    """``c_max`` for every xi of an array, from whole-array closed forms."""
-    xi = np.asarray(xi_values, dtype=float)
+def _optimum(xi) -> tuple:
+    """``(tau_opt, c_max)`` for every xi of an array, from the closed forms."""
     tau = _t_opt(xi)
-    c = _concurrence_arrays(xi, tau)
-    return tuple(map(OptimumRecord, xi.tolist(), tau.tolist(), c.tolist()))
+    return tau, _concurrence_arrays(xi, tau)
 
 
 def c_max(params: ModelParams) -> OptimumRecord:
     """Maximum extractable concurrence over the evolution, at ``t_opt_formula``."""
-    return c_max_batch([params.xi])[0]
+    xi = float(params.xi)
+    tau, c = _optimum(np.array([xi]))
+    return OptimumRecord(xi, float(tau[0]), float(c[0]))
 
 
 # G(s) = sum_(k=1..17) 2k(-s)^(k-1)/(2k+1), highest power first, for np.polyval

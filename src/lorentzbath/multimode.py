@@ -182,6 +182,9 @@ class MultimodeTrajectory:
 
     @property
     def concurrences(self) -> np.ndarray:
+        """2|c_e|sqrt(1-|c_e|^2): the qubit-reservoir concurrence of the pure global state,
+        which the multimode ``concurrence`` column reports.  Nothing leaves the closed picture,
+        so it counts all of the entanglement and bounds the extractable part from above."""
         a = np.abs(self.c_e)
         return 2.0 * a * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
 
@@ -226,17 +229,6 @@ def evolve(bath: DiscretizedBath, taus) -> MultimodeTrajectory:
     final = MultimodeState(c_e=complex(c_e[-1]), c_k=parts[0] + 1j * parts[1])
     stats = {"terms": terms, "spectral_radius": rho, "norm_defect": abs(final.norm_sq - 1.0)}
     return MultimodeTrajectory(samples, c_e, final, stats)
-
-
-def reservoir_concurrence(state: MultimodeState) -> float:
-    """Qubit-reservoir concurrence of the pure global state, 2|c_e|*sqrt(1-|c_e|^2).
-
-    In the closed multimode picture nothing is ever irreversibly lost, so this
-    counts all of the entanglement and upper-bounds the extractable part; the
-    latter is recovered through :func:`collective_amplitude`.
-    """
-    a = abs(state.c_e)
-    return float(2.0 * a * np.sqrt(max(0.0, 1.0 - a * a)))
 
 
 def collective_amplitude(bath: DiscretizedBath, state: MultimodeState) -> complex:

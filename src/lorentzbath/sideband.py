@@ -20,7 +20,6 @@ from .errors import DomainError, TargetNotReachable
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
-_FREQ_MATCH_TOL = 1e-9
 
 
 def _miller_start(n: int, x: float) -> int:
@@ -66,19 +65,13 @@ def bessel_jn(n: int, mu: float) -> float:
 
 @dataclass(frozen=True)
 class SidebandConfig:
-    """Drive settings for one sideband.  n=0 is the carrier.
-
-    When both bare frequencies are given the resonance condition
-    nu = (omega_r - omega_q)/n is enforced (skipped for the carrier, which
-    has no such condition).
-    """
+    """Drive settings for one sideband, n=0 the carrier.  The drive frequency
+    is given once, as nu; the bare frequencies it puts on resonance are not inputs."""
 
     g: float
     epsilon: float
     nu: float
     n: int
-    omega_q: float | None = None
-    omega_r: float | None = None
 
     def __post_init__(self):
         n = self.n
@@ -90,15 +83,6 @@ class SidebandConfig:
             raise DomainError(f"nu must be positive, got {self.nu}")
         if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
             raise DomainError(f"epsilon must be non-negative, got {self.epsilon}")
-        have_q, have_r = self.omega_q is not None, self.omega_r is not None
-        if have_q != have_r:
-            raise DomainError("omega_q and omega_r must be given together")
-        if have_q and self.n >= 1:
-            mismatch = abs(self.nu - (self.omega_r - self.omega_q) / self.n) / self.nu
-            if mismatch >= _FREQ_MATCH_TOL:
-                raise DomainError(
-                    f"nu is off the n={self.n} sideband resonance by {mismatch:.3e} relative"
-                )
 
 
 def effective_coupling(cfg: SidebandConfig) -> float:

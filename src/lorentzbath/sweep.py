@@ -40,6 +40,12 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _check_method(method: str) -> None:
+    """The method guard: one of ``METHODS``."""
+    if method not in METHODS:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """A xi by tau evaluation grid with the method that fills it."""
@@ -51,8 +57,7 @@ class SweepGrid:
     tau_spacing: str = "custom"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
+        _check_method(self.method)
         xi = _xi_values(self.xi_values).copy()  # freeze the grid's own arrays, not the caller's
         tau = _sample_times(self.tau_values).copy()
         object.__setattr__(self, "xi_values", xi)
@@ -98,6 +103,7 @@ def evaluate(
     metadata holds an oracle's solver counters and, for the multimode one,
     its bath.
     """
+    _check_method(method)
     params = ModelParams(xi=xi)
     taus = _sample_times(taus)
     cols, metadata = {}, {}
@@ -138,12 +144,12 @@ def evaluate(
     return cols, metadata
 
 
-def _rows_for_xi(task) -> np.ndarray:
-    """One xi-row of the sweep; top level so process pools can ship it."""
+def _rows_for_xi(task) -> tuple[np.ndarray, dict]:
+    """One xi-row of the sweep and its metadata; top level so process pools can ship it."""
     method, xi, taus, n_modes, window = task
     try:
-        cols, _ = evaluate(method, xi, taus, n_modes, window)
-        return np.column_stack([cols[name] for name in COLUMNS])
+        cols, metadata = evaluate(method, xi, taus, n_modes, window)
+        return np.column_stack([cols[name] for name in COLUMNS]), metadata
     except Exception as exc:  # annotate with the failing grid point
         exc.add_note(f"[grid row xi={xi!r}]")
         raise
@@ -165,11 +171,12 @@ def heatmap(
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_rows_for_xi, tasks))
+        # the pool forks all of its processes at the first submit, so never more than rows
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            rows = list(pool.map(_rows_for_xi, tasks))
     else:
-        blocks = [_rows_for_xi(t) for t in tasks]
-    records = np.vstack(blocks)
+        rows = [_rows_for_xi(t) for t in tasks]
+    records = np.vstack([block for block, _ in rows])
     metadata = {
         "artifact_version": __version__,
         "method": grid.method,
@@ -180,11 +187,9 @@ def heatmap(
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     if grid.method == "multimode":
-        bath = _mm.sample_bath(ModelParams(xi=float(grid.xi_values[0])), n_modes, window)
+        # every row samples the same detunings, so row 0's horizon is the grid's
         metadata["bath"] = {
-            "n_modes": n_modes,
-            "window": window,
-            "recurrence_horizon": bath.recurrence_horizon,
+            **rows[0][1]["bath"],
             "note": "discrete bath is only faithful for tau well inside the horizon",
         }
     return SweepResult(records=records, metadata=metadata)
@@ -217,48 +222,37 @@ CMAX_COLUMNS = ("xi", "tau_opt", "c_max", "dcmax_dxi", "source")
 
 @dataclass(frozen=True)
 class CmaxCurve:
-    """C_max(xi) with its exact derivative ``analytic._dcmax_dxi``.
+    """C_max(xi) as read-only arrays: the closed-form optimum ``tau_opt``,
+    ``c_max`` there and its exact derivative ``analytic._dcmax_dxi``.
 
     Monotonicity violations are carried in ``violations`` and echoed in the
     metadata; they are never repaired in the data itself.
     """
 
-    records: tuple
+    xi: np.ndarray
+    tau_opt: np.ndarray
+    c_max: np.ndarray
     derivative: np.ndarray
     violations: tuple
     metadata: dict
 
     @property
-    def xi(self) -> np.ndarray:
-        return np.array([r.xi for r in self.records])
-
-    @property
-    def c_max(self) -> np.ndarray:
-        return np.array([r.c_max for r in self.records])
-
-    @property
-    def tau_opt(self) -> np.ndarray:
-        return np.array([r.tau_opt for r in self.records])
-
-    @property
     def columns(self) -> tuple:
         """One sequence per name of ``CMAX_COLUMNS``, in that order."""
         # every row comes from the closed-form optimum
-        source = np.full(len(self.records), "formula")
+        source = np.full(len(self.xi), "formula")
         return (self.xi, self.tau_opt, self.c_max, self.derivative, source)
 
 
 def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
-    xi = _xi_values(xi_values)
+    xi = _xi_values(xi_values).copy()  # the curve's own array, not the caller's
     t0 = time.perf_counter()
-    recs = analytic.c_max_batch(xi)
-    c = np.array([r.c_max for r in recs])
-    deriv = analytic._dcmax_dxi(xi, [r.tau_opt for r in recs], c)
-    viol = tuple(
-        (float(xi[i]), float(xi[i + 1]), float(c[i] - c[i + 1]))
-        for i in range(len(xi) - 1)
-        if c[i + 1] - c[i] < -1e-13
-    )
+    tau, c = analytic._optimum(xi)
+    deriv = analytic._dcmax_dxi(xi, tau, c)
+    for a in (xi, tau, c, deriv):
+        a.flags.writeable = False
+    drops = np.flatnonzero(np.diff(c) < -1e-13)
+    viol = tuple((float(xi[i]), float(xi[i + 1]), float(c[i] - c[i + 1])) for i in drops)
     metadata = {
         "artifact_version": __version__,
         "xi": _axis_spec(xi, spacing),
@@ -266,7 +260,7 @@ def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
         "violations": [list(v) for v in viol],
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    return CmaxCurve(records=recs, derivative=deriv, violations=viol, metadata=metadata)
+    return CmaxCurve(xi, tau, c, deriv, viol, metadata)
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def _check_cmax_shape(quick: bool):
     curve = cmax_curve(np.geomspace(0.01, 100.0, n), spacing="log")
     xi, c, d = curve.xi, curve.c_max, curve.derivative
     explicit = (1.0 + np.sqrt(1.0 + xi * xi)) / xi * np.exp(-2.0 * curve.tau_opt)
-    cm = lambda x: analytic._concurrence_arrays(x, analytic._t_opt(x))
+    cm = lambda x: analytic._optimum(x)[1]
     diff = lambda h: (cm(xi + h) - cm(xi - h)) / (2.0 * h)
     richardson = (4.0 * diff(1.5e-3 * xi) - diff(3e-3 * xi)) / 3.0
     strong = 1e6 * (1.0 - cm(1e6)) / (np.pi / 2.0 - 1.0)

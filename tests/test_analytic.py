@@ -13,7 +13,6 @@ from lorentzbath.analytic import (
     amplitudes,
     c_max,
     concurrence,
-    survival_probability,
     t_opt_formula,
 )
 from lorentzbath import analytic
@@ -121,8 +120,8 @@ class TestAmplitudes:
         # for xi << 1 the survival decays like exp(-xi^2*tau) at late times
         xi = 0.05
         t0, t1 = 200.0, 300.0
-        p0 = survival_probability(ModelParams(xi=xi), t0)
-        p1 = survival_probability(ModelParams(xi=xi), t1)
+        p0 = amplitudes(ModelParams(xi=xi), t0).norm_sq
+        p1 = amplitudes(ModelParams(xi=xi), t1).norm_sq
         rate = -math.log(p1 / p0) / (t1 - t0)
         assert rate == pytest.approx(xi**2, rel=0.01)
 
@@ -149,7 +148,7 @@ class TestConcurrence:
     def test_bounds(self, log_xi, tau):
         params = ModelParams(xi=10.0**log_xi)
         c = concurrence(params, tau)
-        p = survival_probability(params, tau)
+        p = amplitudes(params, tau).norm_sq
         assert -1e-15 <= c <= 1.0 + 1e-12
         assert c <= p + 1e-12
         assert p <= 1.0 + 1e-12
@@ -227,6 +226,22 @@ class TestOptimum:
         curve = cmax_curve(np.linspace(1.0 - half_width, 1.0 + half_width, 61))
         assert curve.violations == ()
         assert (np.diff(curve.c_max) > 0).all()
+
+    def test_one_path_to_the_optimum(self):
+        # c_max reads a one-point curve, and agrees bit for bit with a row of a longer one
+        near_one = 1.0 + np.array([-1e-6, -3e-7, -5e-8, 0.0, 2e-8, 5e-7, 1e-6])
+        xis = np.unique(np.r_[np.geomspace(1e-6, 1e8, 60), near_one, 3.0])
+        curve = cmax_curve(xis)
+        for i, xi in enumerate(xis.tolist()):
+            rec = c_max(ModelParams(xi=xi))
+            one = cmax_curve([xi])
+            assert (rec.tau_opt, rec.c_max) == (one.tau_opt[0], one.c_max[0])
+            row = (curve.xi[i], curve.tau_opt[i], curve.c_max[i])
+            assert (rec.xi, rec.tau_opt, rec.c_max) == row
+        rec = c_max(ModelParams(xi=3))
+        assert all(type(v) is float for v in (rec.xi, rec.tau_opt, rec.c_max))
+        row = int(np.flatnonzero(xis == 3.0)[0])
+        assert (rec.tau_opt, rec.c_max) == (curve.tau_opt[row], curve.c_max[row])
 
     def test_record_validation(self):
         with pytest.raises(DomainError):

@@ -38,6 +38,10 @@ CASES = {
         "heatmap", "--xi-min", "0.1", "--xi-max", "10", "--xi-steps", "7",
         "--tau-max", "2", "--tau-steps", "11",
     ],
+    "heatmap-multimode": [
+        "heatmap", "--method", "multimode", "--xi-min", "0.5", "--xi-max", "2", "--xi-steps", "3",
+        "--tau-max", "1", "--tau-steps", "11", "--n-modes", "201", "--window", "10",
+    ],
     "cmax": ["cmax", "--xi-min", "0.01", "--xi-max", "100", "--steps", "25"],
     "sideband": [
         "sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", "--target-xi", "1",

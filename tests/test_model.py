@@ -105,10 +105,11 @@ class TestGuardedEntryPoints:
             lambda: ModelParams(xi=1e160),
             lambda: sweep.cmax_curve([1.0, 1e200]),
             lambda: multimode.sample_bath(ModelParams(xi=2.0), 3, 1e300),
+            lambda: sweep.evaluate("bogus", 2.0, np.linspace(0.0, 1.0, 3), 51, 5.0),
         ],
         ids=["evaluate-negative-tau", "evolve-negative-horizon", "evolve-nan-horizon",
              "integrate-nan-sample", "amplitudes-nan", "params-overflow", "cmax-overflow",
-             "sample-bath-huge-window"],
+             "sample-bath-huge-window", "evaluate-unknown-method"],
     )
     def test_domain_error_without_warnings(self, call):
         with warnings.catch_warnings():

@@ -12,10 +12,10 @@ from lorentzbath.model import ModelParams
 from lorentzbath.multimode import (
     DiscretizedBath,
     MultimodeState,
+    MultimodeTrajectory,
     _lorentzian,
     collective_amplitude,
     evolve,
-    reservoir_concurrence,
     sample_bath,
 )
 
@@ -265,17 +265,11 @@ class TestDenseReference:
 
 class TestConcurrence:
     def test_extremes(self):
-        full = MultimodeState(c_e=1.0, c_k=np.array([0.0j]))
-        assert reservoir_concurrence(full) == 0.0
+        # c_e = 1 is unentangled; c_e = 1/sqrt 2 shares the excitation evenly
         half = MultimodeState(c_e=2.0**-0.5, c_k=np.array([2.0**-0.5 + 0.0j]))
-        assert reservoir_concurrence(half) == pytest.approx(1.0, abs=1e-15)
-
-    def test_trajectory_concurrence_matches_state_formula(self):
-        bath = sample_bath(ModelParams(xi=2.0), n_modes=101, window=5.0)
-        taus = np.linspace(0.0, 1.0, 11)
-        traj = evolve(bath, taus)
-        final_c = reservoir_concurrence(traj.final)
-        assert final_c == pytest.approx(traj.concurrences[-1], abs=1e-12)
+        traj = MultimodeTrajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0**-0.5]), half, {})
+        assert traj.concurrences[0] == 0.0
+        assert traj.concurrences[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_collective_amplitude_rejects_mode_mismatch(self):
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
@@ -292,4 +286,4 @@ class TestConcurrence:
         cpm = collective_amplitude(bath, traj.final)
         rec = 2.0 * abs(traj.final.c_e) * abs(cpm)
         assert rec == pytest.approx(0.75593276364720863, abs=2e-2)
-        assert reservoir_concurrence(traj.final) > rec
+        assert traj.concurrences[-1] > rec

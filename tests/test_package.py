@@ -14,8 +14,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # defining module -> public names, in the order of lorentzbath.__all__
 EXPORTS = {
     "_version": ("SCHEMA_VERSION", "__version__"),
-    "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "survival_probability",
-                 "t_opt_formula"),
+    "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "t_opt_formula"),
     "entanglement": ("TwoQubitDensity", "embed", "wootters_concurrence", "xstate_concurrence"),
     "errors": ("DomainError", "EigensolverError", "FormError", "IntegrationError",
                "InvariantError", "TargetNotReachable"),
@@ -23,7 +22,7 @@ EXPORTS = {
     "model": ("DensityMatrix3", "ModelParams", "PureAmplitudes", "params_from_physical",
               "pure_to_density", "tau_from_time"),
     "multimode": ("DiscretizedBath", "MultimodeState", "MultimodeTrajectory",
-                  "collective_amplitude", "evolve", "reservoir_concurrence", "sample_bath"),
+                  "collective_amplitude", "evolve", "sample_bath"),
     "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling", "solve_amplitude"),
     "sweep": ("CheckResult", "CmaxCurve", "SweepGrid", "SweepResult", "VerificationReport",
               "cmax_curve", "heatmap", "verify"),
@@ -55,7 +54,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 46
+    assert out["star"] == NAMES and len(NAMES) == 44
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"

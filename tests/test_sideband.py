@@ -204,18 +204,6 @@ class TestSidebandConfig:
         with pytest.raises(DomainError, match=f"got {MAX_ORDER + 1}"):
             SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=MAX_ORDER + 1)
 
-    def test_frequencies_must_come_together(self):
-        with pytest.raises(DomainError):
-            SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=1, omega_q=5.0)
-
-    def test_resonance_condition(self):
-        SidebandConfig(g=1.0, epsilon=1.0, nu=1.0, n=2, omega_q=5.0, omega_r=7.0)
-        with pytest.raises(DomainError):
-            SidebandConfig(g=1.0, epsilon=1.0, nu=1.01, n=2, omega_q=5.0, omega_r=7.0)
-
-    def test_carrier_needs_no_resonance(self):
-        SidebandConfig(g=1.0, epsilon=0.0, nu=3.3, n=0, omega_q=5.0, omega_r=7.0)
-
     def test_effective_coupling(self):
         cfg = SidebandConfig(g=2.0, epsilon=1.0, nu=1.0, n=2)
         assert effective_coupling(cfg) == pytest.approx(

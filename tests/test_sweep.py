@@ -1,4 +1,5 @@
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,10 @@ import pytest
 
 from lorentzbath import sweep
 from lorentzbath.analytic import _amplitude_arrays
+from lorentzbath._version import METHODS
 from lorentzbath.errors import DomainError, TargetNotReachable
+from lorentzbath.model import ModelParams
+from lorentzbath.multimode import sample_bath
 from lorentzbath.sweep import (
     CheckResult,
     COLUMNS,
@@ -60,8 +64,12 @@ class TestSweepGrid:
         assert g.method == "analytic"
 
     def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            SweepGrid(np.array([1.0]), np.array([0.0, 1.0]), method="magic")
+        # the grid and the per-xi evaluator share one guard: an unknown
+        # method never falls through to an oracle
+        for call in (lambda: SweepGrid(np.array([1.0]), np.array([0.0, 1.0]), method="magic"),
+                     lambda: sweep.evaluate("magic", 2.0, np.linspace(0.0, 1.0, 3), 51, 5.0)):
+            with pytest.raises(DomainError, match=re.escape(f"one of {METHODS}")):
+                call()
 
     def test_xi_must_increase(self):
         with pytest.raises(DomainError):
@@ -139,6 +147,9 @@ class TestHeatmap:
         res = heatmap(grid, n_modes=201, window=10.0)
         assert res.metadata["bath"]["n_modes"] == 201
         assert res.metadata["bath"]["recurrence_horizon"] > 1.0
+        horizon = sample_bath(ModelParams(xi=1.0), 201, 10.0).recurrence_horizon
+        assert res.metadata["bath"]["recurrence_horizon"] == horizon
+        assert list(res.metadata["bath"]) == ["n_modes", "window", "recurrence_horizon", "note"]
         # closed picture: nothing leaves, survival stays one
         assert (res.records[:, 6] == 1.0).all()
         assert (res.records[:, 5] == 0.0).all()
@@ -162,6 +173,32 @@ class TestHeatmap:
         c = heatmap(grid, workers=2)
         assert a.records.tobytes() == b.records.tobytes()
         assert a.records.tobytes() == c.records.tobytes()
+
+    def test_pool_never_outnumbers_the_rows(self, monkeypatch):
+        # the pool forks every process at its first submit, whatever the task count
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        grid = SweepGrid(np.array([0.5, 2.0]), np.linspace(0.0, 1.0, 5), method="analytic")
+        res = heatmap(grid, workers=64)
+        assert sizes == [2]
+        assert res.metadata["workers"] == 64
+        assert res.records.tobytes() == heatmap(grid, workers=1).records.tobytes()
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_workers_started_fresh_give_the_serial_bytes(self, start_method):
@@ -227,8 +264,24 @@ class TestCmaxCurve:
     def test_derivative_finite_and_positive_over_the_whole_domain(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = cmax_curve(np.geomspace(1e-300, 1e150, 2000)).derivative
+            curve = cmax_curve(np.geomspace(1e-300, 1e150, 2000))
+        d = curve.derivative
         assert np.isfinite(d).all() and (d > 0).all()
+        # the range checks OptimumRecord runs on c_max, over every curve row;
+        # from xi ~ 1e16 on, C_max rounds to one ulp above 1
+        assert (curve.tau_opt >= 0.0).all()
+        assert ((0.0 < curve.c_max) & (curve.c_max <= 1.0 + 1e-12)).all()
+
+    def test_arrays_are_frozen(self):
+        xi = np.geomspace(0.5, 2.0, 3)
+        curve = cmax_curve(xi)
+        for a in (curve.xi, curve.tau_opt, curve.c_max, curve.derivative):
+            assert len(a) == 3
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        # the caller's own array stays writable and detached from the curve
+        xi[0] = 0.7
+        assert curve.xi[0] == 0.5
 
     def test_validation(self):
         with pytest.raises(DomainError):
