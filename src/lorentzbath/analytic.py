@@ -23,75 +23,83 @@ and ``dC_max/dxi = 2*xi*C_max*G/R^3``.  With ``u = w/R``, ``u^3*G`` is
 ``arctan(u) - u/(1+u^2)`` for xi > 1 and ``u/(1-u^2) - artanh(u)`` for
 xi < 1: each is 0 at u = 0 and has the derivative ``2u^2/(1 +- u^2)^2 > 0``,
 and ``G = 2/3`` at xi = 1.  So C_max grows strictly with xi for every xi > 0.
+
+Everything here is scalar ``math``, one branch of xi at a time: no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from math import cos, exp, expm1, sin
 
-import numpy as np
-
-from .errors import DomainError
-from .model import ModelParams, PureAmplitudes, _sample_times
+from .errors import DomainError, _sample_times
+from .model import ModelParams, PureAmplitudes
 
 
-def _amplitude_arrays(xi, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised complex (c_e0, c_g1); ``xi`` and ``tau`` broadcast."""
-    xi, tau = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(tau, dtype=float))
+def _amplitude_arrays(xi: float, taus) -> tuple[list, list]:
+    """``c_e0`` and ``Im c_g1`` at every tau of ``taus``, for one xi: c_e0 is
+    real and c_g1 imaginary on every branch, so two lists of floats carry both."""
+    xi = float(xi)
     # (xi-1)(xi+1) avoids cancellation in xi**2 - 1 near the critical line
     w2 = (xi - 1.0) * (xi + 1.0)
-    w = np.sqrt(np.abs(w2))
-    osc = w2 >= 0.0
-    x = w * tau  # sqrt|z|
-    env = np.exp(-tau)
-    # z >= 0: tau*sin(x)/x is sin(x)/w, and tau itself on the critical line
-    sinc = np.divide(np.sin(x), w, out=tau.copy(), where=w > 0.0)
-    # z < 0: a difference of decaying exponentials cannot overflow at large
-    # tau; the small-x cancellation in that difference goes through expm1.
-    # 1 - w is written xi^2/(1 + w), which stays >= 0 where w > 1 too, so
-    # the points with z >= 0 evaluate this side without overflow as well.
-    ea = np.exp(-tau * (xi * xi / (1.0 + w)))
-    eb = np.exp(-(1.0 + w) * tau)
-    diff = np.where(x < 0.5, eb * np.expm1(np.minimum(2.0 * x, 1.0)), ea - eb)
-    sinh = np.divide(diff, 2.0 * w, out=np.zeros_like(diff), where=~osc)
-    c_e0 = np.where(osc, env * (np.cos(x) + sinc), 0.5 * (ea + eb) + sinh)
-    return c_e0 + 0j, -1j * xi * np.where(osc, env * sinc, sinh)
+    w = math.sqrt(abs(w2))
+    ce, cg = [], []
+    if w2 >= 0.0:
+        for tau in taus:
+            env, x = exp(-tau), w * tau
+            # tau*sin(x)/x is sin(x)/w, and tau itself on the critical line
+            sinc = sin(x) / w if w > 0.0 else tau
+            ce.append(env * (cos(x) + sinc))
+            cg.append(0.0 - xi * (env * sinc))  # 0.0 - keeps Im c_g1(0) = +0.0
+        return ce, cg
+    # a difference of decaying exponentials cannot overflow at large tau; its
+    # small-x cancellation goes through expm1, and the slow rate 1 - w is
+    # written xi^2/(1 + w), free of cancellation as xi -> 0
+    for tau in taus:
+        ea = exp(-tau * (xi * xi / (1.0 + w)))
+        eb = exp(-(1.0 + w) * tau)
+        x = w * tau
+        sinh = (eb * expm1(2.0 * x) if x < 0.5 else ea - eb) / (2.0 * w)
+        ce.append(0.5 * (ea + eb) + sinh)
+        cg.append(0.0 - xi * sinh)
+    return ce, cg
 
 
 def amplitudes(params: ModelParams, tau: float) -> PureAmplitudes:
     """No-jump amplitudes at a single rescaled time."""
-    ce, cg = _amplitude_arrays(params.xi, _sample_times([tau]))
-    return PureAmplitudes(complex(ce[0]), complex(cg[0]))
+    (ce,), (cg,) = _amplitude_arrays(params.xi, _sample_times([tau]))
+    return PureAmplitudes(complex(ce), complex(0.0, cg))
 
 
-def _concurrence_arrays(xi, tau) -> np.ndarray:
-    ce, cg = _amplitude_arrays(xi, tau)
-    return 2.0 * np.abs(ce) * np.abs(cg)
+def _concurrence(xi: float, tau: float) -> float:
+    (ce,), (cg,) = _amplitude_arrays(xi, (tau,))
+    return 2.0 * abs(ce) * abs(cg)
 
 
 def concurrence(params: ModelParams, tau: float) -> float:
     """Extractable concurrence C = 2|c_e0||c_g1| at one time."""
-    return float(_concurrence_arrays(params.xi, _sample_times([tau]))[0])
+    return _concurrence(params.xi, _sample_times([tau])[0])
 
 
-def _t_opt(xi) -> np.ndarray:
-    """First (and global) concurrence maximiser for every xi of an array."""
-    xi = np.asarray(xi, dtype=float)
-    w = np.sqrt(np.abs((xi - 1.0) * (xi + 1.0)))
-    r = np.sqrt(1.0 + xi * xi)
-    x = w / r
-    # arctan(x)/(x*R), which is 1/R = 1/sqrt(2) on the critical line
-    above = np.divide(np.arctan(x), x, out=np.ones_like(x), where=x > 0.0) / r
+def _t_opt(xi: float) -> float:
+    """First (and global) concurrence maximiser."""
+    w = math.sqrt(abs((xi - 1.0) * (xi + 1.0)))
+    r = math.sqrt(1.0 + xi * xi)
+    if xi >= 1.0:
+        # arctan(x)/(x*R), which is 1/R = 1/sqrt(2) on the critical line
+        x = w / r
+        return (math.atan(x) / x if x > 0.0 else 1.0) / r
     # artanh(w/R) = log1p(u)/2 with u = w(R+w)/xi^2, free of cancellation as
-    # xi -> 1; taken from log(u) so that u cannot overflow as xi -> 0
-    wt = np.where(w > 0.0, w, 1.0)
-    below = 0.5 * np.logaddexp(0.0, np.log(wt * (r + w) / xi) - np.log(xi)) / wt
-    return np.where(xi >= 1.0, above, below)
+    # xi -> 1; where u overflows (xi below ~1e-154) log1p(u) is log(u)
+    u = w * (r + w) / xi / xi
+    log1p = math.log1p(u) if u < math.inf else math.log(w * (r + w) / xi) - math.log(xi)
+    return 0.5 * log1p / w
 
 
 def t_opt_formula(params: ModelParams) -> float:
     """Closed-form location of the concurrence maximum, on every branch."""
-    return float(_t_opt(params.xi))
+    return _t_opt(float(params.xi))
 
 
 @dataclass(frozen=True)
@@ -105,38 +113,41 @@ class OptimumRecord:
     def __post_init__(self):
         if self.tau_opt < 0:
             raise DomainError("tau_opt must be >= 0")
-        if not -1e-12 <= self.c_max <= 1.0 + 1e-12:
+        if not -1e-12 <= self.c_max <= 1.0:
             raise DomainError(f"c_max {self.c_max} outside [0, 1]")
 
 
-def _optimum(xi) -> tuple:
-    """``(tau_opt, c_max)`` for every xi of an array, from the closed forms."""
+def _optimum(xi: float) -> tuple[float, float]:
+    """``(tau_opt, c_max)`` from the closed forms.  C_max = 1 - (pi/2 - 1)/xi to
+    leading order rounds to 1 above xi ~ 1.03e16, so the clip at 1 is exact there."""
     tau = _t_opt(xi)
-    return tau, _concurrence_arrays(xi, tau)
+    return tau, min(_concurrence(xi, tau), 1.0)
 
 
 def c_max(params: ModelParams) -> OptimumRecord:
     """Maximum extractable concurrence over the evolution, at ``t_opt_formula``."""
     xi = float(params.xi)
-    tau, c = _optimum(np.array([xi]))
-    return OptimumRecord(xi, float(tau[0]), float(c[0]))
+    return OptimumRecord(xi, *_optimum(xi))
 
 
-# G(s) = sum_(k=1..17) 2k(-s)^(k-1)/(2k+1), highest power first, for np.polyval
-_G_SERIES = np.array([2.0 * k / (2 * k + 1) for k in range(17, 0, -1)])
+# G(s) = sum_(k=1..17) 2k(-s)^(k-1)/(2k+1), highest power first, for Horner's rule
+_G_SERIES = tuple(2.0 * k / (2 * k + 1) for k in range(17, 0, -1))
 
 
-def _dcmax_dxi(xi, tau_opt, c_max) -> np.ndarray:
-    """Exact dC_max/dxi for every xi of an array, from its optimum.
+def _dcmax_dxi(xi: float, tau_opt: float, c_max: float) -> float:
+    """Exact dC_max/dxi, from the optimum.
 
     ``C_max (2 xi tau* - R/xi)/((xi-1)(xi+1))`` for ``|s| >= 0.1``, where
     ``s = (xi^2-1)/(xi^2+1)``; near the critical line, where that quotient
     is 0/0, ``2 xi C_max G(s)/R^3``.
     """
-    xi, tau, c = (np.asarray(a, dtype=float) for a in (xi, tau_opt, c_max))
-    r = np.sqrt(1.0 + xi * xi)
+    r = math.sqrt(1.0 + xi * xi)
     w2 = (xi - 1.0) * (xi + 1.0)
     s = w2 / (1.0 + xi * xi)
+    if abs(s) >= 0.1:
+        return c_max * (2.0 * xi * tau_opt - r / xi) / w2
+    g = 0.0
+    for coefficient in _G_SERIES:
+        g = g * -s + coefficient
     # xi/R/R/R underflows where R^3 would overflow
-    series = 2.0 * c * np.polyval(_G_SERIES, -s) * (xi / r / r / r)
-    return np.divide(c * (2.0 * xi * tau - r / xi), w2, out=series, where=np.abs(s) >= 0.1)
+    return 2.0 * c_max * g * (xi / r / r / r)

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from . import sideband, sweep
 from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, SCHEMA_VERSION, WORKERS_ENV
 from ._version import __version__
-from .errors import DomainError, IntegrationError, TargetNotReachable
+from .errors import DomainError, IntegrationError, TargetNotReachable, _positive
 
 _EVOLVE_COLUMNS_ANALYTIC = (
     "tau", "c_re_e0", "c_im_e0", "c_re_g1", "c_im_g1",
@@ -38,8 +38,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if type(value).__module__ == "numpy":  # a numpy scalar, spotted without importing numpy
-        return value.item()
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
@@ -48,10 +46,9 @@ def _jsonable(value):
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode_column(column, fmt: str) -> list:
+def _encode_column(items, fmt: str) -> list:
     """The cells of one column as text, encoded once by the type of its first
     cell: bool, int, float or str."""
-    items = column.tolist() if hasattr(column, "tolist") else column
     first = items[0] if len(items) else ""
     if isinstance(first, bool):
         return ["true" if v else "false" for v in items]
@@ -59,7 +56,7 @@ def _encode_column(column, fmt: str) -> list:
         return list(map(str, items))
     if isinstance(first, float):
         if fmt == "csv":
-            return ["%.17g" % v for v in items]
+            return list(map("%.17g".__mod__, items))
         cells = list(map(float.__repr__, items))
         if not math.isfinite(sum(items)):  # a nan or inf cell, or an overflowing sum
             cells = [_JSON_NONFINITE.get(c, c) for c in cells]
@@ -69,8 +66,7 @@ def _encode_column(column, fmt: str) -> list:
 
 def _emit(args, metadata: dict, names, columns) -> int:
     """Write one table; ``columns`` holds one equal-length sequence per name,
-    a numpy array or a sequence of Python cells of one type (the transpose of
-    a 2-D array works)."""
+    of Python cells of one type."""
     metadata = dict(metadata)
     metadata["artifact_version"] = __version__
     metadata["schema_version"] = SCHEMA_VERSION
@@ -91,15 +87,18 @@ def _emit(args, metadata: dict, names, columns) -> int:
         lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            fh = open(args.out, "w", newline="\n")
-        except OSError as exc:
-            raise DomainError(f"cannot write output file {args.out}: {exc}") from None
-        with fh:
+        with _open_out(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, newline="\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {path}: {exc}") from None
 
 
 def _resolved_config(args) -> dict:
@@ -134,7 +133,8 @@ def _cmd_heatmap(args) -> int:
         tau_spacing="linear",
     )
     result = sweep.heatmap(grid, n_modes=args.n_modes, window=args.window)
-    return _emit(args, result.metadata, _HEATMAP_COLUMNS, result.records[:, :3].T)
+    columns = list(map(result.column, _HEATMAP_COLUMNS))
+    return _emit(args, result.metadata, _HEATMAP_COLUMNS, columns)
 
 
 # ------------------------------------------------------------------ cmax
@@ -155,8 +155,7 @@ def _cmd_sideband(args) -> int:
             raise DomainError(f"--{name} is required (on the command line or in --config)")
     if (args.target_xi is None) == (args.epsilon is None):
         raise DomainError("exactly one of --target-xi / --epsilon must be given")
-    if args.kappa <= 0 or not math.isfinite(args.kappa):
-        raise DomainError(f"--kappa must be positive, got {args.kappa}")
+    _positive("--kappa", args.kappa)
     inverse, eps = args.target_xi is not None, args.epsilon
     if inverse:
         eps = sideband.solve_amplitude(
@@ -204,7 +203,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = subs.add_parser("evolve", help="time series at one xi")
     p.add_argument("--xi", type=float, default=None)
@@ -217,7 +215,6 @@ def build_parser():
                    help="bath half-width in units of kappa (multimode only)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_evolve)
-    registry["evolve"] = p
 
     p = subs.add_parser("heatmap", help="concurrence over a xi x tau grid")
     p.add_argument("--xi-min", type=float, default=0.01)
@@ -231,7 +228,6 @@ def build_parser():
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_heatmap)
-    registry["heatmap"] = p
 
     p = subs.add_parser("cmax", help="C_max and its derivative versus xi")
     p.add_argument("--xi-min", type=float, default=0.01)
@@ -240,7 +236,6 @@ def build_parser():
     p.add_argument("--scale", choices=("log", "linear"), default="log")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_cmax)
-    registry["cmax"] = p
 
     p = subs.add_parser("sideband", help="effective coupling / drive inversion")
     p.add_argument("--g", type=float, default=None)
@@ -252,7 +247,6 @@ def build_parser():
     mode.add_argument("--epsilon", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sideband)
-    registry["sideband"] = p
 
     p = subs.add_parser("verify", help="run the cross-check battery")
     depth = p.add_mutually_exclusive_group()
@@ -262,9 +256,8 @@ def build_parser():
                        help="complete budgets (the default)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify)
-    registry["verify"] = p
 
-    return parser, registry
+    return parser, subs.choices  # subcommand name -> its parser
 
 
 def _parse_config_value(raw: str, action) -> object:
@@ -338,6 +331,8 @@ def main(argv=None) -> int:
         registry[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)  # explicit flags still take precedence
     try:
+        if args.out:
+            _open_out(args.out, "a").close()  # an unwritable path fails before the work
         return args.handler(args)
     except Exception as exc:
         # str(exc) leaves out the notes, such as the grid row a sweep adds

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, and the input guards that raise them, in scalar Python:
+a rate guard, the coupling guard behind ``ModelParams`` and every xi grid,
+and the time-grid guard behind every oracle and tau grid.  The grid guards
+return tuples; an oracle makes an array of one once, where it needs it.
+"""
+import math
+from operator import lt
+
+MAX_XI = 1e150  # (xi - 1)*(xi + 1) overflows above ~1.3e154
 
 
 class DomainError(ValueError):
@@ -36,3 +44,39 @@ class TargetNotReachable(ValueError):
         # the default rebuilds from self.args alone, which lacks max_xi; the
         # state dict carries max_xi and any notes across a process pool
         return type(self), (self.args[0], self.max_xi), self.__dict__
+
+
+def _positive(name: str, value) -> None:
+    """The rate guard: ``value`` is finite and above zero."""
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _grid(values, what: str) -> tuple:
+    """A finite, non-empty, strictly increasing 1-d sequence as a tuple of floats."""
+    try:
+        grid = tuple(map(float, values)) if getattr(values, "ndim", 1) == 1 else ()
+    except (TypeError, ValueError):
+        grid = ()
+    if not grid or not all(map(math.isfinite, grid)):
+        raise DomainError(f"{what} must be a finite non-empty 1-d array, got {values!r:.200}")
+    if not all(map(lt, grid, grid[1:])):
+        raise DomainError(f"{what} must be strictly increasing")
+    return grid
+
+
+def _xi_values(xi_values) -> tuple:
+    """The coupling guard: a grid of ratios in (0, MAX_XI]."""
+    xi = _grid(xi_values, "xi values")
+    if not (xi[0] > 0.0 and xi[-1] <= MAX_XI):
+        raise DomainError(f"xi values must lie in (0, {MAX_XI:g}], got {xi[0]} to {xi[-1]}")
+    return xi
+
+
+def _sample_times(taus) -> tuple:
+    """The time-grid guard: a grid of times >= 0.  An oracle runs to the last
+    sample, so these checks also cover its horizon."""
+    samples = _grid(taus, "sample times")
+    if samples[0] < 0:
+        raise DomainError(f"sample times must be >= 0, got {samples[0]}")
+    return samples

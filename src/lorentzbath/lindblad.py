@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, InvariantError
-from .model import DensityMatrix3, ModelParams, _sample_times, validate_density
+from .errors import DomainError, IntegrationError, InvariantError, _sample_times
+from .model import DensityMatrix3, ModelParams, validate_density
 
 KAPPA_RESCALED = 4.0
 
@@ -139,7 +139,7 @@ def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
     verification harness uses this to prove the cross-checks catch an
     injected defect.
     """
-    samples = _sample_times(taus)
+    samples = np.array(_sample_times(taus))
     f = rhs if rhs_fn is None else rhs_fn
     L = _liouvillian(f, params)
     # the probes pin a linear generator down; an affine or nonlinear one

@@ -5,37 +5,22 @@ Everything downstream works in dimensionless variables: the coupling ratio
 rates, both in one unit of the caller's choosing, enter only through
 :func:`params_from_physical` / :func:`tau_from_time`, which keep only xi and tau.
 
-Each input is checked once, here: :func:`_xi_values` is the one coupling
-guard (behind :class:`ModelParams` and every xi grid) and :func:`_sample_times`
-the one time-grid guard (behind every oracle and every tau grid).
+Each input is checked once, by the guards of ``errors``.  :class:`ModelParams`
+and :class:`PureAmplitudes` are scalar Python; only the density matrices load
+numpy, when one is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DomainError, InvariantError
+from .errors import MAX_XI, InvariantError, _positive, _sample_times, _xi_values
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
-MAX_XI = 1e150  # (xi - 1)*(xi + 1) overflows above ~1.3e154
-
-
-def _xi_values(xi_values) -> np.ndarray:
-    """The coupling guard: a finite, non-empty, strictly increasing 1-d array
-    of ratios in (0, MAX_XI]."""
-    xi = np.asarray(xi_values, dtype=float)
-    if xi.ndim != 1 or len(xi) == 0 or not np.isfinite(xi).all():
-        raise DomainError(f"xi values must be a finite non-empty 1-d array, got {xi}")
-    if not (xi[1:] > xi[:-1]).all():
-        raise DomainError("xi values must be strictly increasing")
-    if not (xi[0] > 0.0 and xi[-1] <= MAX_XI):
-        raise DomainError(f"xi values must lie in (0, {MAX_XI:g}], got {xi[0]} to {xi[-1]}")
-    return xi
 
 
 @dataclass(frozen=True)
@@ -50,33 +35,15 @@ class ModelParams:
 
 def params_from_physical(kappa: float, lambda0: float) -> ModelParams:
     """Build :class:`ModelParams` from the two physical rates, given in one unit."""
-    if kappa <= 0 or not np.isfinite(kappa):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if lambda0 <= 0 or not np.isfinite(lambda0):
-        raise DomainError(f"lambda0 must be positive, got {lambda0}")
+    _positive("kappa", kappa)
+    _positive("lambda0", lambda0)
     return ModelParams(xi=4.0 * lambda0 / kappa)
 
 
 def tau_from_time(t: float, kappa: float) -> float:
     """Rescale a physical time by kappa/4."""
-    if kappa <= 0 or not np.isfinite(kappa):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    return float(_sample_times([kappa * t / 4.0])[0])
-
-
-def _sample_times(taus) -> np.ndarray:
-    """The time-grid guard: finite, 1-d, non-empty, strictly increasing and >= 0.
-
-    An oracle runs to the last sample, so these checks also cover its horizon.
-    """
-    samples = np.asarray(taus, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0 or not np.isfinite(samples).all():
-        raise DomainError(f"sample times must be a finite non-empty 1-d array, got {samples}")
-    if not (samples[1:] > samples[:-1]).all():
-        raise DomainError("sample times must be strictly increasing")
-    if samples[0] < 0:
-        raise DomainError(f"sample times must be >= 0, got {samples[0]}")
-    return samples
+    _positive("kappa", kappa)
+    return _sample_times([kappa * t / 4.0])[0]
 
 
 @dataclass(frozen=True)
@@ -88,7 +55,7 @@ class PureAmplitudes:
 
     def __post_init__(self):
         n2 = self.norm_sq
-        if not np.isfinite(n2) or n2 > 1.0 + NORM_TOL:
+        if not math.isfinite(n2) or n2 > 1.0 + NORM_TOL:
             raise InvariantError(f"|c_e0|^2+|c_g1|^2 = {n2} exceeds 1")
 
     @property
@@ -96,7 +63,7 @@ class PureAmplitudes:
         return abs(self.c_e0) ** 2 + abs(self.c_g1) ** 2
 
 
-def validate_density(stack: np.ndarray) -> np.ndarray:
+def validate_density(stack):
     """Check a stack ``(..., d, d)`` of density matrices; return each smallest eigenvalue.
 
     In order: finite entries, Hermitian within 1e-10, trace 1 within 1e-9, and
@@ -104,6 +71,7 @@ def validate_density(stack: np.ndarray) -> np.ndarray:
     The earliest failing matrix raises ``InvariantError`` for its first failed
     check, with ``index`` set to its flat position in the stack.
     """
+    import numpy as np
     flat = stack.reshape((-1,) + stack.shape[-2:])
     finite = np.isfinite(flat).all(axis=(1, 2))
     flat = np.where(finite[:, None, None], flat, 0.0)  # keeps nan and inf out of eigvalsh
@@ -131,10 +99,11 @@ class DensityMatrix3:
     """Validated density matrix, or ``(..., 3, 3)`` stack of them, on the basis
     (|e,0>, |g,1>, |g,0>); each property has the stack's leading shape."""
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: object = field(repr=False)  # a numpy array
     min_eigenvalue: float = field(init=False, repr=False, compare=False)  # found by validation
 
     def __post_init__(self):
+        import numpy as np
         m = np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (3, 3):
             raise InvariantError(f"expected 3x3 matrices, got shape {m.shape}")
@@ -177,6 +146,7 @@ def _pure_density(c_e0, c_g1) -> DensityMatrix3:
     The |g,0> row and column are exactly zero off the diagonal: the emitted
     photon carries no coherence back into the no-jump sector.
     """
+    import numpy as np
     m = np.zeros(np.shape(c_e0) + (3, 3), dtype=complex)
     m[..., 0, 0] = np.abs(c_e0) ** 2
     m[..., 1, 1] = np.abs(c_g1) ** 2

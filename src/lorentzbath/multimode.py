@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sideband
-from .errors import DomainError
-from .model import ModelParams, _sample_times
+from .errors import DomainError, _sample_times
+from .model import ModelParams
 
 NORM_BUDGET = 1e-9          # state-type invariant
 _SYMMETRY_TOL = 1e-9
@@ -200,7 +200,7 @@ def evolve(bath: DiscretizedBath, taus) -> MultimodeTrajectory:
     reach machine precision.  No eigenvectors are formed.  The final state
     must keep its norm to NORM_BUDGET.
     """
-    samples = _sample_times(taus)
+    samples = np.array(_sample_times(taus))
     if samples[-1] > bath.recurrence_horizon:
         raise DomainError(f"sample time {samples[-1]} exceeds the recurrence horizon "
                           f"{bath.recurrence_horizon:.3f} of the N={bath.n_modes} bath")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, TargetNotReachable
+from .errors import DomainError, TargetNotReachable, _positive
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -77,10 +77,8 @@ class SidebandConfig:
         n = self.n
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_ORDER:
             raise DomainError(f"sideband order must be an integer in [0, {MAX_ORDER}], got {n!r}")
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise DomainError(f"g must be positive, got {self.g}")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise DomainError(f"nu must be positive, got {self.nu}")
+        _positive("g", self.g)
+        _positive("nu", self.nu)
         if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
             raise DomainError(f"epsilon must be non-negative, got {self.epsilon}")
 
@@ -124,8 +122,7 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
     SidebandConfig(g=g, epsilon=0.0, nu=nu, n=n)  # the drive guards, before any J_n
     if n < 1:
         raise DomainError(f"solve_amplitude needs a sideband order >= 1, got {n}")
-    if not (kappa > 0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    _positive("kappa", kappa)
     if not (target_xi >= 0 and math.isfinite(target_xi)):
         raise DomainError(f"target_xi must be non-negative, got {target_xi}")
     if target_xi == 0.0:

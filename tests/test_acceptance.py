@@ -133,7 +133,7 @@ def test_04_monotonicity_and_saturation(cmax_curve_200):
     )
     assert curve.violations == ()
     assert saturation >= 0.97
-    assert (curve.derivative > 0.0).all()
+    assert min(curve.derivative) > 0.0
     assert d_low > 0.0 and d_high > 0.0
     assert d_high < d_low
 
@@ -272,9 +272,7 @@ def test_11_sweep_determinism():
         xi_spacing="log",
         tau_spacing="linear",
     )
-    blobs = [
-        sweep.heatmap(grid, workers=w).records.tobytes() for w in (1, 1, 2)
-    ]
+    blobs = [repr(sweep.heatmap(grid, workers=w).records) for w in (1, 1, 2)]
     library_stable = blobs[0] == blobs[1] == blobs[2]
 
     argv = [

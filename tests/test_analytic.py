@@ -43,7 +43,7 @@ GOLDEN_OPTIMA = {
 
 
 def _conc(xi):
-    return lambda t: float(analytic._concurrence_arrays(xi, t))
+    return lambda t: analytic._concurrence(xi, t)
 
 
 class TestAmplitudes:
@@ -85,36 +85,36 @@ class TestAmplitudes:
 
     def test_branch_continuity_across_critical_window(self):
         taus = np.linspace(0.0, 10.0, 400)
-        mid = _amplitude_arrays(1.0, taus)
+        mid = np.array(_amplitude_arrays(1.0, taus))
         for xi in (1.0 - 2e-6, 1.0 + 2e-6):
-            side = _amplitude_arrays(xi, taus)
-            gap = max(
-                np.abs(side[0] - mid[0]).max(), np.abs(side[1] - mid[1]).max()
-            )
-            assert gap < 1e-5
+            side = np.array(_amplitude_arrays(xi, taus))
+            assert np.abs(side - mid).max() < 1e-5
 
     def test_complex_on_every_branch(self):
-        for xi in (0.5, 1.0, 2.0, np.array([0.5, 1.0, 2.0])):
-            ce, cg = _amplitude_arrays(xi, np.linspace(0.0, 3.0, 3))
-            assert ce.dtype == cg.dtype == np.complex128
+        # the rows are the floats c_e0 and Im c_g1; the amplitudes are c_e0 and i*Im c_g1
+        for xi in (0.5, 1.0, 2.0):
+            ce, cg = _amplitude_arrays(xi, [0.0, 1.5, 3.0])
+            assert all(type(v) is float for v in ce + cg)
+            psi = amplitudes(ModelParams(xi=xi), 1.5)
+            assert (psi.c_e0, psi.c_g1) == (complex(ce[1]), complex(0.0, cg[1]))
 
-    def test_amplitudes_broadcast_bit_identical(self, rng):
+    def test_row_points_bit_identical_to_single_points(self, rng):
         xi = np.concatenate([rng.uniform(0.01, 20.0, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 20), [1.0]])
         tau = rng.uniform(0.0, 12.0, len(xi))
-        ce, cg = _amplitude_arrays(xi, tau)
-        for i, (x, t) in enumerate(zip(xi.tolist(), tau.tolist())):
-            ce1, cg1 = _amplitude_arrays(x, np.asarray([t]))
-            assert ce[i : i + 1].tobytes() == ce1.tobytes()
-            assert cg[i : i + 1].tobytes() == cg1.tobytes()
+        for x in xi.tolist():
+            row = _amplitude_arrays(x, tau.tolist())
+            for i, t in enumerate(tau.tolist()):
+                (ce1,), (cg1,) = _amplitude_arrays(x, [t])
+                assert (row[0][i], row[1][i]) == (ce1, cg1)
 
     def test_overdamped_no_overflow_at_long_times(self):
-        # every point evaluates both sides of z = 0, so strong coupling counts too
-        xi = np.array([[0.5], [1.0], [100.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            ce, cg = _amplitude_arrays(xi, np.asarray([0.0, 50.0, 400.0, 5000.0]))
-        assert np.isfinite(ce).all() and np.isfinite(cg).all()
-        assert (np.abs(ce) <= 1.0).all()
+        # a difference of decaying exponentials, whatever the coupling
+        for xi in (0.5, 1.0, 100.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                ce, cg = _amplitude_arrays(xi, [0.0, 50.0, 400.0, 5000.0])
+            assert np.isfinite(ce).all() and np.isfinite(cg).all()
+            assert (np.abs(ce) <= 1.0).all()
 
     def test_weak_coupling_long_time_decay_rate(self):
         # for xi << 1 the survival decays like exp(-xi^2*tau) at late times
@@ -149,7 +149,7 @@ class TestConcurrence:
         params = ModelParams(xi=10.0**log_xi)
         c = concurrence(params, tau)
         p = amplitudes(params, tau).norm_sq
-        assert -1e-15 <= c <= 1.0 + 1e-12
+        assert -1e-15 <= c <= 1.0
         assert c <= p + 1e-12
         assert p <= 1.0 + 1e-12
 
@@ -196,8 +196,8 @@ class TestOptimum:
     )
     def test_stationarity_residual(self, xi):
         # dC/dtau = 2 xi (a^2 - b^2) - 4ab with a = c_e0 and b = i c_g1, both real
-        ce, cg = _amplitude_arrays(xi, t_opt_formula(ModelParams(xi=xi)))
-        a, b = ce.real, (1j * cg).real
+        (a,), (g,) = _amplitude_arrays(xi, [t_opt_formula(ModelParams(xi=xi))])
+        b = -g
         assert abs(xi * (a * a - b * b) - 2.0 * a * b) <= 1e-12 * a * b
 
     def test_c_max_records(self):
@@ -243,6 +243,16 @@ class TestOptimum:
         row = int(np.flatnonzero(xis == 3.0)[0])
         assert (rec.tau_opt, rec.c_max) == (curve.tau_opt[row], curve.c_max[row])
 
+    def test_c_max_never_above_one_over_the_domain(self):
+        # 1 - (pi/2 - 1)/xi, the leading order, rounds to 1 above xi ~ 1.03e16
+        xis = np.geomspace(1e-300, 1e150, 2000).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [c_max(ModelParams(xi=xi)).c_max for xi in xis]
+        assert 0.0 < min(values) and max(values) <= 1.0
+        strong = [v for xi, v in zip(xis, values) if xi > 1.03e16]
+        assert len(strong) > 500 and min(strong) >= 1.0 - 4.5e-16
+
     def test_record_validation(self):
         with pytest.raises(DomainError):
             OptimumRecord(1.0, -0.5, 0.5)
@@ -272,8 +282,9 @@ class TestExactDerivative:
 
     def test_matches_mpmath_derivative_of_the_explicit_form(self):
         assert len(self.XI) >= 50 and (np.abs(self.XI - 1.0) <= 1e-6).sum() >= 5
-        tau = analytic._t_opt(self.XI)
-        d = analytic._dcmax_dxi(self.XI, tau, analytic._concurrence_arrays(self.XI, tau))
+        tau = [analytic._t_opt(x) for x in self.XI.tolist()]
+        d = [analytic._dcmax_dxi(x, t, analytic._concurrence(x, t))
+             for x, t in zip(self.XI.tolist(), tau)]
         with mpmath.workdps(40):
             ref = [mpmath.diff(_explicit_c_max, mpmath.mpf(float(x))) for x in self.XI]
         for x, got, want in zip(self.XI, d, ref):
@@ -287,7 +298,8 @@ class TestWeakCoupling:
         rec = c_max(ModelParams(xi=xi))
         window = math.log(2.0 / xi**2)
         grid = np.linspace(0.0, window, 400_001)
-        values = analytic._concurrence_arrays(xi, grid)
+        ce, cg = _amplitude_arrays(xi, grid.tolist())
+        values = 2.0 * np.abs(ce) * np.abs(cg)
         i = int(values.argmax())
         assert 0.0 < i < len(grid) - 1
         assert rec.c_max >= values[i] * (1.0 - 1e-13)

@@ -428,7 +428,7 @@ class TestProcessLevel:
         (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
           "--tau-max", "1", "--steps", "11"), ("numpy.ma",), ("lindblad", "entanglement")),
         (("verify", "--quick"), ("numpy.ma",), ()),
-        *((argv, COLD_MODULES, ANALYTIC_NEVER_RUN) for argv in (
+        *((argv, ("numpy", *COLD_MODULES), ANALYTIC_NEVER_RUN) for argv in (
             ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),
             ("cmax", "--steps", "25"),
             ("evolve", "--xi", "2"),
@@ -457,6 +457,22 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+    def test_unwritable_out_fails_before_the_work(self, tmp_path, monkeypatch):
+        # a Lindblad heatmap that would run its oracle first exits 2 with that oracle unrun
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        probe = (
+            "import sys, types\n"
+            "from lorentzbath.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, type(sys.modules['lorentzbath.lindblad']) is types.ModuleType)\n"
+        )
+        argv = ("heatmap", "--method", "lindblad", "--xi-steps", "3", "--tau-steps", "5",
+                "--out", str(tmp_path / "missing" / "x.csv"))
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "False"]
+        assert proc.stderr.startswith("error: cannot write output file ")
 
     @pytest.mark.parametrize("argv, code", [
         ((), 0),

@@ -157,8 +157,9 @@ class TestXState:
 def _battery_states() -> DensityMatrix3:
     """The 200 states of verify's Wootters check, as one stack."""
     rng = np.random.default_rng(20240817)
-    tau, xi = rng.uniform((0.05, 0.05), (4.0, 8.0), size=(200, 2)).T
-    return _pure_density(*_amplitude_arrays(xi, tau))
+    pairs = rng.uniform((0.05, 0.05), (4.0, 8.0), size=(200, 2)).tolist()
+    ce, cg = np.array([_amplitude_arrays(xi, [tau]) for tau, xi in pairs])[:, :, 0].T
+    return _pure_density(ce, 1j * cg)
 
 
 class TestStacks:

@@ -10,11 +10,14 @@ means to move numbers rewrites them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and the diff shows every cell that moved.  The script writes nothing unless
-every case succeeds.  The bytes are those of the numpy and libm the files
-were written with.
+which prints, for each file it rewrites, the number of cells that changed
+and the largest relative move in each column; the diff shows every cell.
+The script writes nothing unless every case succeeds.  The bytes are those
+of the libm and numpy the files were written with.
 """
 import io
+import json
+import math
 import pathlib
 import sys
 from contextlib import redirect_stdout
@@ -85,6 +88,36 @@ def test_json_data_bytes_match_golden(case):
     assert data_section([*JSON_CASES[case], "--format", "json"]).encode() == expected
 
 
+def _cells(name: str, text: str) -> tuple[list, list]:
+    """Column names and rows of cells of one golden data section."""
+    if name.endswith(".json"):
+        rows = json.loads("{" + text)["data"]
+        return [f"column {i}" for i in range(len(rows[0]) if rows else 0)], rows
+    header, *lines = text.splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+def moves(name: str, old: str, new: str) -> str:
+    """One line: the changed cells of a rewritten file, and per column their
+    count and largest relative move (inf from a zero, nan for text)."""
+    (names, before), (new_names, after) = _cells(name, old), _cells(name, new)
+    if new_names != names or len(after) != len(before):
+        return f"{name}: columns or row count changed"
+    moved = {}
+    for old_row, new_row in zip(before, after):
+        for column, a, b in zip(names, old_row, new_row):
+            if a != b:
+                try:
+                    rel = abs(float(b) - float(a)) / abs(float(a)) if float(a) else math.inf
+                except ValueError:
+                    rel = math.nan
+                count, worst = moved.get(column, (0, 0.0))
+                moved[column] = count + 1, max(worst, rel)
+    total = sum(count for count, _ in moved.values())
+    parts = [f"{column} {count} (max rel {worst:.2g})" for column, (count, worst) in moved.items()]
+    return f"{name}: {total} cells changed: " + "; ".join(parts)
+
+
 if __name__ == "__main__":
     # every case runs before any file is written: a failing case leaves the set as it was
     sections = {f"{case}.csv": data_section(argv) for case, argv in CASES.items()}
@@ -92,5 +125,9 @@ if __name__ == "__main__":
                      for case, argv in JSON_CASES.items()})
     GOLDEN.mkdir(exist_ok=True)
     for name, text in sections.items():
-        (GOLDEN / name).write_bytes(text.encode())
-        print(f"wrote {name}", file=sys.stderr)
+        path = GOLDEN / name
+        old = path.read_text() if path.exists() else None
+        if old == text:
+            continue
+        path.write_bytes(text.encode())
+        print(moves(name, old, text) if old is not None else f"{name}: new file", file=sys.stderr)

@@ -68,8 +68,8 @@ class TestTimeGuard:
             _sample_times(samples)
 
     def test_valid_samples_pass_through(self):
-        assert (_sample_times([0.0]) == [0.0]).all()
-        assert (_sample_times([0.0, 1.0]) == [0.0, 1.0]).all()
+        assert _sample_times([0.0]) == (0.0,)
+        assert _sample_times(np.array([0.0, 1.0])) == (0.0, 1.0)
 
 
 class TestCouplingGuard:
@@ -83,7 +83,7 @@ class TestCouplingGuard:
             _xi_values(xi)
 
     def test_bound_is_accepted(self):
-        assert (_xi_values([1e-300, 1.0, MAX_XI]) == [1e-300, 1.0, MAX_XI]).all()
+        assert _xi_values([1e-300, 1.0, MAX_XI]) == (1e-300, 1.0, MAX_XI)
         assert ModelParams(xi=MAX_XI).xi == MAX_XI
 
 
@@ -143,7 +143,7 @@ class TestGuardedEntryPoints:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = analytic.c_max(ModelParams(xi=MAX_XI))
-        assert np.isfinite(rec.tau_opt) and 0.0 <= rec.c_max <= 1.0 + 1e-12
+        assert np.isfinite(rec.tau_opt) and 0.0 <= rec.c_max <= 1.0
 
 
 class TestPureAmplitudes:

@@ -87,13 +87,34 @@ class TestSweepGrid:
     def test_arrays_are_frozen(self):
         xi, tau = np.geomspace(0.5, 2.0, 3), np.linspace(0.0, 1.0, 5)
         g = SweepGrid(xi, tau, method="analytic")
-        with pytest.raises(ValueError):
+        assert type(g.xi_values) is type(g.tau_values) is tuple
+        with pytest.raises(TypeError):
             g.xi_values[0] = 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             g.tau_values[0] = 0.5
         # the caller's own arrays stay writable and detached from the grid
         xi[0], tau[0] = 0.7, 0.1
         assert g.xi_values[0] == 0.5 and g.tau_values[0] == 0.0
+
+
+class TestAxis:
+    def test_linear_axis_is_linspace_bit_for_bit(self, rng):
+        # the last range is denormal wide: its step underflows to 0
+        ranges = [(*sorted(rng.uniform(-1e3, 1e3, 2)), int(rng.integers(2, 400)))
+                  for _ in range(300)]
+        ranges += [(0.0, 3.0, 301), (0.0, 2.0, 11), (0.0, 1e-323, 10)]
+        for lo, hi, steps in ranges:
+            axis = sweep._axis(lo, hi, steps, "linear", "x")
+            assert np.array(axis).tobytes() == np.linspace(lo, hi, steps).tobytes()
+        assert (hi - lo) / (steps - 1) == 0.0 and axis[1:-1] != (0.0,) * 8
+
+    def test_log_axis_keeps_its_endpoints_and_geomspace_within_an_ulp(self, rng):
+        for _ in range(300):
+            lo, hi = sorted(10.0 ** rng.uniform(-300, 150, 2))
+            steps = int(rng.integers(2, 400))
+            axis = np.array(sweep._axis(lo, hi, steps, "log", "x"))
+            assert (axis[0], axis[-1]) == (lo, hi)
+            assert (np.abs(axis - np.geomspace(lo, hi, steps)) <= np.spacing(axis)).all()
 
 
 class TestSweepResult:
@@ -119,20 +140,22 @@ class TestHeatmap:
         taus = np.linspace(0.0, 2.0, 9)
         grid = SweepGrid(xi, taus, method="analytic", tau_spacing="linear")
         res = heatmap(grid)
-        assert res.records.shape == (18, len(COLUMNS))
+        records = np.array(res.records)
+        assert records.shape == (18, len(COLUMNS))
         # xi-major: first block belongs to xi=0.5
-        assert (res.records[:9, 0] == 0.5).all()
-        assert (res.records[9:, 0] == 2.0).all()
+        assert (records[:9, 0] == 0.5).all()
+        assert (records[9:, 0] == 2.0).all()
         ce, cg = _amplitude_arrays(2.0, taus)
-        assert np.allclose(res.records[9:, 2], 2 * np.abs(ce) * np.abs(cg), atol=1e-14)
-        assert np.allclose(res.records[9:, 3], np.abs(ce) ** 2, atol=1e-14)
+        assert np.allclose(records[9:, 2], 2 * np.abs(ce) * np.abs(cg), atol=1e-14)
+        assert np.allclose(records[9:, 3], np.abs(ce) ** 2, atol=1e-14)
 
     def test_lindblad_matches_analytic(self):
         taus = np.linspace(0.0, 3.0, 31)
         xi = np.array([2.0])
         a = heatmap(SweepGrid(xi, taus, method="analytic"))
         l = heatmap(SweepGrid(xi, taus, method="lindblad"))
-        assert np.abs(a.records[:, 2] - l.records[:, 2]).max() < 1e-6
+        gap = np.subtract(a.column("concurrence"), l.column("concurrence"))
+        assert np.abs(gap).max() < 1e-6
         assert l.metadata["method"] == "lindblad" and "lindblad_tol" not in l.metadata
 
     def test_multimode_horizon_guard(self):
@@ -151,8 +174,8 @@ class TestHeatmap:
         assert res.metadata["bath"]["recurrence_horizon"] == horizon
         assert list(res.metadata["bath"]) == ["n_modes", "window", "recurrence_horizon", "note"]
         # closed picture: nothing leaves, survival stays one
-        assert (res.records[:, 6] == 1.0).all()
-        assert (res.records[:, 5] == 0.0).all()
+        assert set(res.column("survival")) == {1.0}
+        assert set(res.column("p_g0")) == {0.0}
 
     def test_metadata_schema(self):
         grid = SweepGrid(np.array([1.0]), np.array([0.0, 1.0]), method="analytic")
@@ -171,14 +194,13 @@ class TestHeatmap:
         a = heatmap(grid, workers=1)
         b = heatmap(grid, workers=1)
         c = heatmap(grid, workers=2)
-        assert a.records.tobytes() == b.records.tobytes()
-        assert a.records.tobytes() == c.records.tobytes()
+        assert repr(a.records) == repr(b.records) == repr(c.records)
 
     def test_pool_never_outnumbers_the_rows(self, monkeypatch):
         # the pool forks every process at its first submit, whatever the task count
         import concurrent.futures
 
-        sizes = []
+        sizes, chunks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -190,15 +212,19 @@ class TestHeatmap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         grid = SweepGrid(np.array([0.5, 2.0]), np.linspace(0.0, 1.0, 5), method="analytic")
         res = heatmap(grid, workers=64)
-        assert sizes == [2]
+        assert sizes == [2] and chunks == [1]
         assert res.metadata["workers"] == 64
-        assert res.records.tobytes() == heatmap(grid, workers=1).records.tobytes()
+        assert repr(res.records) == repr(heatmap(grid, workers=1).records)
+        # one chunk of rows per process: 5 rows over 2 processes go 3 and 2
+        heatmap(SweepGrid(np.geomspace(0.5, 2.0, 5), [0.0, 1.0], method="analytic"), workers=2)
+        assert sizes[-1] == 2 and chunks[-1] == 3
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_workers_started_fresh_give_the_serial_bytes(self, start_method):
@@ -212,7 +238,7 @@ class TestHeatmap:
             "grid = sweep.SweepGrid(np.geomspace(0.5, 4.0, 3), np.linspace(0.0, 2.0, 11),\n"
             "                       method='lindblad')\n"
             "serial, pooled = (sweep.heatmap(grid, workers=w).records for w in (1, 2))\n"
-            "print(serial.tobytes() == pooled.tobytes())\n"
+            "print(repr(serial) == repr(pooled))\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, start_method],
                               capture_output=True, text=True)
@@ -254,7 +280,7 @@ class TestCmaxCurve:
         curve = cmax_curve(np.geomspace(0.01, 100.0, 40), spacing="log")
         assert curve.violations == ()
         assert curve.metadata["monotone_nondecreasing"] is True
-        assert (curve.derivative > 0).all()
+        assert min(curve.derivative) > 0
 
     def test_single_point_derivative_is_that_of_a_longer_grid(self):
         one = cmax_curve([2.0])
@@ -265,19 +291,19 @@ class TestCmaxCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = cmax_curve(np.geomspace(1e-300, 1e150, 2000))
-        d = curve.derivative
+        d = np.array(curve.derivative)
         assert np.isfinite(d).all() and (d > 0).all()
         # the range checks OptimumRecord runs on c_max, over every curve row;
-        # from xi ~ 1e16 on, C_max rounds to one ulp above 1
-        assert (curve.tau_opt >= 0.0).all()
-        assert ((0.0 < curve.c_max) & (curve.c_max <= 1.0 + 1e-12)).all()
+        # from xi ~ 1e16 on, C_max is 1 to within rounding
+        assert min(curve.tau_opt) >= 0.0
+        assert 0.0 < min(curve.c_max) and max(curve.c_max) <= 1.0
 
     def test_arrays_are_frozen(self):
         xi = np.geomspace(0.5, 2.0, 3)
         curve = cmax_curve(xi)
         for a in (curve.xi, curve.tau_opt, curve.c_max, curve.derivative):
-            assert len(a) == 3
-            with pytest.raises(ValueError):
+            assert type(a) is tuple and len(a) == 3
+            with pytest.raises(TypeError):
                 a[0] = 1.0
         # the caller's own array stays writable and detached from the curve
         xi[0] = 0.7
