@@ -91,9 +91,10 @@ def _t_opt(xi: float) -> float:
         x = w / r
         return (math.atan(x) / x if x > 0.0 else 1.0) / r
     # artanh(w/R) = log1p(u)/2 with u = w(R+w)/xi^2, free of cancellation as
-    # xi -> 1; where u overflows (xi below ~1e-154) log1p(u) is log(u)
+    # xi -> 1; where u overflows (xi below ~1e-154) log1p(u) is log(u), taken
+    # as a difference of logarithms, which stays finite for a subnormal xi
     u = w * (r + w) / xi / xi
-    log1p = math.log1p(u) if u < math.inf else math.log(w * (r + w) / xi) - math.log(xi)
+    log1p = math.log1p(u) if u < math.inf else math.log(w * (r + w)) - 2.0 * math.log(xi)
     return 0.5 * log1p / w
 
 
@@ -145,7 +146,11 @@ def _dcmax_dxi(xi: float, tau_opt: float, c_max: float) -> float:
     w2 = (xi - 1.0) * (xi + 1.0)
     s = w2 / (1.0 + xi * xi)
     if abs(s) >= 0.1:
-        return c_max * (2.0 * xi * tau_opt - r / xi) / w2
+        if r / xi < math.inf:
+            return c_max * (2.0 * xi * tau_opt - r / xi) / w2
+        # subnormal xi: R/xi overflows and 2 xi tau* vanishes beside it, but
+        # C_max is about xi, so C_max/xi is about 1
+        return -(c_max / xi) * r / w2
     g = 0.0
     for coefficient in _G_SERIES:
         g = g * -s + coefficient

@@ -34,7 +34,7 @@ class TwoQubitDensity:
         m = np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (4, 4):
             raise InvariantError(f"expected 4x4 matrices, got shape {m.shape}")
-        validate_density(m)
+        validate_density(m.reshape(-1, 4, 4).tolist())
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

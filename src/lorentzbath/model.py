@@ -5,15 +5,20 @@ Everything downstream works in dimensionless variables: the coupling ratio
 rates, both in one unit of the caller's choosing, enter only through
 :func:`params_from_physical` / :func:`tau_from_time`, which keep only xi and tau.
 
-Each input is checked once, by the guards of ``errors``.  :class:`ModelParams`
-and :class:`PureAmplitudes` are scalar Python; only the density matrices load
-numpy, when one is built.
+Each input is checked once, by the guards of ``errors``.  :class:`ModelParams`,
+:class:`PureAmplitudes` and the one density-matrix validator
+:func:`validate_density` are scalar Python; only the density-matrix types
+load numpy, when one is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
+from math import copysign, sqrt
+from operator import add, sub
 
 from .errors import MAX_XI, InvariantError, _positive, _sample_times, _xi_values
 
@@ -21,6 +26,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
+_JACOBI_SWEEPS = 50  # cyclic Jacobi converges quadratically; a bound, not a setting
 
 
 @dataclass(frozen=True)
@@ -63,35 +69,118 @@ class PureAmplitudes:
         return abs(self.c_e0) ** 2 + abs(self.c_g1) ** 2
 
 
-def validate_density(stack):
-    """Check a stack ``(..., d, d)`` of density matrices; return each smallest eigenvalue.
+def validate_density(matrices) -> list:
+    """Check a sequence of d x d density matrices, each a sequence of rows of
+    numbers; return the smallest eigenvalue of each.
 
     In order: finite entries, Hermitian within 1e-10, trace 1 within 1e-9, and
-    no eigenvalue of the symmetrised matrix below -1e-9 (one batched ``eigvalsh``).
-    The earliest failing matrix raises ``InvariantError`` for its first failed
-    check, with ``index`` set to its flat position in the stack.
+    no eigenvalue of the symmetrised matrix below -1e-9 (by
+    :func:`_smallest_eigenvalue`).  The earliest failing matrix raises
+    ``InvariantError`` for its first failed check, with ``index`` set to its
+    position in ``matrices``.  The entry-wise checks run over all matrices at
+    once; the eigenvalues, one matrix at a time, up to the first failure.
     """
-    import numpy as np
-    flat = stack.reshape((-1,) + stack.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    flat = np.where(finite[:, None, None], flat, 0.0)  # keeps nan and inf out of eigvalsh
-    adjoint = flat.conj().swapaxes(1, 2)
-    tr = flat.trace(axis1=1, axis2=2).real
-    low = np.linalg.eigvalsh(0.5 * (flat + adjoint)).min(axis=1)
-    fails = (~finite, np.abs(flat - adjoint).max(axis=(1, 2)) > HERMITICITY_TOL,
-             np.abs(tr - 1.0) > TRACE_TOL, low < EIGENVALUE_FLOOR)
-    bad = fails[0] | fails[1] | fails[2] | fails[3]
-    if bad.any():
-        i = int(np.argmax(bad))
-        exc = InvariantError((
-            "matrix has a non-finite entry",
-            "matrix is not Hermitian within 1e-10",
-            f"trace {tr[i]} deviates from 1 beyond 1e-9",
-            "matrix has an eigenvalue below -1e-9",
-        )[[f[i] for f in fails].index(True)])
-        exc.index = i
-        raise exc
-    return low.reshape(stack.shape[:-2])
+    from cmath import isfinite  # a compiled module that the closed form never needs
+
+    n = len(matrices)
+    if not n:
+        return []
+    d = len(matrices[0])
+    rows = list(chain.from_iterable(matrices))
+    if len(rows) != n * d or set(map(len, rows)) - {d}:
+        raise InvariantError(f"expected square matrices of one size, got rows of "
+                             f"{sorted(set(map(len, rows)))} in matrices of {d} rows")
+    dd = d * d
+    flat = list(chain.from_iterable(rows))
+    adjoint = [flat[k + i].conjugate() for k in range(0, n * dd, dd) for i in _transposition(d)]
+    finite = list(map(isfinite, flat))
+    skew = list(map(abs, map(sub, flat, adjoint)))
+    traces = [sum(flat[k:k + dd:d + 1]).real for k in range(0, n * dd, dd)]
+    # the first matrix that fails each entry-wise check, or n; an entry is
+    # looked for only once a test over the whole stack has failed
+    fails = (
+        n if all(finite) else finite.index(False) // dd,
+        n if max(skew) <= HERMITICITY_TOL else
+        next((i // dd for i, x in enumerate(skew) if x > HERMITICITY_TOL), n),
+        next((k for k, t in enumerate(traces) if abs(t - 1.0) > TRACE_TOL), n),
+    )
+    first = min(fails)
+    sym = list(map(add, flat, adjoint))
+    low = []
+    for k in range(first):
+        # the spectrum of m + m+ is twice that of the symmetrised matrix,
+        # exactly: Jacobi is homogeneous and doubling rounds nothing
+        low.append(0.5 * _smallest_eigenvalue(sym[k * dd:(k + 1) * dd], d))
+        if low[-1] < EIGENVALUE_FLOOR:
+            first, message = k, "matrix has an eigenvalue below -1e-9"
+            break
+    else:
+        if first == n:
+            return low
+        message = ("matrix has a non-finite entry" if fails[0] == first else
+                   "matrix is not Hermitian within 1e-10" if fails[1] == first else
+                   f"trace {traces[first]} deviates from 1 beyond 1e-9")
+    exc = InvariantError(message)
+    exc.index = first
+    raise exc
+
+
+@cache
+def _transposition(d: int) -> tuple:
+    """Row-major positions of a d x d matrix, in the order of its transpose."""
+    return tuple(i * d + j for j in range(d) for i in range(d))
+
+
+@cache
+def _jacobi_pairs(d: int) -> tuple:
+    """The rotations of a row-major d x d matrix, and its positions above the
+    diagonal.  A rotation is, for p < q: p, q, the positions of (p, q) and
+    (q, p), and those of (r, p), (r, q), (p, r), (q, r) for each other r."""
+    pairs = tuple(
+        (p, q, p * d + q, q * d + p,
+         tuple((r * d + p, r * d + q, p * d + r, q * d + r) for r in range(d) if r not in (p, q)))
+        for p in range(d) for q in range(p + 1, d)
+    )
+    return pairs, tuple(pq for _, _, pq, _, _ in pairs)
+
+
+def _smallest_eigenvalue(a: list, d: int) -> float:
+    """Smallest eigenvalue of a Hermitian d x d matrix, given as its row-major
+    entries in a list that is overwritten.
+
+    Cyclic Jacobi: each rotation zeroes one off-diagonal entry, made real by
+    a phase first, until none is left.  Exact zeros are skipped, and entries
+    below 2^-60 of their two diagonal entries are dropped, which moves no
+    eigenvalue by more than that.
+    """
+    diag = [z.real for z in a[::d + 1]]
+    pairs, upper = _jacobi_pairs(d)
+    for _ in range(_JACOBI_SWEEPS):
+        if not any(map(a.__getitem__, upper)):
+            break
+        for p, q, pq, qp, others in pairs:
+            apq = a[pq]
+            if not apq:
+                continue
+            a[pq] = a[qp] = 0j
+            g = abs(apq)
+            if g <= 2.0**-60 * (abs(diag[p]) + abs(diag[q])):
+                continue
+            theta = (diag[q] - diag[p]) / (2.0 * g)
+            t = copysign(1.0 / (abs(theta) + sqrt(theta * theta + 1.0)), theta)
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            diag[p] -= t * g
+            diag[q] += t * g
+            phase = apq.conjugate() / g
+            for rp, rq, pr, qr in others:
+                arp, arq = a[rp], a[rq]
+                if arp or arq:
+                    arq *= phase
+                    a[rp] = x = c * arp - s * arq
+                    a[rq] = y = s * arp + c * arq
+                    a[pr], a[qr] = x.conjugate(), y.conjugate()
+    return min(diag)
 
 
 @dataclass(frozen=True)
@@ -107,10 +196,11 @@ class DensityMatrix3:
         m = np.array(self.matrix, dtype=complex)
         if m.shape[-2:] != (3, 3):
             raise InvariantError(f"expected 3x3 matrices, got shape {m.shape}")
-        low = validate_density(m)
+        low = validate_density(m.reshape(-1, 3, 3).tolist())
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_eigenvalue", float(low) if low.ndim == 0 else low)
+        object.__setattr__(self, "min_eigenvalue", low[0] if m.ndim == 2 else
+                           np.reshape(low, m.shape[:-2]))
 
     @property
     def p_e0(self) -> float:

@@ -8,8 +8,8 @@ when asked to (``LORENTZBATH_WORKERS`` or an explicit ``workers=``); the
 aggregation order is fixed by the grid, never by completion order, so the
 emitted data is byte-identical serial or parallel.
 
-Grids, rows and curves are tuples of floats: numpy loads only where an oracle
-or a verify check builds an array.
+Grids, rows and curves are tuples of floats: numpy loads only where the
+multimode oracle or a verify check builds an array.
 """
 from __future__ import annotations
 
@@ -117,9 +117,9 @@ def evaluate(
         cols = {"c_re_e0": ce, "c_im_e0": zeros, "c_re_g1": zeros, "c_im_g1": cg}
     elif method == "lindblad":
         traj = _lb.integrate(params, taus)
-        p_e0, p_g1, p_g0 = traj.p_e0.tolist(), traj.p_g1.tolist(), traj.p_g0.tolist()
+        p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
         surv = list(map(add, p_e0, p_g1))
-        conc = traj.concurrences.tolist()
+        conc = traj.concurrences
         metadata["solver"] = asdict(traj.solver)
     else:
         bath = _mm.sample_bath(params, n_modes, window)
@@ -299,14 +299,17 @@ def _mutated_rhs(m, params: ModelParams):
     """Deliberately defective generator: the coupling enters one off-diagonal
     element with a flipped sign (h[0, 1] = -xi), the way a missed conjugate
     would.  Used to prove the oracle-equivalence check has teeth."""
-    import numpy as np
-    m = np.asarray(m, dtype=complex)
-    flip = np.zeros((3, 3), dtype=complex)
-    flip[0, 1] = -2.0 * params.xi
-    return _lb.rhs(m, params) - 1j * (flip @ m - m @ flip)
+    out = _lb.rhs(m, params)
+    # minus i [dh, m] with dh = -2 xi |e,0><g,1|: dh m has row 0, m dh column 1
+    k = 2j * params.xi
+    for j in range(3):
+        out[0][j] += k * m[1][j]
+    for i in range(3):
+        out[i][1] -= k * m[i][0]
+    return out
 
 
-def _check_lindblad_equivalence(quick: bool):
+def _check_lindblad_equivalence(quick: bool, metadata: dict):
     xis = (0.5, 2.0, 10.0) if quick else (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
     taus = _axis(0.0, 6.0, 401, "linear", "tau")
     worst_c = worst_p = 0.0
@@ -321,19 +324,19 @@ def _check_lindblad_equivalence(quick: bool):
     )]
 
 
-def _check_lindblad_refinement(quick: bool):
-    import numpy as np
+def _check_lindblad_refinement(quick: bool, metadata: dict):
     p = ModelParams(xi=2.0)
-    coarse, fine = (_lb.integrate(p, np.linspace(0.0, 6.0, n)) for n in (401, 801))
+    coarse, fine = (_lb.integrate(p, _axis(0.0, 6.0, n, "linear", "tau")) for n in (401, 801))
     # the fine grid splits every interval in two; compare at the shared samples
-    measured = float(np.abs(coarse.rho - fine.rho[::2]).max())
+    measured = max(abs(x - y) for a, b in zip(coarse.rho, fine.rho[::2])
+                   for ra, rb in zip(a, b) for x, y in zip(ra, rb))
     return [CheckResult(
         "lindblad_interval_refinement", 1e-9, measured,
         "state shift between 401- and 801-sample grids on [0, 6] at xi=2",
     )]
 
 
-def _check_multimode(quick: bool):
+def _check_multimode(quick: bool, metadata: dict):
     import numpy as np
     n_modes = 501 if quick else 2001
     taus = np.linspace(0.0, 3.0, 301)
@@ -354,6 +357,15 @@ def _check_multimode(quick: bool):
     jtraj = _mm.evolve(jc, jt)
     jc_err = float(np.abs(jtraj.p_e - np.cos(2.0 * jt) ** 2).max())
 
+    metadata["recurrence_horizon"] = {
+        "n_modes": n_modes,
+        "window": DEFAULT_WINDOW,
+        "horizon": bath.recurrence_horizon,
+        "note": (
+            "discrete-bath accuracy claims hold only for tau well inside "
+            "the Poincare recurrence horizon 2*pi/spacing"
+        ),
+    }
     return [
         CheckResult(
             "multimode_continuum_tracking", 5e-3, track,
@@ -386,7 +398,7 @@ def _golden_section_max(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _check_analytic(quick: bool):
+def _check_analytic(quick: bool, metadata: dict):
     xis = (1.05, 1.2, 2.0, 5.0, 20.0)
     worst = 0.0
     for xi in xis:  # C is unimodal on its first lobe [0, pi/w]
@@ -410,7 +422,7 @@ def _check_analytic(quick: bool):
     ]
 
 
-def _check_cmax_shape(quick: bool):
+def _check_cmax_shape(quick: bool, metadata: dict):
     n = 60 if quick else 200
     curve = cmax_curve(_axis(0.01, 100.0, n, "log", "xi"), spacing="log")
     xi, c, d = curve.xi, curve.c_max, curve.derivative
@@ -453,7 +465,7 @@ def _check_cmax_shape(quick: bool):
     ]
 
 
-def _check_weak_coupling(quick: bool):
+def _check_weak_coupling(quick: bool, metadata: dict):
     import numpy as np
     taus = np.linspace(0.0, 400.0, 401)
     traj = _lb.integrate(ModelParams(xi=0.05), taus)
@@ -465,7 +477,7 @@ def _check_weak_coupling(quick: bool):
     )]
 
 
-def _check_entanglement(quick: bool):
+def _check_entanglement(quick: bool, metadata: dict):
     import numpy as np
     rng = np.random.default_rng(20240817)
     # one (tau, xi) pair per row, drawn in the order of one pair per state
@@ -483,7 +495,7 @@ def _check_entanglement(quick: bool):
     )]
 
 
-def _check_bessel(quick: bool):
+def _check_bessel(quick: bool, metadata: dict):
     jn = sideband.bessel_jn
     frozen = max(  # J_n(x) from 30-digit arithmetic
         abs(jn(n, x) - ref)
@@ -522,12 +534,12 @@ def _check_bessel(quick: bool):
     ]
 
 
-def _check_mutation(quick: bool):
+def _check_mutation(quick: bool, metadata: dict):
     taus = _axis(0.0, 3.0, 121, "linear", "tau")
     ref, _ = evaluate("analytic", 2.0, taus)
     try:
         traj = _lb.integrate(ModelParams(xi=2.0), taus, rhs_fn=_mutated_rhs)
-        dev = max(map(abs, map(sub, traj.p_e0.tolist(), ref["p_e0"])))
+        dev = max(map(abs, map(sub, traj.p_e0, ref["p_e0"])))
         detail = f"population deviation {dev:.3e} under sign-flipped coupling element"
     except Exception as exc:
         dev = float("inf")
@@ -535,7 +547,7 @@ def _check_mutation(quick: bool):
     return [CheckResult("harness_detects_mutated_generator", 1e-3, dev, detail, floor=True)]
 
 
-def _check_determinism(quick: bool):
+def _check_determinism(quick: bool, metadata: dict):
     xi, tau = _axis(0.5, 8.0, 4, "log", "xi"), _axis(0.0, 3.0, 61, "linear", "tau")
     grid = SweepGrid(xi, tau, "lindblad")
     # repr tells every two floats of different bits apart, but for NaN payloads
@@ -561,13 +573,19 @@ _CHECKS = (
 
 
 def verify(quick: bool = False) -> VerificationReport:
-    """Run every cross-check; a crash inside a check is that check failing."""
+    """Run every cross-check; a crash inside a check is that check failing.
+
+    Each check gets the report's metadata, to which the multimode one adds
+    the recurrence horizon of the bath it samples.
+    """
+    import numpy  # noqa: F401  -- loaded before the clocks start, so no check is charged for it
     t0 = time.perf_counter()
     results, wall = [], {}
+    metadata = {"artifact_version": __version__, "quick": quick}
     for producer in _CHECKS:
         start, done = time.perf_counter(), len(results)
         try:
-            results.extend(producer(quick))
+            results.extend(producer(quick, metadata))
         except Exception as exc:
             results.append(CheckResult(
                 producer.__name__.removeprefix("_check_"), float("nan"), float("inf"),
@@ -577,20 +595,6 @@ def verify(quick: bool = False) -> VerificationReport:
         # free of timings, so a data section's bytes repeat run to run
         seconds = round(time.perf_counter() - start, 6)
         wall.update((r.name, seconds) for r in results[done:])
-    bath = _mm.sample_bath(ModelParams(xi=1.0), DEFAULT_N_MODES, DEFAULT_WINDOW)
-    metadata = {
-        "artifact_version": __version__,
-        "quick": quick,
-        "recurrence_horizon": {
-            "n_modes": DEFAULT_N_MODES,
-            "window": DEFAULT_WINDOW,
-            "horizon": bath.recurrence_horizon,
-            "note": (
-                "discrete-bath accuracy claims hold only for tau well inside "
-                "the Poincare recurrence horizon 2*pi/spacing"
-            ),
-        },
-        "check_wall_s": wall,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-    }
+    metadata["check_wall_s"] = wall
+    metadata["wall_time_s"] = round(time.perf_counter() - t0, 6)
     return VerificationReport(checks=tuple(results), metadata=metadata)

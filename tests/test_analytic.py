@@ -253,6 +253,18 @@ class TestOptimum:
         strong = [v for xi, v in zip(xis, values) if xi > 1.03e16]
         assert len(strong) > 500 and min(strong) >= 1.0 - 4.5e-16
 
+    @pytest.mark.parametrize("xi", [1e-310, 2.2e-308, 5e-324])
+    def test_subnormal_xi(self, xi):
+        # w(R+w)/xi^2 and R/xi overflow here; the optimum is near ln(2/xi^2)/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = c_max(ModelParams(xi=xi))
+            d = analytic._dcmax_dxi(rec.xi, rec.tau_opt, rec.c_max)
+        assert rec.tau_opt == pytest.approx(0.5 * (math.log(2.0) - 2.0 * math.log(xi)), rel=1e-12)
+        assert 0.0 <= rec.c_max <= 1.0 and math.isfinite(d)
+        if xi > 1e-320:  # the smallest subnormals keep too few bits for c_max ~ xi
+            assert rec.c_max == pytest.approx(xi, rel=1e-12) and d == pytest.approx(1.0, rel=1e-12)
+
     def test_record_validation(self):
         with pytest.raises(DomainError):
             OptimumRecord(1.0, -0.5, 0.5)

@@ -228,7 +228,7 @@ class TestHeatmap:
         def gains_trace_above_xi_1(m, params):
             out = rhs(m, params)
             if params.xi > 1.0:
-                out[2, 2] += m[0, 0]
+                out[2][2] += m[0][0]
             return out
 
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -282,6 +282,17 @@ class TestCmax:
         assert first[4] == "formula"
         assert float(second[1]) == pytest.approx(0.38050733439596325, abs=1e-9)
         assert second[4] == "formula"
+
+    @pytest.mark.parametrize("xi_min", ["1e-310", "5e-324"])
+    def test_subnormal_xi_row_is_finite(self, capsys, xi_min):
+        assert main(["cmax", "--xi-min", xi_min, "--xi-max", "1", "--steps", "3"]) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        cols = header.split(",")
+        for row in rows:
+            cells = dict(zip(cols, row.split(",")))
+            values = [float(cells[k]) for k in ("xi", "tau_opt", "c_max", "dcmax_dxi")]
+            assert all(map(np.isfinite, values)), row
+            assert 0.0 <= float(cells["c_max"]) <= 1.0
 
 
 class TestSideband:
@@ -400,6 +411,8 @@ class TestConfigFile:
 COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures")
 # package modules the closed-form commands never run
 ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband")
+# the Lindblad oracle is scalar Python too: lists, math and cmath
+LINDBLAD_NEVER_RUN = ("multimode", "entanglement", "sideband")
 # sideband is scalar Python: it needs no array module, hence no numpy
 SIDEBAND_NEVER_RUN = ("model", "sweep", "analytic", "lindblad", "multimode", "entanglement")
 
@@ -433,11 +446,15 @@ class TestProcessLevel:
             ("cmax", "--steps", "25"),
             ("evolve", "--xi", "2"),
         )),
+        *((argv, ("numpy", *COLD_MODULES), LINDBLAD_NEVER_RUN) for argv in (
+            ("heatmap", "--method", "lindblad", "--xi-steps", "3", "--tau-steps", "11"),
+            ("evolve", "--xi", "2", "--method", "lindblad"),
+        )),
         *((("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", *mode),
            ("numpy", *COLD_MODULES), SIDEBAND_NEVER_RUN)
           for mode in (("--target-xi", "1"), ("--epsilon", "1.5"))),
-    ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "sideband",
-            "sideband-forward"])
+    ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "heatmap-lindblad",
+            "evolve-lindblad", "sideband", "sideband-forward"])
     def test_fresh_process_leaves_cold_modules_unloaded(self, argv, unused, never_run,
                                                         monkeypatch):
         # a cold import of one costs ~4-25 ms, a visible share of a short command;
@@ -457,6 +474,33 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--method", "lindblad", "--xi", "1.3", "--tau-max", "2", "--steps", "41"),
+        ("heatmap", "--method", "lindblad", "--xi-steps", "4", "--tau-steps", "21"),
+    ], ids=["evolve", "heatmap"])
+    def test_lindblad_commands_never_import_numpy(self, argv, workers, monkeypatch):
+        # every heatmap row goes through the spy, in the worker processes too
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        probe = (
+            "import contextlib, io, sys\n"
+            "from lorentzbath import sweep\n"
+            "from lorentzbath.cli import main\n"
+            "rows_for_xi = sweep._rows_for_xi\n"
+            "def spy(task):\n"
+            "    rows = rows_for_xi(task)\n"
+            "    if 'numpy' in sys.modules:\n"
+            "        raise RuntimeError('numpy loaded by a row')\n"
+            "    return rows\n"
+            "sweep._rows_for_xi = spy\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_unwritable_out_fails_before_the_work(self, tmp_path, monkeypatch):
         # a Lindblad heatmap that would run its oracle first exits 2 with that oracle unrun

@@ -9,10 +9,12 @@ from lorentzbath.lindblad import (
     KAPPA_RESCALED,
     _expm,
     _liouvillian,
+    _propagators,
     integrate,
     rhs,
 )
 from lorentzbath.entanglement import xstate_concurrence
+from lorentzbath import lindblad, model
 from lorentzbath.model import (
     DensityMatrix3,
     ModelParams,
@@ -22,16 +24,21 @@ from lorentzbath.model import (
 )
 
 
+def _diag(*values):
+    """A 3x3 nested list with ``values`` on the diagonal."""
+    return [[complex(v) if i == j else 0j for j in range(3)] for i, v in enumerate(values)]
+
+
 class TestGenerator:
     def test_initial_state_only_builds_coherence(self):
-        out = rhs(np.diag([1.0, 0.0, 0.0]).astype(complex), ModelParams(xi=3.0))
+        out = np.array(rhs(_diag(1.0, 0.0, 0.0), ModelParams(xi=3.0)))
         assert np.allclose(np.diag(out), 0.0)
         assert out[0, 1] == pytest.approx(3.0j)
         assert out[1, 0] == pytest.approx(-3.0j)
         assert out[0, 2] == 0.0 and out[1, 2] == 0.0
 
     def test_mode_population_drains_at_rescaled_kappa(self):
-        out = rhs(np.diag([0.0, 1.0, 0.0]).astype(complex), ModelParams(xi=3.0))
+        out = np.array(rhs(_diag(0.0, 1.0, 0.0), ModelParams(xi=3.0)))
         assert out[1, 1].real == pytest.approx(-KAPPA_RESCALED)
         assert out[2, 2].real == pytest.approx(KAPPA_RESCALED)
         assert out[0, 0] == 0.0
@@ -41,20 +48,24 @@ class TestGenerator:
         for _ in range(20):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             m = a + a.conj().T
-            assert abs(np.trace(rhs(m, params))) < 1e-13
+            assert abs(np.trace(rhs(m.tolist(), params))) < 1e-13
 
     def test_accepts_density_matrix_type(self):
         rho = pure_to_density(PureAmplitudes(c_e0=1.0, c_g1=0.0))
         out = rhs(rho, ModelParams(xi=2.0))
-        assert out[0, 1] == pytest.approx(2.0j)
+        assert out[0][1] == pytest.approx(2.0j)
+
+    def test_nested_sequences_in_and_out(self):
+        out = rhs(((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ModelParams(xi=3.0))
+        assert type(out) is list and [len(row) for row in out] == [3, 3, 3]
 
     @pytest.mark.parametrize("xi", [0.05, 1.7, 30.0])
     def test_probed_liouvillian_reproduces_rhs(self, rng, xi):
         params = ModelParams(xi=xi)
-        L = _liouvillian(rhs, params)
+        L = np.array(_liouvillian(rhs, params))
         for _ in range(20):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            want = rhs(m, params).reshape(9)
+            want = np.array(rhs(m.tolist(), params)).reshape(9)
             got = L @ m.reshape(9)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -143,28 +154,91 @@ class TestIntegration:
         taus = np.linspace(0.0, 2.0, 21)
         traj = integrate(ModelParams(xi=1.5), taus)
         assert np.allclose(traj.concurrences, 2.0 * np.abs(traj.coherences))
-        closure = traj.p_e0 + traj.p_g1 + traj.p_g0
+        closure = np.add(traj.p_e0, traj.p_g1) + traj.p_g0
         assert np.abs(closure - 1.0).max() < 1e-9
+
+    def test_a_generator_that_reaches_every_entry(self):
+        # a second coupling |g,1> <-> |g,0> connects rho(0) to all nine
+        # entries, so the whole of L is exponentiated: compare every sample
+        # with exp(tau L) applied to rho(0) at once
+        def coupled(m, params):
+            k = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+            km = [[sum(k[i][l] * m[l][j] for l in range(3)) for j in range(3)] for i in range(3)]
+            mk = [[sum(m[i][l] * k[l][j] for l in range(3)) for j in range(3)] for i in range(3)]
+            return [[o - 0.7j * (a - b) for o, a, b in zip(ro, ra, rb)]
+                    for ro, ra, rb in zip(rhs(m, params), km, mk)]
+
+        params = ModelParams(xi=2.0)
+        taus = np.linspace(0.0, 2.0, 11)
+        traj = integrate(params, taus, rhs_fn=coupled)
+        L = _liouvillian(coupled, params)
+        for tau, m in zip(taus, traj.rho):
+            y = np.array(_expm(_scaled(tau, L))[0])[:, 0].reshape(3, 3)
+            assert np.abs(np.array(m) - 0.5 * (y + y.conj().T)).max() < 1e-13
+        assert np.abs(np.array(traj.rho)[:, 1, 2]).max() > 1e-3
+
+    def test_trajectory_holds_tuples_of_python_numbers(self):
+        traj = integrate(ModelParams(xi=1.5), np.linspace(0.0, 2.0, 21))
+        assert type(traj.taus) is tuple and type(traj.rho) is tuple and len(traj.rho) == 21
+        assert all(type(row) is tuple and len(row) == 3 for m in traj.rho for row in m)
+        assert {type(x) for m in traj.rho for row in m for x in row} == {complex}
+        for name in ("p_e0", "p_g1", "p_g0", "concurrences"):
+            assert {type(x) for x in getattr(traj, name)} == {float}, name
+
+
+def _steps(taus):
+    """The distinct sample intervals of ``taus``, as ``integrate`` takes them."""
+    samples = tuple(map(float, taus))
+    return sorted({b - a for a, b in zip((0.0, *samples), samples)})
+
+
+def _scaled(h, L):
+    return [[h * x for x in row] for row in L]
 
 
 class TestExpm:
     @pytest.mark.parametrize("a, h", [(-2.0, 0.75), (1.0, 3.0), (0.5, 20.0), (2j, 5.0)])
     def test_defective_jordan_block(self, a, h):
-        got, _ = _expm(h * np.array([[a, 1.0], [0.0, a]]))
+        got, _ = _expm([[a * h, h], [0.0, a * h]])
         want = np.exp(a * h) * np.array([[1.0, h], [0.0, 1.0]])
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(np.array(got) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_zero_is_exactly_the_identity(self):
-        got, squarings = _expm(np.zeros((9, 9), dtype=complex))
-        assert squarings == 0 and (got == np.eye(9)).all()
+        got, squarings = _expm([[0j] * 9 for _ in range(9)])
+        assert squarings == 0 and got == np.eye(9).tolist()
 
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("h", [0.01, 0.5, 3.0])
     def test_doubling_is_squaring(self, xi, h):
         L = _liouvillian(rhs, ModelParams(xi=xi))
-        double, _ = _expm(2.0 * h * L)
-        single, _ = _expm(h * L)
-        assert np.abs(double - single @ single).max() < 1e-14
+        double, _ = _expm(_scaled(2.0 * h, L))
+        single = np.array(_expm(_scaled(h, L))[0])
+        assert np.abs(np.array(double) - single @ single).max() < 1e-14
+
+    @pytest.mark.parametrize("n, tau_max, distinct", [(301, 3.0, 11), (401, 6.0, 9), (61, 3.0, 8)])
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 10.0])
+    def test_ulp_apart_intervals_reuse_one_exponential(self, monkeypatch, xi, n, tau_max,
+                                                       distinct):
+        # linspace intervals differ by a few ulps; all but the first full one
+        # take E + d (L E), which must agree with their own full exponential
+        L = _liouvillian(rhs, ModelParams(xi=xi))
+        steps = _steps(np.linspace(0.0, tau_max, n))
+        assert len(steps) == distinct and steps[0] == 0.0
+        calls = []
+        monkeypatch.setattr(lindblad, "_expm", lambda a: calls.append(a) or _expm(a))
+        reused, squarings = _propagators(L, steps)
+        assert len(reused) == distinct and len(calls) == 1 and squarings == 0
+        assert reused[0] == np.eye(9).tolist()
+        for h, e in zip(steps[1:], reused[1:]):
+            full = np.array(_expm(_scaled(h, L))[0])
+            assert np.abs(np.array(e) - full).max() <= 1e-15 * np.abs(full).max(), h
+
+    def test_intervals_far_apart_get_their_own_exponential(self, monkeypatch):
+        L = _liouvillian(rhs, ModelParams(xi=2.0))
+        calls = []
+        monkeypatch.setattr(lindblad, "_expm", lambda a: calls.append(a) or _expm(a))
+        _propagators(L, [0.0, 0.1, 0.1 + 1e-6, 0.2])
+        assert len(calls) == 3
 
 
 class TestFailureModes:
@@ -172,17 +246,14 @@ class TestFailureModes:
         params = ModelParams(xi=2.0)
         traj = integrate(
             params, np.array([0.0, 1.0]),
-            rhs_fn=lambda m, params: np.zeros((3, 3), dtype=complex),
+            rhs_fn=lambda m, params: [[0.0] * 3 for _ in range(3)],
         )
         assert np.allclose(traj.states[-1].matrix, np.diag([1.0, 0.0, 0.0]))
 
     def test_trace_violation_is_caught(self):
         params = ModelParams(xi=2.0)
         with pytest.raises(IntegrationError):
-            integrate(
-                params, np.array([0.0, 0.5]),
-                rhs_fn=lambda m, params: np.asarray(m, dtype=complex),
-            )
+            integrate(params, np.array([0.0, 0.5]), rhs_fn=lambda m, params: m)
 
     @pytest.mark.parametrize("rate, early", [(1.0, 1e-10)])
     def test_negative_eigenvalue_beyond_budget_is_caught(self, rate, early):
@@ -190,8 +261,8 @@ class TestFailureModes:
         # the early sample the dip is still inside the -1e-9 floor, so the
         # error names the last sample
         def leak(m, params):
-            out = np.zeros((3, 3), dtype=complex)
-            out[0, 0], out[1, 1] = rate * m[0, 0], -rate * m[0, 0]
+            out = [[0j] * 3 for _ in range(3)]
+            out[0][0], out[1][1] = rate * m[0][0], -rate * m[0][0]
             return out
 
         params = ModelParams(xi=2.0)
@@ -203,7 +274,7 @@ class TestFailureModes:
     def test_stiff_generator_fails_validation(self):
         # the propagator underflows to zero, so the state loses its trace
         def stiff(m, params):
-            return -1e20 * np.asarray(m, dtype=complex)
+            return [[-1e20 * x for x in row] for row in m]
 
         params = ModelParams(xi=2.0)
         with warnings.catch_warnings():
@@ -219,14 +290,25 @@ class TestFailureModes:
             warnings.simplefilter("error")
             integrate(
                 params, np.array([0.0, 0.5]),
-                rhs_fn=lambda m, params: 1e20 * np.asarray(m, dtype=complex),
+                rhs_fn=lambda m, params: [[1e20 * x for x in row] for row in m],
             )
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_arithmetic_errors_of_the_exponential_read_as_not_finite(self, monkeypatch, error):
+        def fails(a):
+            raise error("raised by scalar arithmetic")
+
+        monkeypatch.setattr(lindblad, "_expm", fails)
+        with pytest.raises(IntegrationError, match=r"^propagator over a tau step of 0.5 is not finite$"):
+            integrate(ModelParams(xi=2.0), [0.0, 0.5])
 
     @pytest.mark.parametrize(
         "generator",
         [
-            lambda m, params: rhs(m, params) + 1e-3 * np.eye(3),
-            lambda m, params: rhs(m, params) + 1e-3 * np.asarray(m) * np.asarray(m),
+            lambda m, params: [[x + (1e-3 if i == j else 0.0) for j, x in enumerate(row)]
+                               for i, row in enumerate(rhs(m, params))],
+            lambda m, params: [[x + 1e-3 * y * y for x, y in zip(r, s)]
+                               for r, s in zip(rhs(m, params), m)],
         ],
         ids=["affine", "quadratic"],
     )
@@ -235,52 +317,61 @@ class TestFailureModes:
         with pytest.raises(DomainError, match="not linear"):
             integrate(params, np.array([0.0, 0.5]), rhs_fn=generator)
 
+    def test_generator_must_return_a_3x3_matrix(self):
+        with pytest.raises(DomainError, match="3x3"):
+            integrate(ModelParams(xi=2.0), [0.0, 0.5], rhs_fn=lambda m, params: m[:2])
+
 
 class TestStackedValidation:
-    def test_one_eigvalsh_call_and_no_state_objects(self, monkeypatch):
-        counts = {"states": 0, "eigvalsh": 0}
-        post_init, eigvalsh = DensityMatrix3.__post_init__, np.linalg.eigvalsh
+    def test_one_validator_call_and_no_state_objects(self, monkeypatch):
+        counts = {"states": 0, "validations": 0, "matrices": 0}
+        post_init, validate = DensityMatrix3.__post_init__, model.validate_density
 
         def counting_post_init(self):
             counts["states"] += 1
             post_init(self)
 
-        def counting_eigvalsh(*args, **kwargs):
-            counts["eigvalsh"] += 1
-            return eigvalsh(*args, **kwargs)
+        def counting_validate(matrices):
+            counts["validations"] += 1
+            counts["matrices"] += len(matrices)
+            return validate(matrices)
 
         monkeypatch.setattr(DensityMatrix3, "__post_init__", counting_post_init)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(lindblad, "validate_density", counting_validate)
         traj = integrate(ModelParams(xi=2.0), np.linspace(0.0, 6.0, 401))
         assert len(traj.rho) == 401
-        assert counts == {"states": 0, "eigvalsh": 1}
+        assert counts == {"states": 0, "validations": 1, "matrices": 401}
 
     @pytest.mark.parametrize("xi", [0.5, 2.0, 10.0])
     def test_stack_matches_per_sample_validation(self, xi):
         taus = np.linspace(0.0, 6.0, 401)
         traj = integrate(ModelParams(xi=xi), taus)
-        assert traj.rho.shape == (401, 3, 3) and not traj.rho.flags.writeable
+        rho = np.array(traj.rho)
+        assert rho.shape == (401, 3, 3)
+        # each state is exactly Hermitian: the symmetrised part of the propagated one
+        assert (rho == rho.conj().swapaxes(1, 2)).all()
         states = traj.states
         # reference: each sample checked on its own, as a loop of single matrices
-        low = [float(np.linalg.eigvalsh(m).min()) for m in traj.rho]
-        drift = [float(abs(m.trace().real - 1.0)) for m in traj.rho]
-        assert traj.solver.min_eigenvalue == min(low) == min(s.min_eigenvalue for s in states)
+        low = [float(np.linalg.eigvalsh(m).min()) for m in rho]
+        drift = [float(abs(m.trace().real - 1.0)) for m in rho]
+        assert traj.solver.min_eigenvalue == min(s.min_eigenvalue for s in states)
+        assert abs(traj.solver.min_eigenvalue - min(low)) <= 1e-14
         assert traj.solver.worst_trace_drift == max(drift)
         for i, s in enumerate(states):
-            assert (s.matrix == traj.rho[i]).all()
-        assert (traj.p_e0 == [s.p_e0 for s in states]).all()
-        assert (traj.p_g1 == [s.p_g1 for s in states]).all()
-        assert (traj.p_g0 == [s.p_g0 for s in states]).all()
-        assert (traj.coherences == [s.coherence for s in states]).all()
+            assert (s.matrix == rho[i]).all()
+        assert traj.p_e0 == tuple(s.p_e0 for s in states)
+        assert traj.p_g1 == tuple(s.p_g1 for s in states)
+        assert traj.p_g0 == tuple(s.p_g0 for s in states)
+        assert traj.coherences == tuple(s.coherence for s in states)
 
     def test_earliest_failing_sample_is_reported(self):
         # population leaks out of the empty |g,1>, breaking the eigenvalue
         # floor at once; a slow trace gain passes 1e-9 only after tau ~ 0.2,
         # so the later samples fail the trace check, which runs first
         def leak(m, params):
-            out = np.zeros((3, 3), dtype=complex)
-            out[0, 0], out[1, 1] = m[0, 0], -m[0, 0]
-            out[2, 2] = 5e-9 * m[0, 0]
+            out = [[0j] * 3 for _ in range(3)]
+            out[0][0], out[1][1] = m[0][0], -m[0][0]
+            out[2][2] = 5e-9 * m[0][0]
             return out
 
         params = ModelParams(xi=2.0)

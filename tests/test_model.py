@@ -239,16 +239,67 @@ class TestDensityMatrix3:
             DensityMatrix3(m)
 
 
+def _hermitian(rng, d, rank=None):
+    """A random d x d density matrix, of full rank or of the given rank."""
+    a = rng.normal(size=(d, rank or d)) + 1j * rng.normal(size=(d, rank or d))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
 class TestValidateDensity:
     def test_returns_each_smallest_eigenvalue(self, rng):
         a = rng.normal(size=(2, 3, 3, 3)) + 1j * rng.normal(size=(2, 3, 3, 3))
         m = a @ a.conj().swapaxes(-1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1)[..., None, None]
         m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-        low = validate_density(m)
-        assert low.shape == (2, 3)
-        for idx in np.ndindex(2, 3):
-            assert low[idx] == np.linalg.eigvalsh(m[idx]).min()
+        low = validate_density(m.reshape(-1, 3, 3).tolist())
+        assert type(low) is list and len(low) == 6
+        for got, one in zip(low, m.reshape(-1, 3, 3)):
+            assert abs(got - np.linalg.eigvalsh(one).min()) <= 1e-14
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_jacobi_matches_eigvalsh(self, rng, d, rank):
+        for _ in range(50):
+            m = _hermitian(rng, d, rank)
+            m = 0.5 * (m + m.conj().T)
+            (low,) = validate_density([m.tolist()])
+            norm = np.abs(np.linalg.eigvalsh(m)).max()
+            assert abs(low - np.linalg.eigvalsh(m).min()) <= 1e-14 * norm
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_jacobi_on_random_hermitian_matrices(self, rng, d):
+        # indefinite and not of unit trace: the eigenvalue routine alone
+        from lorentzbath.model import _smallest_eigenvalue
+
+        for _ in range(50):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = a + a.conj().T
+            want = np.linalg.eigvalsh(m)
+            got = _smallest_eigenvalue(m.reshape(-1).tolist(), d)
+            assert abs(got - want.min()) <= 1e-14 * np.abs(want).max()
+
+    def test_double_zero_eigenvalue(self):
+        # |e0><e0| has the eigenvalue 0 twice; Jacobi has nothing to rotate
+        for d in (3, 4):
+            m = np.zeros((d, d), dtype=complex)
+            m[0, 0] = 1.0
+            assert validate_density([m.tolist()]) == [0.0] == [np.linalg.eigvalsh(m).min()]
+
+    def test_plain_nested_sequences_of_any_number_type(self):
+        assert validate_density([((1, 0, 0), (0, 0, 0), (0, 0, 0))]) == [0.0]
+        assert validate_density([[[0.5, 0.25j], [-0.25j, 0.5]]]) == [0.25]
+        assert validate_density([]) == []
+
+    @pytest.mark.parametrize("matrices", [
+        [[[1.0, 0.0], [0.0]]],
+        [[[1, 0, 0], [0, 0], [0, 0, 0, 0]]],
+        [[[1.0]] * 2],
+        [[[1.0]], [[0.5, 0.0], [0.0, 0.5]]],
+    ], ids=["short row", "ragged, nine entries", "2x1", "two sizes"])
+    def test_rejects_matrices_that_are_not_square_of_one_size(self, matrices):
+        with pytest.raises(InvariantError, match="square"):
+            validate_density(matrices)
 
     def test_earliest_matrix_wins_over_check_order(self):
         good = np.diag([0.5, 0.5, 0.0]).astype(complex)
@@ -256,10 +307,10 @@ class TestValidateDensity:
         bad_trace = np.diag([0.5, 0.3, 0.1]).astype(complex)
         nan = np.full((3, 3), np.nan, dtype=complex)
         with pytest.raises(InvariantError, match="eigenvalue below") as err:
-            validate_density(np.array([good, negative, bad_trace, nan]))
+            validate_density(np.array([good, negative, bad_trace, nan]).tolist())
         assert err.value.index == 1
         with pytest.raises(InvariantError, match="non-finite") as err:
-            validate_density(np.array([good, nan, negative]))
+            validate_density(np.array([good, nan, negative]).tolist())
         assert err.value.index == 1
 
     def test_checks_run_in_order_within_a_matrix(self):
@@ -267,7 +318,19 @@ class TestValidateDensity:
         # with its value, as a matrix-by-matrix loop would
         m = np.diag([1.5, -0.2, 0.0]).astype(complex)
         with pytest.raises(InvariantError, match=r"^trace 1.3 deviates from 1 beyond 1e-9$"):
-            validate_density(m[None])
+            validate_density([m.tolist()])
         m[0, 1] = 0.1
         with pytest.raises(InvariantError, match="not Hermitian"):
-            validate_density(m[None])
+            validate_density([m.tolist()])
+
+    def test_no_numpy_in_the_validator(self):
+        import subprocess
+        import sys
+
+        probe = ("import sys\n"
+                 "from lorentzbath.model import validate_density\n"
+                 "validate_density([[[0.5, 0.25j], [-0.25j, 0.5]]])\n"
+                 "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

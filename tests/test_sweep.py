@@ -326,13 +326,14 @@ class TestCmaxCurve:
 
 class TestMutation:
     def test_mutated_generator_is_distinguishable(self):
-        m = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        m = np.diag([1.0, 0.0, 0.0]).astype(complex).tolist()
         from lorentzbath.lindblad import rhs
         from lorentzbath.model import ModelParams
 
         good = rhs(m, ModelParams(xi=2.0))
         bad = _mutated_rhs(m, ModelParams(xi=2.0))
-        assert np.abs(good - bad).max() > 1.0
+        assert type(bad) is list and [len(row) for row in bad] == [3, 3, 3]
+        assert np.abs(np.array(good) - np.array(bad)).max() > 1.0
 
     def test_differs_from_rhs_by_the_flipped_coupling_only(self, rng):
         from lorentzbath.lindblad import rhs
@@ -340,7 +341,8 @@ class TestMutation:
 
         xi = 1.3
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        diff = _mutated_rhs(m, ModelParams(xi=xi)) - rhs(m, ModelParams(xi=xi))
+        m_list = m.tolist()
+        diff = np.array(_mutated_rhs(m_list, ModelParams(xi=xi))) - rhs(m_list, ModelParams(xi=xi))
         e01 = np.zeros((3, 3))
         e01[0, 1] = 1.0
         # h[0, 1] = xi becomes -xi: -i[dh, m] with dh = -2 xi |e,0><g,1|
@@ -351,7 +353,7 @@ class TestMutation:
         assert (diff[off] == 0).all()
 
     def test_harness_detects_mutated_generator(self):
-        (result,) = _check_mutation(quick=True)
+        (result,) = _check_mutation(True, {})
         assert result.name == "harness_detects_mutated_generator"
         assert result.passed
 
@@ -368,6 +370,38 @@ class TestVerify:
         wall = report.metadata["check_wall_s"]
         assert set(wall) == set(names)
         assert all(seconds >= 0.0 for seconds in wall.values())
+
+    @pytest.mark.parametrize("quick, n_modes", [(True, 501), (False, 2001)])
+    def test_horizon_is_that_of_the_multimode_checks_bath(self, quick, n_modes):
+        metadata = {}
+        sweep._check_multimode(quick, metadata)
+        horizon = metadata["recurrence_horizon"]
+        assert (horizon["n_modes"], horizon["window"]) == (n_modes, 40.0)
+        assert horizon["horizon"] == sample_bath(ModelParams(xi=2.0), n_modes, 40.0).recurrence_horizon
+
+    def test_metadata_keys_in_order(self):
+        report = verify(quick=True)
+        assert list(report.metadata) == [
+            "artifact_version", "quick", "recurrence_horizon", "check_wall_s", "wall_time_s",
+        ]
+        assert report.metadata["recurrence_horizon"]["n_modes"] == 501
+
+    def test_numpy_is_loaded_before_the_first_check_runs(self):
+        # otherwise the first check that builds an array is charged numpy's import
+        probe = (
+            "import sys\n"
+            "from lorentzbath import sweep\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "def first(quick, metadata):\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    return []\n"
+            "sweep._CHECKS = (first,)\n"
+            "sweep.verify(quick=True)\n"
+            "print(*seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_report_failure_aggregation(self):
         nan, inf = float("nan"), float("inf")
