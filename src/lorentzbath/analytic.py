@@ -120,9 +120,10 @@ class OptimumRecord:
 
 def _optimum(xi: float) -> tuple[float, float]:
     """``(tau_opt, c_max)`` from the closed forms.  C_max = 1 - (pi/2 - 1)/xi to
-    leading order rounds to 1 above xi ~ 1.03e16, so the clip at 1 is exact there."""
+    leading order rounds to 1 above xi ~ 1.03e16, so the clip at 1 is exact there.
+    Where C underflows to 0 (xi ~ 5e-324), C_max is its weak-coupling limit xi."""
     tau = _t_opt(xi)
-    return tau, min(_concurrence(xi, tau), 1.0)
+    return tau, min(_concurrence(xi, tau), 1.0) or xi
 
 
 def c_max(params: ModelParams) -> OptimumRecord:

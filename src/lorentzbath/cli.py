@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from . import sideband, sweep
@@ -46,51 +49,47 @@ def _jsonable(value):
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode_column(items, fmt: str) -> list:
-    """The cells of one column as text, encoded once by the type of its first
-    cell: bool, int, float or str."""
+def _encode_column(items, fmt: str):
+    """A column's cells as an iterator of text, by the first one's type: bool, int, float, str."""
     first = items[0] if len(items) else ""
     if isinstance(first, bool):
-        return ["true" if v else "false" for v in items]
+        return ("true" if v else "false" for v in items)
     if isinstance(first, int):
-        return list(map(str, items))
+        return map(str, items)
     if isinstance(first, float):
         if fmt == "csv":
-            return list(map("%.17g".__mod__, items))
-        cells = list(map(float.__repr__, items))
+            return map("%.17g".__mod__, items)
+        cells = map(float.__repr__, items)
         if not math.isfinite(sum(items)):  # a nan or inf cell, or an overflowing sum
-            cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+            cells = (_JSON_NONFINITE.get(c, c) for c in cells)
         return cells
-    return items if fmt == "csv" else list(map(encode_basestring_ascii, items))
+    return iter(items) if fmt == "csv" else map(encode_basestring_ascii, items)
 
 
 def _emit(args, metadata: dict, names, columns) -> int:
-    """Write one table; ``columns`` holds one equal-length sequence per name,
-    of Python cells of one type."""
-    metadata = dict(metadata)
-    metadata["artifact_version"] = __version__
-    metadata["schema_version"] = SCHEMA_VERSION
-    metadata["config"] = _resolved_config(args)
-    rows = zip(*(_encode_column(c, args.format) for c in columns))
+    """Write one table; ``columns`` holds one sequence of cells of one type per name."""
+    return _write(args, metadata, names, zip(*(_encode_column(c, args.format) for c in columns)))
+
+
+def _write(args, metadata: dict, names, rows) -> int:
+    """Stream the metadata, then ``rows`` of encoded cells, to ``--out`` or stdout."""
+    metadata = {**metadata, "artifact_version": __version__, "schema_version": SCHEMA_VERSION,
+                "config": _resolved_config(args)}
     if args.format == "json":
-        # the layout json.dumps(..., indent=2) gives the data list
-        data = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
-        data = f"[\n    [\n      {data}\n    ]\n  ]" if data else "[]"
         head = json.dumps({"metadata": {**_jsonable(metadata), "columns": list(names)}}, indent=2)
-        text = f'{head[:-2]},\n  "data": {data}\n}}\n'
+        # the layout json.dumps(..., indent=2) gives the data list, "[]" when empty
+        head, sep, end, empty = f'{head[:-2]},\n  "data": [', ",", "\n  ]\n}\n", "]\n}\n"
+        row = "\n    [\n      " + ",\n      ".join(["%s"] * len(names)) + "\n    ]"
     else:
-        lines = [
-            f"# {key}: {json.dumps(_jsonable(val), sort_keys=True)}"
-            for key, val in metadata.items()
-        ]
-        lines.append(",".join(names))
-        lines.extend(map(",".join, rows))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with _open_out(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        head = "".join(f"# {key}: {json.dumps(_jsonable(val), sort_keys=True)}\n"
+                       for key, val in metadata.items()) + ",".join(names) + "\n"
+        sep = end = empty = ""
+        row = ",".join(["%s"] * len(names)) + "\n"
+    with _open_out(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        first = next(rows, None)
+        fh.write(head if first is None else head + row % first)
+        fh.writelines(map((sep + row).__mod__, rows))
+        fh.write(empty if first is None else end)
     return 0
 
 
@@ -125,16 +124,13 @@ def _cmd_evolve(args) -> int:
 def _cmd_heatmap(args) -> int:
     xi = sweep._axis(args.xi_min, args.xi_max, args.xi_steps, args.xi_scale, "xi")
     tau = sweep._axis(0.0, args.tau_max, args.tau_steps, "linear", "tau")
-    grid = sweep.SweepGrid(
-        xi_values=xi,
-        tau_values=tau,
-        method=args.method,
-        xi_spacing=args.xi_scale,
-        tau_spacing="linear",
-    )
+    grid = sweep.SweepGrid(xi, tau, args.method, xi_spacing=args.xi_scale, tau_spacing="linear")
     result = sweep.heatmap(grid, n_modes=args.n_modes, window=args.window)
-    columns = list(map(result.column, _HEATMAP_COLUMNS))
-    return _emit(args, result.metadata, _HEATMAP_COLUMNS, columns)
+    # each xi and tau is encoded once and repeated over the rows that share it
+    xi, tau = (list(_encode_column(a, args.format)) for a in (grid.xi_values, grid.tau_values))
+    conc = _encode_column(result.column("concurrence"), args.format)
+    rows = map(tuple.__add__, product(xi, tau), zip(conc))
+    return _write(args, result.metadata, _HEATMAP_COLUMNS, rows)
 
 
 # ------------------------------------------------------------------ cmax
@@ -175,8 +171,7 @@ def _cmd_sideband(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = sweep.verify(quick=args.quick)
-    metadata = dict(report.metadata)
-    metadata["overall"] = "pass" if report.passed else "FAIL"
+    metadata = {**report.metadata, "overall": "pass" if report.passed else "FAIL"}
     _emit(args, metadata, _VERIFY_COLUMNS, list(zip(*report.rows())))
     return 0 if report.passed else 1
 
@@ -334,6 +329,9 @@ def main(argv=None) -> int:
         if args.out:
             _open_out(args.out, "a").close()  # an unwritable path fails before the work
         return args.handler(args)
+    except BrokenPipeError:  # the reader left early (`| head`); the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         # str(exc) leaves out the notes, such as the grid row a sweep adds
         text = " ".join([str(exc), *getattr(exc, "__notes__", ())])

@@ -43,7 +43,10 @@ def embed(rho: DensityMatrix3) -> TwoQubitDensity:
     """Pad the empty |e,1> level; rho_{e0,g1} lands in the (2,3) block entry."""
     m = np.zeros(rho.matrix.shape[:-2] + (4, 4), dtype=complex)
     m[..., 1:, 1:] = rho.matrix
-    return TwoQubitDensity(m)
+    m.flags.writeable = False
+    padded = object.__new__(TwoQubitDensity)  # rho is valid, so is rho with a zero row and column
+    object.__setattr__(padded, "matrix", m)
+    return padded
 
 
 def wootters_concurrence(rho: TwoQubitDensity) -> float:

@@ -1,7 +1,7 @@
 """Exception types, and the input guards that raise them, in scalar Python:
-a rate guard, the coupling guard behind ``ModelParams`` and every xi grid,
-and the time-grid guard behind every oracle and tau grid.  The grid guards
-return tuples; an oracle makes an array of one once, where it needs it.
+the rate and non-negative guards, the coupling guard behind ``ModelParams``
+and every xi grid, and the time-grid guard behind every oracle and tau grid.
+The grid guards return tuples; an oracle makes one an array where it needs it.
 """
 import math
 from operator import lt
@@ -50,6 +50,12 @@ def _positive(name: str, value) -> None:
     """The rate guard: ``value`` is finite and above zero."""
     if not (value > 0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _non_negative(name: str, value) -> None:
+    """The amplitude guard: ``value`` is finite and not below zero."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be non-negative, got {value}")
 
 
 def _grid(values, what: str) -> tuple:

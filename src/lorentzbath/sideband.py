@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, TargetNotReachable, _positive
+from .errors import DomainError, TargetNotReachable, _non_negative, _positive
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -79,8 +79,7 @@ class SidebandConfig:
             raise DomainError(f"sideband order must be an integer in [0, {MAX_ORDER}], got {n!r}")
         _positive("g", self.g)
         _positive("nu", self.nu)
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise DomainError(f"epsilon must be non-negative, got {self.epsilon}")
+        _non_negative("epsilon", self.epsilon)
 
 
 def effective_coupling(cfg: SidebandConfig) -> float:
@@ -123,8 +122,7 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
     if n < 1:
         raise DomainError(f"solve_amplitude needs a sideband order >= 1, got {n}")
     _positive("kappa", kappa)
-    if not (target_xi >= 0 and math.isfinite(target_xi)):
-        raise DomainError(f"target_xi must be non-negative, got {target_xi}")
+    _non_negative("target_xi", target_xi)
     if target_xi == 0.0:
         return 0.0
     target_lambda = target_xi * kappa / 4.0

@@ -1,7 +1,7 @@
 """Sweep engine: concurrence grids, the C_max curve, and the verify battery.
 
 :func:`evaluate` computes one xi by any method; ``evolve`` and the heatmap
-rows both take their columns from it.
+rows both take their columns from it, the rows past the guards their grid ran.
 
 Grid points are independent, so the heatmap fans rows out over processes
 when asked to (``LORENTZBATH_WORKERS`` or an explicit ``workers=``); the
@@ -103,8 +103,12 @@ def evaluate(
     multimode one, its bath.
     """
     _check_method(method)
+    return _evaluate(method, xi, _sample_times(taus), n_modes, window)
+
+
+def _evaluate(method: str, xi: float, taus: tuple, n_modes: int, window: float):
+    """:func:`evaluate` past its method and time-grid guards, for a checked tuple ``taus``."""
     params = ModelParams(xi=xi)
-    taus = _sample_times(taus)
     zeros = [0.0] * len(taus)
     cols, metadata = {}, {}
     if method == "analytic":
@@ -147,7 +151,7 @@ def _rows_for_xi(task) -> tuple[tuple, dict]:
     """One xi-row of the sweep and its metadata; top level so process pools can ship it."""
     method, xi, taus, n_modes, window = task
     try:
-        cols, metadata = evaluate(method, xi, taus, n_modes, window)
+        cols, metadata = _evaluate(method, xi, taus, n_modes, window)  # the grid checked both
         return tuple(zip(*(cols[name] for name in COLUMNS))), metadata
     except Exception as exc:  # annotate with the failing grid point
         exc.add_note(f"[grid row xi={xi!r}]")

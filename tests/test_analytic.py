@@ -304,6 +304,15 @@ class TestExactDerivative:
 
 
 class TestWeakCoupling:
+    @pytest.mark.parametrize("xi", [5e-324, 1e-320])
+    def test_subnormal_xi_gives_the_weak_coupling_limit(self, xi):
+        # C_max = xi - O(xi^3 log xi) and dC_max/dxi -> 1; at 5e-324 the
+        # amplitude Im c_g1 = -xi/2 underflows to 0
+        rec = c_max(ModelParams(xi=xi))
+        assert rec.c_max == pytest.approx(xi, rel=1e-3)
+        deriv = analytic._dcmax_dxi(xi, rec.tau_opt, rec.c_max)
+        assert deriv == pytest.approx(1.0, rel=1e-3)
+
     @pytest.mark.parametrize("xi", [5e-5, 1e-5, 1e-6])
     def test_optimum_matches_dense_grid(self, xi):
         # the optimum approaches ln(2/xi^2)/2, past the old tau <= 10 window

@@ -53,6 +53,10 @@ TABLES = {
     "one-row": (("a", "b", "c"), (np.array([0.1]), [7], ["only"])),
     "zero-rows": (("a", "b"), (np.array([]), [])),
     "2-d-array": (("p", "q", "r"), np.arange(12.0).reshape(4, 3).T / 7.0),
+    "no-columns": ((), ()),
+    # an overflowing sum alone must leave finite JSON cells as they are
+    "non-finite": (("a", "b"), ([1.5, float("nan"), float("inf"), -float("inf")],
+                                [1e308, 1e308, 0.5, -0.0])),
 }
 
 
@@ -216,6 +220,26 @@ class TestHeatmap:
         assert len(rows) == 15
         assert float(rows[0].split(",")[0]) == 0.5
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_file_get_the_same_bytes(self, fmt, tmp_path, capsys):
+        argv = ["heatmap", "--xi-steps", "4", "--tau-steps", "7", "--format", fmt]
+        target = tmp_path / f"map.{fmt}"
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(target)]) == 0
+        printed, written = capsys.readouterr().out, target.read_text()
+
+        def without_run_fields(text):
+            # the wall time and the --out path are the only fields that may differ
+            if fmt == "csv":
+                return [l for l in text.splitlines(True)
+                        if not l.startswith(("# wall_time_s: ", "# config: "))]
+            doc = json.loads(text)
+            for key in ("wall_time_s", "config"):
+                del doc["metadata"][key]
+            return doc, text[text.index('\n  "data": '):]
+
+        assert without_run_fields(printed) == without_run_fields(written)
+
     def test_bad_axis(self):
         assert main(["heatmap", "--xi-min", "2.0", "--xi-max", "1.0"]) == 2
         assert main(["heatmap", "--xi-min", "-1.0", "--xi-scale", "log"]) == 2
@@ -283,7 +307,7 @@ class TestCmax:
         assert float(second[1]) == pytest.approx(0.38050733439596325, abs=1e-9)
         assert second[4] == "formula"
 
-    @pytest.mark.parametrize("xi_min", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("xi_min", ["1e-310", "5e-324", "1e-320"])
     def test_subnormal_xi_row_is_finite(self, capsys, xi_min):
         assert main(["cmax", "--xi-min", xi_min, "--xi-max", "1", "--steps", "3"]) == 0
         _, header, rows = csv_sections(capsys.readouterr().out)
@@ -293,6 +317,10 @@ class TestCmax:
             values = [float(cells[k]) for k in ("xi", "tau_opt", "c_max", "dcmax_dxi")]
             assert all(map(np.isfinite, values)), row
             assert 0.0 <= float(cells["c_max"]) <= 1.0
+        # the weak-coupling limit: c_max -> xi and dcmax_dxi -> 1
+        first = dict(zip(cols, rows[0].split(",")))
+        assert float(first["c_max"]) == pytest.approx(float(first["xi"]), rel=1e-3)
+        assert float(first["dcmax_dxi"]) == pytest.approx(1.0, rel=1e-3)
 
 
 class TestSideband:
@@ -336,6 +364,8 @@ class TestSideband:
         (["--g", "inf", "--n", "1", "--target-xi", "0.1"], "g must be positive, got inf"),
         (["--g", "2", "--n", "1", "--nu", "inf", "--target-xi", "0.5"],
          "nu must be positive, got inf"),
+        (["--g", "2", "--n", "1", "--epsilon", "-1"], "epsilon must be non-negative, got -1.0"),
+        (["--g", "2", "--n", "1", "--target-xi", "inf"], "target_xi must be non-negative, got inf"),
     ])
     def test_bad_drive_is_a_usage_error_naming_the_value(self, argv, named, capsys):
         assert main(["sideband", "--kappa", "5", *argv]) == 2
@@ -429,6 +459,16 @@ class TestProcessLevel:
     def test_missing_subcommand(self):
         code, _, _ = run_cli()
         assert code == 2
+
+    def test_a_reader_that_stops_early_is_not_an_error(self):
+        # `lorentzbath heatmap | head -1`: the default table overflows the pipe
+        proc = subprocess.Popen([sys.executable, "-m", "lorentzbath", "heatmap"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("# ")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        with proc.stderr:
+            assert proc.stderr.read() == ""
 
     def test_verify_quick_passes(self):
         code, out, _ = run_cli("verify", "--quick")

@@ -78,6 +78,22 @@ class TestTwoQubitDensity:
         assert np.allclose(rho4.matrix[1:, 1:], rho3.matrix)
         assert rho4.matrix[1, 2] == rho3.coherence
 
+    def test_embed_validates_once_and_a_hand_built_state_always(self, monkeypatch):
+        from lorentzbath import entanglement
+
+        rho3 = _pure_density(np.array([0.6, 0.3]), 1j * np.array([0.8, 0.5]))
+        checked = []
+        monkeypatch.setattr(entanglement, "validate_density", checked.append)
+        rho4 = embed(rho3)  # rho3 was checked when it was built
+        assert checked == [] and not rho4.matrix.flags.writeable
+        assert rho4.matrix.shape == (2, 4, 4)
+        monkeypatch.undo()
+        TwoQubitDensity(rho4.matrix)
+        bad = rho4.matrix[0].copy()
+        bad[0, 0] = -0.5  # trace 0.5 and a negative eigenvalue
+        with pytest.raises(InvariantError):
+            TwoQubitDensity(bad)
+
 
 class TestWootters:
     def test_product_state_has_no_entanglement(self):

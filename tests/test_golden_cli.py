@@ -41,6 +41,10 @@ CASES = {
         "heatmap", "--xi-min", "0.1", "--xi-max", "10", "--xi-steps", "7",
         "--tau-max", "2", "--tau-steps", "11",
     ],
+    "heatmap-lindblad": [
+        "heatmap", "--method", "lindblad", "--xi-scale", "linear", "--xi-min", "0.5",
+        "--xi-max", "4", "--xi-steps", "4", "--tau-max", "2", "--tau-steps", "21",
+    ],
     "heatmap-multimode": [
         "heatmap", "--method", "multimode", "--xi-min", "0.5", "--xi-max", "2", "--xi-steps", "3",
         "--tau-max", "1", "--tau-steps", "11", "--n-modes", "201", "--window", "10",
@@ -60,6 +64,7 @@ JSON_CASES = {
     ],
     "verify-quick": CASES["verify-quick"],
     "heatmap": CASES["heatmap"],
+    "heatmap-lindblad": CASES["heatmap-lindblad"],
 }
 
 

@@ -135,6 +135,17 @@ class TestSweepResult:
 
 
 class TestHeatmap:
+    @pytest.mark.parametrize("method", ["analytic", "lindblad"])
+    def test_rows_do_not_recheck_the_grid_times(self, method, monkeypatch):
+        # the grid checked its tau tuple once; evaluate's guard stays public
+        grid = SweepGrid((0.5, 2.0), (0.0, 0.5, 1.0), method)
+        checked = []
+        monkeypatch.setattr(sweep, "_sample_times", lambda taus: checked.append(taus) or taus)
+        assert len(heatmap(grid, workers=1).records) == 6
+        assert checked == []
+        sweep.evaluate(method, 2.0, grid.tau_values)
+        assert checked == [grid.tau_values]
+
     def test_analytic_grid_values_and_ordering(self):
         xi = np.array([0.5, 2.0])
         taus = np.linspace(0.0, 2.0, 9)
@@ -254,7 +265,7 @@ class TestHeatmap:
         def unreachable(*args):
             raise TargetNotReachable("drive too weak", max_xi=0.5)
 
-        monkeypatch.setattr(sweep, "evaluate", unreachable)
+        monkeypatch.setattr(sweep, "_evaluate", unreachable)
         with pytest.raises(TargetNotReachable) as err:
             _rows_for_xi(("analytic", 1.5, np.array([0.0, 1.0]), 2, 100.0))
         assert str(err.value) == "drive too weak" and err.value.max_xi == 0.5
