@@ -128,7 +128,7 @@ def _cmd_heatmap(args) -> int:
     result = sweep.heatmap(grid, n_modes=args.n_modes, window=args.window)
     # each xi and tau is encoded once and repeated over the rows that share it
     xi, tau = (list(_encode_column(a, args.format)) for a in (grid.xi_values, grid.tau_values))
-    conc = _encode_column(result.column("concurrence"), args.format)
+    conc = _encode_column(result.concurrence, args.format)
     rows = map(tuple.__add__, product(xi, tau), zip(conc))
     return _write(args, result.metadata, _HEATMAP_COLUMNS, rows)
 
@@ -325,14 +325,19 @@ def main(argv=None) -> int:
                     overrides.pop(action.dest, None)
         registry[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)  # explicit flags still take precedence
+    made = False
     try:
         if args.out:
+            existed = os.path.exists(args.out)
             _open_out(args.out, "a").close()  # an unwritable path fails before the work
+            made = not existed
         return args.handler(args)
     except BrokenPipeError:  # the reader left early (`| head`); the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except Exception as exc:
+        if made:  # a failed run leaves no empty file where there was none
+            os.remove(args.out)
         # str(exc) leaves out the notes, such as the grid row a sweep adds
         text = " ".join([str(exc), *getattr(exc, "__notes__", ())])
         if not isinstance(exc, (ValueError, IntegrationError)):  # failed somewhere deeper

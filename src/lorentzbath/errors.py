@@ -1,7 +1,8 @@
 """Exception types, and the input guards that raise them, in scalar Python:
-the rate and non-negative guards, the coupling guard behind ``ModelParams``
-and every xi grid, and the time-grid guard behind every oracle and tau grid.
-The grid guards return tuples; an oracle makes one an array where it needs it.
+the rate, non-negative and order guards, the coupling guard behind
+``ModelParams`` and every xi grid, and the time-grid guard behind every oracle
+and tau grid.  The grid guards return tuples; an oracle makes one an array
+where it needs it.
 """
 import math
 from operator import lt
@@ -56,6 +57,12 @@ def _non_negative(name: str, value) -> None:
     """The amplitude guard: ``value`` is finite and not below zero."""
     if not (value >= 0 and math.isfinite(value)):
         raise DomainError(f"{name} must be non-negative, got {value}")
+
+
+def _order(name: str, n, top: int) -> None:
+    """The order guard: ``n`` is an ``int``, not a ``bool``, in [0, ``top``]."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= top:
+        raise DomainError(f"{name} must be an integer in [0, {top}], got {n!r}")
 
 
 def _grid(values, what: str) -> tuple:

@@ -12,7 +12,7 @@ The generator is constant, so rho(tau) = exp(tau L) rho(0) holds exactly.
 
 ``integrate(params, taus)`` has the shape of ``multimode.evolve(bath, taus)``:
 both run to the last sample time and check the times with the one time-grid
-guard of ``model``.  A 3x3 state and a 9x9 generator are scalar-sized work,
+guard of ``errors``.  A 3x3 state and a 9x9 generator are scalar-sized work,
 so everything here is ``math`` on lists: no numpy.
 """
 
@@ -241,7 +241,7 @@ def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
     from tau = 0) gets one propagator (:func:`_propagators`) on the entries
     that L connects to rho(0), kept as its nonzero entries, so a sample costs
     one matvec that skips the exact zeros.
-    Every symmetrised state gets the checks of :class:`DensityMatrix3`.  The
+    Every symmetrised state gets the checks of :func:`validate_density`.  The
     earliest sample outside its floors, or a propagator that is not finite,
     raises ``IntegrationError`` naming its tau.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, TargetNotReachable, _non_negative, _positive
+from .errors import DomainError, TargetNotReachable, _non_negative, _order, _positive
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -52,10 +52,7 @@ def _miller(n: int, x: float) -> list:
 
 def bessel_jn(n: int, mu: float) -> float:
     """Bessel function of the first kind, integer order 0..64, |mu| < 700."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_ORDER:
-        raise DomainError(f"order must lie in [0, {MAX_ORDER}], got {n}")
+    _order("order", n, MAX_ORDER)
     mu = float(mu)
     if not math.isfinite(mu) or abs(mu) >= MAX_ARGUMENT:
         raise DomainError(f"argument must satisfy |mu| < {MAX_ARGUMENT}, got {mu}")
@@ -74,9 +71,7 @@ class SidebandConfig:
     n: int
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_ORDER:
-            raise DomainError(f"sideband order must be an integer in [0, {MAX_ORDER}], got {n!r}")
+        _order("sideband order", self.n, MAX_ORDER)
         _positive("g", self.g)
         _positive("nu", self.nu)
         _non_negative("epsilon", self.epsilon)

@@ -1,7 +1,7 @@
 """Sweep engine: concurrence grids, the C_max curve, and the verify battery.
 
-:func:`evaluate` computes one xi by any method; ``evolve`` and the heatmap
-rows both take their columns from it, the rows past the guards their grid ran.
+:func:`evaluate` computes one xi by any method; ``evolve`` takes its columns
+from it, and each heatmap row its concurrence, past the guards its grid ran.
 
 Grid points are independent, so the heatmap fans rows out over processes
 when asked to (``LORENTZBATH_WORKERS`` or an explicit ``workers=``); the
@@ -17,7 +17,8 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from operator import add, itemgetter, sub
+from itertools import chain
+from operator import add, sub
 
 from . import analytic, entanglement, sideband
 from . import lindblad as _lb
@@ -25,9 +26,6 @@ from . import multimode as _mm
 from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, __version__
 from .errors import DomainError, _sample_times, _xi_values
 from .model import ModelParams, _pure_density
-
-COLUMNS = ("xi", "tau", "concurrence", "p_e0", "p_g1", "p_g0", "survival")
-POPULATION_CLOSURE_TOL = 1e-8
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -67,25 +65,11 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Row-per-grid-point table (xi-major) plus run metadata: ``records`` is a
-    tuple of rows, each a tuple of the values named by ``COLUMNS``."""
+    """The concurrence at every grid point, a tuple of floats in xi-major
+    order, plus run metadata; :func:`evaluate` gives a row's populations."""
 
-    records: tuple
+    concurrence: tuple
     metadata: dict
-
-    def __post_init__(self):
-        rec = tuple(map(tuple, self.records))
-        object.__setattr__(self, "records", rec)
-        if set(map(len, rec)) - {len(COLUMNS)}:
-            raise DomainError(f"records must have {len(COLUMNS)} columns")
-        closure = [abs(p_e0 + p_g1 + p_g0 - 1.0) for _, _, _, p_e0, p_g1, p_g0, _ in rec]
-        if closure and (worst := max(closure)) > POPULATION_CLOSURE_TOL:
-            raise DomainError(
-                f"population closure violated by {worst} at row {closure.index(worst)}"
-            )
-
-    def column(self, name: str) -> tuple:
-        return tuple(map(itemgetter(COLUMNS.index(name)), self.records))
 
 
 def evaluate(
@@ -97,10 +81,11 @@ def evaluate(
 ) -> tuple[dict, dict]:
     """One xi by any method: named columns over ``taus`` and the run's metadata.
 
-    The columns are lists of floats, those of ``COLUMNS``; the closed form
-    adds its complex amplitudes as ``c_re_e0``, ``c_im_e0``, ``c_re_g1`` and
-    ``c_im_g1``.  The metadata holds an oracle's solver counters and, for the
-    multimode one, its bath.
+    The columns are lists of floats: ``xi``, ``tau``, ``concurrence``,
+    ``p_e0``, ``p_g1``, ``p_g0`` and ``survival``; the closed form adds its
+    complex amplitudes as ``c_re_e0``, ``c_im_e0``, ``c_re_g1`` and ``c_im_g1``.
+    The metadata holds an oracle's solver counters and, for the multimode
+    one, its bath.
     """
     _check_method(method)
     return _evaluate(method, xi, _sample_times(taus), n_modes, window)
@@ -147,12 +132,12 @@ def _evaluate(method: str, xi: float, taus: tuple, n_modes: int, window: float):
     return cols, metadata
 
 
-def _rows_for_xi(task) -> tuple[tuple, dict]:
-    """One xi-row of the sweep and its metadata; top level so process pools can ship it."""
+def _rows_for_xi(task) -> tuple:
+    """One xi-row's concurrences and metadata; top level so process pools can ship it."""
     method, xi, taus, n_modes, window = task
     try:
         cols, metadata = _evaluate(method, xi, taus, n_modes, window)  # the grid checked both
-        return tuple(zip(*(cols[name] for name in COLUMNS))), metadata
+        return cols["concurrence"], metadata
     except Exception as exc:  # annotate with the failing grid point
         exc.add_note(f"[grid row xi={xi!r}]")
         raise
@@ -178,13 +163,13 @@ def heatmap(
             rows = list(pool.map(_rows_for_xi, tasks, chunksize=math.ceil(len(tasks) / size)))
     else:
         rows = [_rows_for_xi(t) for t in tasks]
-    records = tuple(row for block, _ in rows for row in block)
+    conc = tuple(chain.from_iterable(block for block, _ in rows))
     metadata = {
         "artifact_version": __version__,
         "method": grid.method,
         "xi": _axis_spec(grid.xi_values, grid.xi_spacing),
         "tau": _axis_spec(grid.tau_values, grid.tau_spacing),
-        "rows": len(records),
+        "rows": len(conc),
         "workers": workers,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
@@ -194,7 +179,7 @@ def heatmap(
             **rows[0][1]["bath"],
             "note": "discrete bath is only faithful for tau well inside the horizon",
         }
-    return SweepResult(records=records, metadata=metadata)
+    return SweepResult(concurrence=conc, metadata=metadata)
 
 
 def _axis(lo: float, hi: float, steps: int, scale: str, name: str) -> tuple:
@@ -555,10 +540,10 @@ def _check_determinism(quick: bool, metadata: dict):
     xi, tau = _axis(0.5, 8.0, 4, "log", "xi"), _axis(0.0, 3.0, 61, "linear", "tau")
     grid = SweepGrid(xi, tau, "lindblad")
     # repr tells every two floats of different bits apart, but for NaN payloads
-    runs = {repr(heatmap(grid, workers=w).records) for w in (1, 1, 2)}
+    runs = {repr(heatmap(grid, workers=w).concurrence) for w in (1, 1, 2)}
     return [CheckResult(
         "sweep_determinism_serial_parallel", 0.0, float(len(runs) - 1),
-        "exact compare of the records across reruns and worker counts",
+        "exact compare of the concurrence map across reruns and worker counts",
     )]
 
 

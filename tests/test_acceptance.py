@@ -272,7 +272,7 @@ def test_11_sweep_determinism():
         xi_spacing="log",
         tau_spacing="linear",
     )
-    blobs = [repr(sweep.heatmap(grid, workers=w).records) for w in (1, 1, 2)]
+    blobs = [repr(sweep.heatmap(grid, workers=w).concurrence) for w in (1, 1, 2)]
     library_stable = blobs[0] == blobs[1] == blobs[2]
 
     argv = [

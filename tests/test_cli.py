@@ -470,6 +470,32 @@ class TestProcessLevel:
         with proc.stderr:
             assert proc.stderr.read() == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--xi", "-1"),
+        ("heatmap", "--method", "multimode", "--xi-steps", "2", "--tau-max", "10",
+         "--tau-steps", "3", "--n-modes", "51", "--window", "5"),
+    ], ids=["evolve-bad-xi", "heatmap-multimode-past-horizon"])
+    def test_a_failed_run_leaves_no_out_file(self, argv, tmp_path):
+        target = tmp_path / "new.csv"
+        code, out, err = run_cli(*argv, "--out", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert not target.exists()
+        # a file that was there before the run stays as it was
+        target.write_bytes(b"an earlier table\n")
+        assert run_cli(*argv, "--out", str(target))[0] == 2
+        assert target.read_bytes() == b"an earlier table\n"
+
+    def test_a_failed_verify_still_writes_its_report(self, tmp_path, monkeypatch):
+        from lorentzbath import sweep
+
+        def failing(quick, metadata):
+            return [sweep.CheckResult("always_fails", 0.0, 1.0)]
+
+        monkeypatch.setattr(sweep, "_CHECKS", (failing,))
+        target = tmp_path / "report.csv"
+        assert main(["verify", "--quick", "--out", str(target)]) == 1
+        assert target.read_text().endswith("always_fails,0,1,FAIL\n")
+
     def test_verify_quick_passes(self):
         code, out, _ = run_cli("verify", "--quick")
         assert code == 0

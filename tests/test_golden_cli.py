@@ -65,6 +65,7 @@ JSON_CASES = {
     "verify-quick": CASES["verify-quick"],
     "heatmap": CASES["heatmap"],
     "heatmap-lindblad": CASES["heatmap-lindblad"],
+    "heatmap-multimode": CASES["heatmap-multimode"],
 }
 
 

@@ -15,7 +15,6 @@ from lorentzbath.model import ModelParams
 from lorentzbath.multimode import sample_bath
 from lorentzbath.sweep import (
     CheckResult,
-    COLUMNS,
     SweepGrid,
     SweepResult,
     VerificationReport,
@@ -117,21 +116,18 @@ class TestAxis:
             assert (np.abs(axis - np.geomspace(lo, hi, steps)) <= np.spacing(axis)).all()
 
 
-class TestSweepResult:
-    def test_rejects_wrong_width(self):
-        with pytest.raises(DomainError):
-            SweepResult(records=np.zeros((2, 3)), metadata={})
+class TestEvaluate:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_populations_close(self, method):
+        cols, _ = sweep.evaluate(method, 2.0, np.linspace(0.0, 1.0, 11), 201, 10.0)
+        closure = np.add(cols["p_e0"], cols["p_g1"]) + cols["p_g0"] - 1.0
+        assert np.abs(closure).max() <= 1e-8
 
-    def test_rejects_population_leak(self):
-        row = np.array([[1.0, 0.0, 0.0, 0.5, 0.2, 0.2, 0.7]])
-        with pytest.raises(DomainError):
-            SweepResult(records=row, metadata={})
-
-    def test_column_accessor(self):
-        row = np.array([[1.0, 0.5, 0.3, 0.5, 0.3, 0.2, 0.8]])
-        res = SweepResult(records=row, metadata={})
-        assert res.column("tau")[0] == 0.5
-        assert res.column("survival")[0] == 0.8
+    def test_multimode_loses_nothing(self):
+        cols, _ = sweep.evaluate("multimode", 1.0, np.linspace(0.0, 1.0, 5), 201, 10.0)
+        # closed picture: nothing leaves, survival stays one
+        assert set(cols["survival"]) == {1.0}
+        assert set(cols["p_g0"]) == {0.0}
 
 
 class TestHeatmap:
@@ -141,7 +137,7 @@ class TestHeatmap:
         grid = SweepGrid((0.5, 2.0), (0.0, 0.5, 1.0), method)
         checked = []
         monkeypatch.setattr(sweep, "_sample_times", lambda taus: checked.append(taus) or taus)
-        assert len(heatmap(grid, workers=1).records) == 6
+        assert len(heatmap(grid, workers=1).concurrence) == 6
         assert checked == []
         sweep.evaluate(method, 2.0, grid.tau_values)
         assert checked == [grid.tau_values]
@@ -151,21 +147,19 @@ class TestHeatmap:
         taus = np.linspace(0.0, 2.0, 9)
         grid = SweepGrid(xi, taus, method="analytic", tau_spacing="linear")
         res = heatmap(grid)
-        records = np.array(res.records)
-        assert records.shape == (18, len(COLUMNS))
+        assert type(res) is SweepResult and type(res.concurrence) is tuple
+        assert len(res.concurrence) == 18
         # xi-major: first block belongs to xi=0.5
-        assert (records[:9, 0] == 0.5).all()
-        assert (records[9:, 0] == 2.0).all()
-        ce, cg = _amplitude_arrays(2.0, taus)
-        assert np.allclose(records[9:, 2], 2 * np.abs(ce) * np.abs(cg), atol=1e-14)
-        assert np.allclose(records[9:, 3], np.abs(ce) ** 2, atol=1e-14)
+        for block, x in zip((res.concurrence[:9], res.concurrence[9:]), xi):
+            ce, cg = _amplitude_arrays(x, taus)
+            assert np.allclose(block, 2 * np.abs(ce) * np.abs(cg), atol=1e-14)
 
     def test_lindblad_matches_analytic(self):
         taus = np.linspace(0.0, 3.0, 31)
         xi = np.array([2.0])
         a = heatmap(SweepGrid(xi, taus, method="analytic"))
         l = heatmap(SweepGrid(xi, taus, method="lindblad"))
-        gap = np.subtract(a.column("concurrence"), l.column("concurrence"))
+        gap = np.subtract(a.concurrence, l.concurrence)
         assert np.abs(gap).max() < 1e-6
         assert l.metadata["method"] == "lindblad" and "lindblad_tol" not in l.metadata
 
@@ -184,9 +178,6 @@ class TestHeatmap:
         horizon = sample_bath(ModelParams(xi=1.0), 201, 10.0).recurrence_horizon
         assert res.metadata["bath"]["recurrence_horizon"] == horizon
         assert list(res.metadata["bath"]) == ["n_modes", "window", "recurrence_horizon", "note"]
-        # closed picture: nothing leaves, survival stays one
-        assert set(res.column("survival")) == {1.0}
-        assert set(res.column("p_g0")) == {0.0}
 
     def test_metadata_schema(self):
         grid = SweepGrid(np.array([1.0]), np.array([0.0, 1.0]), method="analytic")
@@ -205,7 +196,7 @@ class TestHeatmap:
         a = heatmap(grid, workers=1)
         b = heatmap(grid, workers=1)
         c = heatmap(grid, workers=2)
-        assert repr(a.records) == repr(b.records) == repr(c.records)
+        assert repr(a.concurrence) == repr(b.concurrence) == repr(c.concurrence)
 
     def test_pool_never_outnumbers_the_rows(self, monkeypatch):
         # the pool forks every process at its first submit, whatever the task count
@@ -232,7 +223,7 @@ class TestHeatmap:
         res = heatmap(grid, workers=64)
         assert sizes == [2] and chunks == [1]
         assert res.metadata["workers"] == 64
-        assert repr(res.records) == repr(heatmap(grid, workers=1).records)
+        assert repr(res.concurrence) == repr(heatmap(grid, workers=1).concurrence)
         # one chunk of rows per process: 5 rows over 2 processes go 3 and 2
         heatmap(SweepGrid(np.geomspace(0.5, 2.0, 5), [0.0, 1.0], method="analytic"), workers=2)
         assert sizes[-1] == 2 and chunks[-1] == 3
@@ -248,7 +239,7 @@ class TestHeatmap:
             "from lorentzbath import sweep\n"
             "grid = sweep.SweepGrid(np.geomspace(0.5, 4.0, 3), np.linspace(0.0, 2.0, 11),\n"
             "                       method='lindblad')\n"
-            "serial, pooled = (sweep.heatmap(grid, workers=w).records for w in (1, 2))\n"
+            "serial, pooled = (sweep.heatmap(grid, workers=w).concurrence for w in (1, 2))\n"
             "print(repr(serial) == repr(pooled))\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, start_method],
