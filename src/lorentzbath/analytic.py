@@ -74,6 +74,10 @@ def amplitudes(params: ModelParams, tau: float) -> PureAmplitudes:
 
 def _concurrence(xi: float, tau: float) -> float:
     (ce,), (cg,) = _amplitude_arrays(xi, (tau,))
+    if not cg and ce and tau > 0.0:
+        # Im c_g1 underflowed while c_e0 did not (xi or tau near 5e-324): C is
+        # its leading order in xi, |c_e0| xi (1 - exp(-2 tau)), rounded once
+        return abs(ce) * -expm1(-2.0 * tau) * xi
     return 2.0 * abs(ce) * abs(cg)
 
 
@@ -120,10 +124,9 @@ class OptimumRecord:
 
 def _optimum(xi: float) -> tuple[float, float]:
     """``(tau_opt, c_max)`` from the closed forms.  C_max = 1 - (pi/2 - 1)/xi to
-    leading order rounds to 1 above xi ~ 1.03e16, so the clip at 1 is exact there.
-    Where C underflows to 0 (xi ~ 5e-324), C_max is its weak-coupling limit xi."""
+    leading order rounds to 1 above xi ~ 1.03e16, so the clip at 1 is exact there."""
     tau = _t_opt(xi)
-    return tau, min(_concurrence(xi, tau), 1.0) or xi
+    return tau, min(_concurrence(xi, tau), 1.0)
 
 
 def c_max(params: ModelParams) -> OptimumRecord:

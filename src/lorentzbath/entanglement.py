@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigensolverError, FormError, InvariantError
-from .model import DensityMatrix3, validate_density
+from .errors import EigensolverError, FormError
+from .model import DensityMatrix3, _freeze_density
 
 X_FORM_TOL = 1e-8
 
@@ -31,12 +31,7 @@ class TwoQubitDensity:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape[-2:] != (4, 4):
-            raise InvariantError(f"expected 4x4 matrices, got shape {m.shape}")
-        validate_density(m.reshape(-1, 4, 4).tolist())
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _freeze_density(self, 4)
 
 
 def embed(rho: DensityMatrix3) -> TwoQubitDensity:

@@ -65,10 +65,21 @@ def _order(name: str, n, top: int) -> None:
         raise DomainError(f"{name} must be an integer in [0, {top}], got {n!r}")
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _number(value) -> float:
+    """``float(value)`` for a number; text, which ``float`` would parse, raises."""
+    if isinstance(value, _TEXT):
+        raise TypeError(f"{value!r} is text, not a number")
+    return float(value)
+
+
 def _grid(values, what: str) -> tuple:
-    """A finite, non-empty, strictly increasing 1-d sequence as a tuple of floats."""
+    """A finite, non-empty, strictly increasing 1-d sequence of numbers as a tuple of floats."""
     try:
-        grid = tuple(map(float, values)) if getattr(values, "ndim", 1) == 1 else ()
+        flat = getattr(values, "ndim", 1) == 1 and not isinstance(values, _TEXT)
+        grid = tuple(map(_number, values)) if flat else ()
     except (TypeError, ValueError):
         grid = ()
     if not grid or not all(map(math.isfinite, grid)):

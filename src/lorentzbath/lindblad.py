@@ -58,17 +58,6 @@ def rhs(rho, params: ModelParams) -> list:
 
 
 @dataclass(frozen=True)
-class IntegratorStats:
-    """Deterministic counters of one run."""
-
-    propagators: int  # one per distinct sample interval
-    squarings: int  # summed over the full exponentials
-    generator_calls: int
-    worst_trace_drift: float  # over the emitted samples
-    min_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class LindbladTrajectory:
     """The samples ``taus`` and, in ``rho``, one validated state per sample,
     each a tuple of three row tuples of complex; the populations, coherences
@@ -76,7 +65,9 @@ class LindbladTrajectory:
 
     taus: tuple
     rho: tuple
-    solver: IntegratorStats
+    # deterministic counters: propagators (one per distinct interval), squarings,
+    # generator_calls, and over the samples worst_trace_drift and min_eigenvalue
+    solver: dict
 
     @property
     def states(self) -> list[DensityMatrix3]:
@@ -215,15 +206,12 @@ def _propagators(L: list, steps) -> tuple[list, int]:
         try:
             if (h - base[0]) * norm < _FIRST_ORDER:
                 h0, e0, le0 = base
-                if le0 is None:
-                    le0 = _matmul(L, e0)
-                    base = h0, e0, le0
                 d = h - h0
                 e = [[x + d * y for x, y in zip(xr, yr)] for xr, yr in zip(e0, le0)]
             else:
                 e, s = _expm([[h * x for x in row] for row in L])
                 squarings += s
-                base = h, e, None
+                base = h, e, _matmul(L, e)
             finite = all(map(isfinite, chain.from_iterable(e)))
         except (OverflowError, ZeroDivisionError):
             finite = False
@@ -295,10 +283,10 @@ def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
         low = validate_density(rho)
     except InvariantError as exc:
         raise IntegrationError(f"{exc} at tau={samples[exc.index]}") from None
-    stats = IntegratorStats(
-        propagators=len(steps), squarings=squarings,
-        generator_calls=len(L) + 1,  # one probe per basis matrix, one check
-        worst_trace_drift=max(abs(m[0][0].real + m[1][1].real + m[2][2].real - 1.0) for m in rho),
-        min_eigenvalue=min(low),
-    )
-    return LindbladTrajectory(samples, tuple(rho), stats)
+    solver = {
+        "propagators": len(steps), "squarings": squarings,
+        "generator_calls": len(L) + 1,  # one probe per basis matrix, one check
+        "worst_trace_drift": max(abs(m[0][0].real + m[1][1].real + m[2][2].real - 1.0) for m in rho),
+        "min_eigenvalue": min(low),
+    }
+    return LindbladTrajectory(samples, tuple(rho), solver)

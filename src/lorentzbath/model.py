@@ -36,7 +36,7 @@ class ModelParams:
     xi: float
 
     def __post_init__(self):
-        _xi_values([self.xi])
+        object.__setattr__(self, "xi", _xi_values([self.xi])[0])
 
 
 def params_from_physical(kappa: float, lambda0: float) -> ModelParams:
@@ -183,6 +183,20 @@ def _smallest_eigenvalue(a: list, d: int) -> float:
     return min(diag)
 
 
+def _freeze_density(state, d: int):
+    """Make ``state.matrix``, a d x d matrix or a stack of them, a validated
+    read-only complex array; return the smallest eigenvalue of each matrix, a
+    ``float`` for one matrix and an array of the stack's leading shape else."""
+    import numpy as np
+    m = np.array(state.matrix, dtype=complex)
+    if m.shape[-2:] != (d, d):
+        raise InvariantError(f"expected {d}x{d} matrices, got shape {m.shape}")
+    low = validate_density(m.reshape(-1, d, d).tolist())
+    m.flags.writeable = False
+    object.__setattr__(state, "matrix", m)
+    return low[0] if m.ndim == 2 else np.reshape(low, m.shape[:-2])
+
+
 @dataclass(frozen=True)
 class DensityMatrix3:
     """Validated density matrix, or ``(..., 3, 3)`` stack of them, on the basis
@@ -192,15 +206,7 @@ class DensityMatrix3:
     min_eigenvalue: float = field(init=False, repr=False, compare=False)  # found by validation
 
     def __post_init__(self):
-        import numpy as np
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape[-2:] != (3, 3):
-            raise InvariantError(f"expected 3x3 matrices, got shape {m.shape}")
-        low = validate_density(m.reshape(-1, 3, 3).tolist())
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_eigenvalue", low[0] if m.ndim == 2 else
-                           np.reshape(low, m.shape[:-2]))
+        object.__setattr__(self, "min_eigenvalue", _freeze_density(self, 3))
 
     @property
     def p_e0(self) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
 
@@ -109,7 +109,7 @@ def _evaluate(method: str, xi: float, taus: tuple, n_modes: int, window: float):
         p_e0, p_g1, p_g0 = traj.p_e0, traj.p_g1, traj.p_g0
         surv = list(map(add, p_e0, p_g1))
         conc = traj.concurrences
-        metadata["solver"] = asdict(traj.solver)
+        metadata["solver"] = traj.solver
     else:
         bath = _mm.sample_bath(params, n_modes, window)
         traj = _mm.evolve(bath, taus)
@@ -370,30 +370,18 @@ def _check_multimode(quick: bool, metadata: dict):
     ]
 
 
-def _golden_section_max(f, a: float, b: float) -> float:
-    """Golden-section search for the maximum of a unimodal f on [a, b] to 1e-10."""
-    r = (5.0**0.5 - 1.0) / 2.0
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc >= fd:  # the maximum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _check_analytic(quick: bool, metadata: dict):
     xis = (1.05, 1.2, 2.0, 5.0, 20.0)
     worst = 0.0
-    for xi in xis:  # C is unimodal on its first lobe [0, pi/w]
-        lobe = math.pi / math.sqrt((xi - 1.0) * (xi + 1.0))
-        found = _golden_section_max(lambda t: analytic._concurrence(xi, t), 0.0, lobe)
-        worst = max(worst, abs(analytic._t_opt(xi) - found))
+    for xi in xis:
+        # d(c_e0, c_g1)/dtau = (-i xi c_g1, -i xi c_e0 - 2 c_g1) gives, with
+        # b = Im c_g1, dC/dtau = 2[xi (c_e0^2 - b^2) + 2 c_e0 b] wherever
+        # c_e0 > 0 > b, as on [0, pi/(2w)]; its one sign change there is tau*
+        def rising(t, xi=xi):
+            (a,), (b,) = analytic._amplitude_arrays(xi, (t,))
+            return xi * (a * a - b * b) + 2.0 * a * b > 0.0
+        half_lobe = 0.5 * math.pi / math.sqrt((xi - 1.0) * (xi + 1.0))
+        worst = max(worst, abs(analytic._t_opt(xi) - sideband._bisect(rising, 0.0, half_lobe)))
     at1 = analytic.c_max(ModelParams(xi=1.0))
     at2 = analytic.c_max(ModelParams(xi=2.0))
     golden = max(
@@ -404,8 +392,10 @@ def _check_analytic(quick: bool, metadata: dict):
     )
     return [
         CheckResult(
-            "t_opt_formula_vs_numeric", 1e-6, worst,
-            f"stationary-point formula against golden-section search on the first lobe, xi={xis}",
+            "t_opt_formula_vs_numeric", 1e-11, worst,
+            f"stationary-point formula against bisection on the sign of the exact dC/dtau "
+            f"over [0, pi/(2w)], stopped below width 1e-12 (error < 5e-13 plus rounding), "
+            f"xi={xis}",
         ),
         CheckResult("analytic_golden_points", 1e-9, golden, "frozen c_max / tau_opt at xi=1 and 2"),
     ]

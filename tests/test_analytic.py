@@ -313,6 +313,19 @@ class TestWeakCoupling:
         deriv = analytic._dcmax_dxi(xi, rec.tau_opt, rec.c_max)
         assert deriv == pytest.approx(1.0, rel=1e-3)
 
+    def test_concurrence_agrees_with_c_max_where_im_c_g1_underflows(self):
+        p = ModelParams(xi=5e-324)
+        rec = c_max(p)
+        assert _amplitude_arrays(p.xi, [rec.tau_opt])[1] == [0.0]
+        assert concurrence(p, rec.tau_opt) == rec.c_max == 5e-324
+        # xi (1 - exp(-2 tau)) rounds to 0 below tau = ln(2)/2
+        assert concurrence(p, 0.3) == 0.0 and concurrence(p, 0.4) == 5e-324
+
+    def test_a_real_underflow_stays_zero(self):
+        # both amplitudes underflow: c_e0 is 0 too, so no limit applies
+        assert _amplitude_arrays(2.0, [800.0]) == ([0.0], [0.0])
+        assert concurrence(ModelParams(xi=2.0), 800.0) == 0.0
+
     @pytest.mark.parametrize("xi", [5e-5, 1e-5, 1e-6])
     def test_optimum_matches_dense_grid(self, xi):
         # the optimum approaches ln(2/xi^2)/2, past the old tau <= 10 window

@@ -186,10 +186,10 @@ class TestEvolve:
             assert main(argv) == 0
             docs.append(json.loads(capsys.readouterr().out))
         solver = docs[0]["metadata"]["solver"]
-        assert set(solver) == {
+        assert list(solver) == [
             "propagators", "squarings", "generator_calls", "worst_trace_drift",
             "min_eigenvalue",
-        }
+        ]
         assert solver["generator_calls"] == 10 and solver["propagators"] > 0
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]

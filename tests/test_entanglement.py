@@ -83,7 +83,7 @@ class TestTwoQubitDensity:
 
         rho3 = _pure_density(np.array([0.6, 0.3]), 1j * np.array([0.8, 0.5]))
         checked = []
-        monkeypatch.setattr(entanglement, "validate_density", checked.append)
+        monkeypatch.setattr(entanglement, "_freeze_density", lambda state, d: checked.append(d))
         rho4 = embed(rho3)  # rho3 was checked when it was built
         assert checked == [] and not rho4.matrix.flags.writeable
         assert rho4.matrix.shape == (2, 4, 4)

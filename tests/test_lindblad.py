@@ -135,19 +135,19 @@ class TestIntegration:
         first, second = integrate(params, taus), integrate(params, taus)
         stats = first.solver
         assert stats == second.solver
-        assert stats.generator_calls == 10  # nine probes and the linearity check
+        assert stats["generator_calls"] == 10  # nine probes and the linearity check
         # one propagator per distinct float interval of the grid
-        assert stats.propagators == len(np.unique(np.diff(taus, prepend=0.0)))
-        assert stats.squarings == 0  # every interval is well inside the Pade range
-        assert stats.worst_trace_drift < 1e-12
-        assert stats.min_eigenvalue == min(s.min_eigenvalue for s in first.states)
-        assert stats.min_eigenvalue > -1e-13
+        assert stats["propagators"] == len(np.unique(np.diff(taus, prepend=0.0)))
+        assert stats["squarings"] == 0  # every interval is well inside the Pade range
+        assert stats["worst_trace_drift"] < 1e-12
+        assert stats["min_eigenvalue"] == min(s.min_eigenvalue for s in first.states)
+        assert stats["min_eigenvalue"] > -1e-13
 
     def test_long_interval_is_squared(self):
         traj = integrate(ModelParams(xi=2.0), np.array([0.0, 6.0]))
         (ce,), (cg,) = _amplitude_arrays(2.0, [6.0])
         cg *= 1j
-        assert traj.solver.propagators == 2 and traj.solver.squarings > 0
+        assert traj.solver["propagators"] == 2 and traj.solver["squarings"] > 0
         assert abs(traj.coherences[-1] - ce * np.conj(cg)) < 1e-14
 
     def test_trajectory_properties_are_consistent(self):
@@ -354,9 +354,9 @@ class TestStackedValidation:
         # reference: each sample checked on its own, as a loop of single matrices
         low = [float(np.linalg.eigvalsh(m).min()) for m in rho]
         drift = [float(abs(m.trace().real - 1.0)) for m in rho]
-        assert traj.solver.min_eigenvalue == min(s.min_eigenvalue for s in states)
-        assert abs(traj.solver.min_eigenvalue - min(low)) <= 1e-14
-        assert traj.solver.worst_trace_drift == max(drift)
+        assert traj.solver["min_eigenvalue"] == min(s.min_eigenvalue for s in states)
+        assert abs(traj.solver["min_eigenvalue"] - min(low)) <= 1e-14
+        assert traj.solver["worst_trace_drift"] == max(drift)
         for i, s in enumerate(states):
             assert (s.matrix == rho[i]).all()
         assert traj.p_e0 == tuple(s.p_e0 for s in states)

@@ -27,10 +27,14 @@ class TestModelParams:
         p = ModelParams(xi=2.0)
         assert p.xi == 2.0 and [f.name for f in dataclasses.fields(p)] == ["xi"]
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), "2", b"2"])
     def test_bad_xi(self, bad):
         with pytest.raises(DomainError):
             ModelParams(xi=bad)
+
+    def test_xi_is_stored_as_the_float_its_guard_returns(self):
+        assert type(ModelParams(xi=2).xi) is float
+        assert type(ModelParams(xi=np.float64(0.5)).xi) is float
 
     def test_from_physical_experimental_values(self):
         assert params_from_physical(5.0, 1.25) == ModelParams(xi=1.0)
@@ -81,6 +85,14 @@ class TestCouplingGuard:
     def test_bad_values(self, xi):
         with pytest.raises(DomainError, match="xi values"):
             _xi_values(xi)
+
+    @pytest.mark.parametrize("text", ["0123", b"0123", ["1", "2"], [1.0, b"2"]])
+    def test_text_is_not_a_grid(self, text):
+        # float() would parse each character, or each byte as an int
+        with pytest.raises(DomainError, match="xi values"):
+            _xi_values(text)
+        with pytest.raises(DomainError, match="sample times"):
+            sweep.evaluate("analytic", 2.0, text)
 
     def test_bound_is_accepted(self):
         assert _xi_values([1e-300, 1.0, MAX_XI]) == (1e-300, 1.0, MAX_XI)

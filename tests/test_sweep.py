@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lorentzbath import sweep
+from lorentzbath import analytic, sweep
 from lorentzbath.analytic import _amplitude_arrays
 from lorentzbath._version import METHODS
 from lorentzbath.errors import DomainError, TargetNotReachable
@@ -372,6 +372,13 @@ class TestVerify:
         wall = report.metadata["check_wall_s"]
         assert set(wall) == set(names)
         assert all(seconds >= 0.0 for seconds in wall.values())
+
+    @pytest.mark.parametrize("scale, passed", [(1.0, True), (1.0 + 1e-8, False)])
+    def test_optimum_row_catches_a_wrong_t_opt(self, monkeypatch, scale, passed):
+        t_opt = analytic._t_opt
+        monkeypatch.setattr(analytic, "_t_opt", lambda xi: t_opt(xi) * scale)
+        rows = {c.name: c for c in sweep._check_analytic(True, {})}
+        assert rows["t_opt_formula_vs_numeric"].passed is passed
 
     @pytest.mark.parametrize("quick, n_modes", [(True, 501), (False, 2001)])
     def test_horizon_is_that_of_the_multimode_checks_bath(self, quick, n_modes):
