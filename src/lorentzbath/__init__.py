@@ -26,8 +26,7 @@ _EXPORTS = {
     "lindblad": "LindbladTrajectory integrate rhs",
     "model": "DensityMatrix3 ModelParams PureAmplitudes params_from_physical "
              "pure_to_density tau_from_time",
-    "multimode": "DiscretizedBath MultimodeState MultimodeTrajectory collective_amplitude "
-                 "evolve sample_bath",
+    "multimode": "DiscretizedBath MultimodeTrajectory collective_amplitude evolve sample_bath",
     "sideband": "SidebandConfig bessel_jn effective_coupling solve_amplitude",
     "sweep": "CheckResult CmaxCurve SweepGrid SweepResult VerificationReport cmax_curve "
              "heatmap verify",

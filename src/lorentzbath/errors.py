@@ -47,16 +47,35 @@ class TargetNotReachable(ValueError):
         return type(self), (self.args[0], self.max_xi), self.__dict__
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _number(value) -> float:
+    """``float(value)`` for a number; text and ``bool``, which ``float`` would take, raise."""
+    if isinstance(value, (*_TEXT, bool)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _finite(value) -> float:
+    """``_number(value)`` if that is finite, else NaN, which fails every comparison."""
+    try:
+        x = _number(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
+        return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
 def _positive(name: str, value) -> None:
-    """The rate guard: ``value`` is finite and above zero."""
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive, got {value}")
+    """The rate guard: ``value`` is a finite number above zero."""
+    if not _finite(value) > 0:
+        raise DomainError(f"{name} must be positive, got {value!r:.200}")
 
 
 def _non_negative(name: str, value) -> None:
-    """The amplitude guard: ``value`` is finite and not below zero."""
-    if not (value >= 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be non-negative, got {value}")
+    """The amplitude guard: ``value`` is a finite number not below zero."""
+    if not _finite(value) >= 0:
+        raise DomainError(f"{name} must be non-negative, got {value!r:.200}")
 
 
 def _order(name: str, n, top: int) -> None:
@@ -65,22 +84,12 @@ def _order(name: str, n, top: int) -> None:
         raise DomainError(f"{name} must be an integer in [0, {top}], got {n!r}")
 
 
-_TEXT = (str, bytes, bytearray)
-
-
-def _number(value) -> float:
-    """``float(value)`` for a number; text, which ``float`` would parse, raises."""
-    if isinstance(value, _TEXT):
-        raise TypeError(f"{value!r} is text, not a number")
-    return float(value)
-
-
 def _grid(values, what: str) -> tuple:
     """A finite, non-empty, strictly increasing 1-d sequence of numbers as a tuple of floats."""
     try:
         flat = getattr(values, "ndim", 1) == 1 and not isinstance(values, _TEXT)
-        grid = tuple(map(_number, values)) if flat else ()
-    except (TypeError, ValueError):
+        grid = tuple(map(_finite, values)) if flat else ()
+    except TypeError:  # not iterable
         grid = ()
     if not grid or not all(map(math.isfinite, grid)):
         raise DomainError(f"{what} must be a finite non-empty 1-d array, got {values!r:.200}")

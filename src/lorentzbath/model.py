@@ -20,7 +20,7 @@ from itertools import chain
 from math import copysign, sqrt
 from operator import add, sub
 
-from .errors import MAX_XI, InvariantError, _positive, _sample_times, _xi_values
+from .errors import MAX_XI, InvariantError, _finite, _positive, _sample_times, _xi_values
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -49,7 +49,7 @@ def params_from_physical(kappa: float, lambda0: float) -> ModelParams:
 def tau_from_time(t: float, kappa: float) -> float:
     """Rescale a physical time by kappa/4."""
     _positive("kappa", kappa)
-    return _sample_times([kappa * t / 4.0])[0]
+    return _sample_times([kappa * _finite(t) / 4.0])[0]
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,16 @@ kappa/4, so the Lorentzian has half-width 2 and total coupling strength xi.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sideband
-from .errors import DomainError, _sample_times
+from .errors import DomainError, IntegrationError, _finite, _sample_times
 from .model import ModelParams
 
-NORM_BUDGET = 1e-9          # state-type invariant
+NORM_BUDGET = 1e-9          # final-state norm budget
 _SYMMETRY_TOL = 1e-9
 
 
@@ -120,13 +121,17 @@ def sample_bath(params: ModelParams, n_modes: int, window: float) -> Discretized
     xi^2 * (2/pi) * arctan(2*window), which is checked here against the
     analytic tail bound.
     """
-    if n_modes < 2:
-        raise DomainError(f"sample_bath needs n_modes >= 2, got {n_modes}")
-    reach = 4.0 * float(window)  # the largest detuning, which _lorentzian squares
+    try:
+        count = operator.index(n_modes)  # numpy integers pass, floats do not
+    except TypeError:
+        count = 0
+    if count < 2:
+        raise DomainError(f"sample_bath needs an integer n_modes >= 2, got {n_modes!r}")
+    reach = 4.0 * _finite(window)  # the largest detuning, which _lorentzian squares
     if not (reach > 0.0 and reach * reach < np.inf):
         raise DomainError(f"window must be positive with (4*window)^2 finite, got {window}")
     xi = params.xi
-    delta = np.linspace(-reach, reach, n_modes)
+    delta = np.linspace(-reach, reach, count)
     h = delta[1] - delta[0]
     g = xi * np.sqrt(_lorentzian(delta) * h)
     bath = DiscretizedBath(detunings=delta, couplings=g)
@@ -141,39 +146,16 @@ def sample_bath(params: ModelParams, n_modes: int, window: float) -> Discretized
 
 
 @dataclass(frozen=True)
-class MultimodeState:
-    """Single-excitation amplitudes: qubit c_e plus one c_k per mode."""
-
-    c_e: complex
-    c_k: np.ndarray
-
-    def __post_init__(self):
-        ck = np.asarray(self.c_k, dtype=complex)
-        object.__setattr__(self, "c_k", ck)
-        if ck.ndim != 1 or len(ck) < 1:
-            raise DomainError("c_k must be a 1-d array with at least one mode")
-        if not (np.isfinite(ck).all() and np.isfinite(self.c_e)):
-            raise DomainError("amplitudes must be finite")
-        if abs(self.norm_sq - 1.0) > NORM_BUDGET:
-            raise DomainError(f"norm {self.norm_sq} departs from 1 beyond {NORM_BUDGET}")
-        ck.flags.writeable = False
-
-    @property
-    def norm_sq(self) -> float:
-        return float(abs(self.c_e) ** 2 + np.vdot(self.c_k, self.c_k).real)
-
-
-@dataclass(frozen=True)
 class MultimodeTrajectory:
-    """Sampled evolution: qubit amplitude per sample time.
+    """Sampled evolution: qubit amplitude c_e per sample time.
 
-    Mode amplitudes are kept for the final state only; N complex numbers per
-    sample add up fast at N in the thousands.
+    Only the last sample's modes are kept, as the read-only array c_k; N
+    complex numbers per sample add up fast at N in the thousands.
     """
 
     taus: np.ndarray
     c_e: np.ndarray
-    final: MultimodeState
+    c_k: np.ndarray
     solver: dict  # deterministic counters: terms, spectral_radius, norm_defect
 
     @property
@@ -197,8 +179,9 @@ def evolve(bath: DiscretizedBath, taus) -> MultimodeTrajectory:
     w_n = (-1)^ceil(n/2) (2 - [n=0]).  One three-term recurrence on real
     vectors, O(N) per term, yields the moments mu_n = <e|T_n(H/rho)|e> behind
     every c_e(tau) and the final mode amplitudes; about rho*tau + 40 terms
-    reach machine precision.  No eigenvectors are formed.  The final state
-    must keep its norm to NORM_BUDGET.
+    reach machine precision.  No eigenvectors are formed.  A final state that
+    departs from norm 1 by more than NORM_BUDGET, or is not finite, raises
+    ``IntegrationError`` naming the last tau.
     """
     samples = np.array(_sample_times(taus))
     if samples[-1] > bath.recurrence_horizon:
@@ -226,13 +209,18 @@ def evolve(bath: DiscretizedBath, taus) -> MultimodeTrajectory:
     coef = np.zeros((terms, 2))  # even orders feed Re c_e, odd orders Im c_e
     coef[np.arange(terms), np.arange(terms) % 2] = w * mu
     c_e = _miller_sums(x, coef) @ [1.0, 1j]
-    final = MultimodeState(c_e=complex(c_e[-1]), c_k=parts[0] + 1j * parts[1])
-    stats = {"terms": terms, "spectral_radius": rho, "norm_defect": abs(final.norm_sq - 1.0)}
-    return MultimodeTrajectory(samples, c_e, final, stats)
+    c_k = parts[0] + 1j * parts[1]
+    defect = abs(abs(c_e[-1]) ** 2 + np.vdot(c_k, c_k).real - 1.0)
+    if not defect <= NORM_BUDGET:  # NaN fails too
+        raise IntegrationError(f"norm departs from 1 by {defect}, beyond {NORM_BUDGET}, "
+                               f"at tau={samples[-1]}")
+    c_k.flags.writeable = False
+    stats = {"terms": terms, "spectral_radius": rho, "norm_defect": float(defect)}
+    return MultimodeTrajectory(samples, c_e, c_k, stats)
 
 
-def collective_amplitude(bath: DiscretizedBath, state: MultimodeState) -> complex:
-    """Projection of the reservoir state onto the coupling-weighted mode.
+def collective_amplitude(bath: DiscretizedBath, c_k: np.ndarray) -> complex:
+    """Projection of the mode amplitudes c_k onto the coupling-weighted mode.
 
     The normalized superposition sum(g_k |1_k>) / sqrt(sum g_k^2) is the
     discrete stand-in for the lossy mode of the equivalent damped picture, so
@@ -240,8 +228,6 @@ def collective_amplitude(bath: DiscretizedBath, state: MultimodeState) -> comple
     from a multimode run; the remaining reservoir weight plays the role of
     the already-emitted radiation.
     """
-    if len(state.c_k) != bath.n_modes:
-        raise DomainError(
-            f"state has {len(state.c_k)} modes but the bath has {bath.n_modes}"
-        )
-    return complex(np.dot(bath.couplings, state.c_k) / np.sqrt(bath.coupling_mass))
+    if len(c_k) != bath.n_modes:
+        raise DomainError(f"c_k has {len(c_k)} modes but the bath has {bath.n_modes}")
+    return complex(np.dot(bath.couplings, c_k) / np.sqrt(bath.coupling_mass))

@@ -361,7 +361,9 @@ def _check_multimode(quick: bool, metadata: dict):
             f"|c_e|^2 vs analytic, xi=2, N={n_modes}, W={DEFAULT_WINDOW}, tau<=3 "
             f"(horizon {bath.recurrence_horizon:.2f})",
         ),
-        CheckResult("multimode_norm_conservation", 1e-9, drift, "|norm-1| of the final state"),
+        CheckResult(
+            "multimode_norm_conservation", _mm.NORM_BUDGET, drift, "|norm-1| of the final state"
+        ),
         CheckResult(
             "multimode_correlation_kernel", 1e-2, kern_err,
             "discrete bath kernel vs xi^2 exp(-2 tau), error relative to xi^2",

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lorentzbath import SCHEMA_VERSION, __version__
+from lorentzbath import SCHEMA_VERSION, __version__, sideband
 from lorentzbath.cli import _emit, main
 from lorentzbath.sideband import _miller_start
 from lorentzbath.sweep import WORKERS_ENV
@@ -161,6 +161,17 @@ class TestEvolve:
         )
         assert code == 2
 
+    def test_multimode_norm_failure_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # a start order below rho*tau truncates the expansion: an oracle
+        # blow-up, exit 1, not a usage error
+        monkeypatch.setattr(sideband, "_miller_start", lambda n, x: 2 * (int(x) // 4) + 2)
+        target = tmp_path / "out.csv"
+        code = main(["evolve", "--xi", "1", "--method", "multimode", "--n-modes", "51",
+                     "--window", "5", "--tau-max", "1", "--steps", "401", "--out", str(target)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: norm ")
+        assert not target.exists()
+
     def test_multimode_solver_counters_in_metadata(self, capsys):
         argv = ["evolve", "--xi", "2.0", "--method", "multimode", "--n-modes", "201",
                 "--window", "10.0", "--tau-max", "2.0", "--steps", "21", "--format", "json"]
@@ -169,7 +180,7 @@ class TestEvolve:
             assert main(argv) == 0
             docs.append(json.loads(capsys.readouterr().out))
         solver = docs[0]["metadata"]["solver"]
-        assert set(solver) == {"terms", "spectral_radius", "norm_defect"}
+        assert list(solver) == ["terms", "spectral_radius", "norm_defect"]
         # rho = 40 + sqrt(coupling mass), the mass at most xi^2 = 4, and one
         # term per order up to the recurrence start at rho * tau_max
         assert 40.0 < solver["spectral_radius"] <= 42.0 + 1e-9

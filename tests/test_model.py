@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lorentzbath import analytic, lindblad, multimode, sweep
 from lorentzbath.errors import DomainError, InvariantError
+from lorentzbath.sideband import SidebandConfig
 from lorentzbath.model import (
     MAX_XI,
     DensityMatrix3,
@@ -142,6 +143,29 @@ class TestGuardedEntryPoints:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="sample times"):
                 call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: params_from_physical("2", 1.0),
+            lambda: tau_from_time(1.0, "2"),
+            lambda: SidebandConfig(g=2.0, epsilon="1", nu=1.0, n=1),
+            lambda: params_from_physical(2, True),
+            lambda: ModelParams(xi=True),
+            lambda: params_from_physical(10**400, 1.0),
+            lambda: ModelParams(xi=10**400),
+            lambda: tau_from_time("1", 2.0),
+            lambda: tau_from_time(True, 2.0),
+            lambda: multimode.sample_bath(ModelParams(xi=2.0), 201, "40"),
+            lambda: multimode.sample_bath(ModelParams(xi=2.0), 201, True),
+        ],
+        ids=["text-rate", "text-kappa", "text-epsilon", "bool-rate", "bool-xi",
+             "huge-int-rate", "huge-int-xi", "text-time", "bool-time", "text-window",
+             "bool-window"],
+    )
+    def test_text_bool_and_huge_ints_are_not_numbers(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_samples_cannot_land_in_the_generator(self):
         # rhs_fn is keyword-only, so a horizon given ahead of the samples

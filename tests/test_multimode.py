@@ -7,11 +7,10 @@ import pytest
 
 from lorentzbath import sideband
 from lorentzbath.analytic import _amplitude_arrays
-from lorentzbath.errors import DomainError
+from lorentzbath.errors import DomainError, IntegrationError
 from lorentzbath.model import ModelParams
 from lorentzbath.multimode import (
     DiscretizedBath,
-    MultimodeState,
     MultimodeTrajectory,
     _lorentzian,
     collective_amplitude,
@@ -105,27 +104,21 @@ class TestSampleBath:
         expect = xi * xi * (2.0 / np.pi) * math.atan(2.0 * window)
         assert bath.coupling_mass == pytest.approx(expect, rel=1e-4)
 
+    @pytest.mark.parametrize("n_modes", [2.5, 201.0, "201", 1, True])
+    def test_n_modes_must_be_an_integer_of_at_least_two(self, n_modes):
+        with pytest.raises(DomainError, match="integer n_modes >= 2"):
+            sample_bath(ModelParams(xi=2.0), n_modes, 40.0)
+
+    def test_numpy_integer_mode_count(self):
+        bath = sample_bath(ModelParams(xi=2.0), np.int64(201), 40.0)
+        ref = sample_bath(ModelParams(xi=2.0), 201, 40.0)
+        assert bath.n_modes == 201
+        assert np.array_equal(bath.couplings, ref.couplings)
+        assert np.array_equal(bath.detunings, ref.detunings)
+
     def test_too_coarse_grid_is_rejected(self):
         with pytest.raises(DomainError):
             sample_bath(ModelParams(xi=1.0), n_modes=2, window=100.0)
-
-
-class TestMultimodeState:
-    def test_norm_enforced(self):
-        with pytest.raises(DomainError):
-            MultimodeState(c_e=1.0, c_k=np.array([0.1 + 0.0j]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            MultimodeState(c_e=np.nan, c_k=np.array([0.0j]))
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(DomainError):
-            MultimodeState(c_e=1.0, c_k=np.zeros((2, 2), dtype=complex))
-
-    def test_norm_property(self):
-        s = MultimodeState(c_e=0.6, c_k=np.array([0.8j]))
-        assert s.norm_sq == pytest.approx(1.0, abs=1e-15)
 
 
 class TestEvolve:
@@ -158,7 +151,9 @@ class TestEvolve:
         bath = sample_bath(ModelParams(xi=2.0), n_modes=501, window=40.0)
         traj = evolve(bath, np.linspace(0.0, 3.0, 31))
         assert traj.solver["norm_defect"] < 1e-9
-        assert traj.solver["norm_defect"] == abs(traj.final.norm_sq - 1.0)
+        norm_sq = abs(traj.c_e[-1]) ** 2 + np.vdot(traj.c_k, traj.c_k).real
+        assert traj.solver["norm_defect"] == abs(norm_sq - 1.0)
+        assert not traj.c_k.flags.writeable
 
     def test_rejects_samples_past_the_recurrence_horizon(self):
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
@@ -185,8 +180,16 @@ class TestEvolve:
         # a start order below rho*tau cuts the series where its terms are
         # still of order one; the final norm check must catch it
         monkeypatch.setattr(sideband, "_miller_start", lambda n, x: 2 * (int(x) // 4) + 2)
-        with pytest.raises(DomainError, match="norm"):
-            bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
+        bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
+        with pytest.raises(IntegrationError, match=r"^norm .* at tau=1\.0$"):
+            evolve(bath, np.linspace(0.0, 1.0, 401))
+
+    def test_non_finite_weights_raise(self, monkeypatch):
+        # NaN mode amplitudes give a NaN defect, which no comparison passes
+        miller = sideband._miller
+        monkeypatch.setattr(sideband, "_miller", lambda n, x: [math.nan] * len(miller(n, x)))
+        bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
+        with pytest.raises(IntegrationError, match=r"^norm .* at tau=1\.0$"):
             evolve(bath, np.linspace(0.0, 1.0, 401))
 
     @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-8])
@@ -246,9 +249,9 @@ class TestDenseReference:
         runs = [evolve(bath, taus[: i + 1]) for i in range(len(taus))]
         for i, traj in enumerate(runs):
             assert np.abs(traj.c_e - ref[: i + 1, 0]).max() < 1e-12
-            assert np.abs(traj.final.c_k - ref[i, 1:]).max() < 1e-12
-            assert traj.final.c_k[7] == 0.0  # the uncoupled mode
-        assert runs[0].c_e[0] == 1.0 and not runs[0].final.c_k.any()  # tau = 0, exactly
+            assert np.abs(traj.c_k - ref[i, 1:]).max() < 1e-12
+            assert traj.c_k[7] == 0.0  # the uncoupled mode
+        assert runs[0].c_e[0] == 1.0 and not runs[0].c_k.any()  # tau = 0, exactly
 
     def test_weak_mode_on_a_degenerate_detuning(self):
         # the weak middle mode sits on an eigenvalue of the outer pair, where
@@ -260,13 +263,13 @@ class TestDenseReference:
         ref = _dense_propagation(bath, taus)
         assert traj.solver["norm_defect"] <= 1e-9
         assert np.abs(traj.c_e - ref[:, 0]).max() < 1e-12
-        assert np.abs(traj.final.c_k - ref[-1, 1:]).max() < 1e-12
+        assert np.abs(traj.c_k - ref[-1, 1:]).max() < 1e-12
 
 
 class TestConcurrence:
     def test_extremes(self):
         # c_e = 1 is unentangled; c_e = 1/sqrt 2 shares the excitation evenly
-        half = MultimodeState(c_e=2.0**-0.5, c_k=np.array([2.0**-0.5 + 0.0j]))
+        half = np.array([2.0**-0.5 + 0.0j])
         traj = MultimodeTrajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0**-0.5]), half, {})
         assert traj.concurrences[0] == 0.0
         assert traj.concurrences[1] == pytest.approx(1.0, abs=1e-15)
@@ -274,7 +277,7 @@ class TestConcurrence:
     def test_collective_amplitude_rejects_mode_mismatch(self):
         bath = sample_bath(ModelParams(xi=1.0), n_modes=51, window=5.0)
         with pytest.raises(DomainError):
-            collective_amplitude(bath, MultimodeState(c_e=1.0, c_k=np.zeros(3, complex)))
+            collective_amplitude(bath, np.zeros(3, complex))
 
     def test_extractable_reconstruction_at_the_optimum(self):
         # the closed picture keeps all of the entanglement, so its own
@@ -283,7 +286,7 @@ class TestConcurrence:
         xi, topt = 2.0, 0.38050733439596325
         bath = sample_bath(ModelParams(xi=xi), n_modes=4001, window=60.0)
         traj = evolve(bath, np.array([0.0, topt]))
-        cpm = collective_amplitude(bath, traj.final)
-        rec = 2.0 * abs(traj.final.c_e) * abs(cpm)
+        cpm = collective_amplitude(bath, traj.c_k)
+        rec = 2.0 * abs(traj.c_e[-1]) * abs(cpm)
         assert rec == pytest.approx(0.75593276364720863, abs=2e-2)
         assert traj.concurrences[-1] > rec

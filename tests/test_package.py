@@ -21,8 +21,8 @@ EXPORTS = {
     "lindblad": ("LindbladTrajectory", "integrate", "rhs"),
     "model": ("DensityMatrix3", "ModelParams", "PureAmplitudes", "params_from_physical",
               "pure_to_density", "tau_from_time"),
-    "multimode": ("DiscretizedBath", "MultimodeState", "MultimodeTrajectory",
-                  "collective_amplitude", "evolve", "sample_bath"),
+    "multimode": ("DiscretizedBath", "MultimodeTrajectory", "collective_amplitude", "evolve",
+                  "sample_bath"),
     "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling", "solve_amplitude"),
     "sweep": ("CheckResult", "CmaxCurve", "SweepGrid", "SweepResult", "VerificationReport",
               "cmax_curve", "heatmap", "verify"),
@@ -54,7 +54,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 44
+    assert out["star"] == NAMES and len(NAMES) == 43
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"
