@@ -30,10 +30,9 @@ Everything here is scalar ``math``, one branch of xi at a time: no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import cos, exp, expm1, sin
 
-from .errors import DomainError, _sample_times
+from .errors import DomainError, _Record, _sample_times
 from .model import ModelParams, PureAmplitudes
 
 
@@ -107,8 +106,7 @@ def t_opt_formula(params: ModelParams) -> float:
     return _t_opt(float(params.xi))
 
 
-@dataclass(frozen=True)
-class OptimumRecord:
+class OptimumRecord(_Record):
     """Location and value of the concurrence maximum for one xi."""
 
     xi: float

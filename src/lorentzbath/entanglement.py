@@ -11,11 +11,9 @@ over the leading axes; for one state a concurrence is a ``float``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import EigensolverError, FormError
+from .errors import EigensolverError, FormError, _Record
 from .model import DensityMatrix3, _freeze_density
 
 X_FORM_TOL = 1e-8
@@ -24,11 +22,10 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-@dataclass(frozen=True)
-class TwoQubitDensity:
+class TwoQubitDensity(_Record, hide=("matrix",)):
     """Validated 4x4 density matrix, or stack of them, on (|e,1>, |e,0>, |g,1>, |g,0>)."""
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray
 
     def __post_init__(self):
         _freeze_density(self, 4)

@@ -2,7 +2,7 @@
 the rate, non-negative and order guards, the coupling guard behind
 ``ModelParams`` and every xi grid, and the time-grid guard behind every oracle
 and tau grid.  The grid guards return tuples; an oracle makes one an array
-where it needs it.
+where it needs it.  ``_Record`` is the base of every record type.
 """
 import math
 from operator import lt
@@ -45,6 +45,55 @@ class TargetNotReachable(ValueError):
         # the default rebuilds from self.args alone, which lacks max_xi; the
         # state dict carries max_xi and any notes across a process pool
         return type(self), (self.args[0], self.max_xi), self.__dict__
+
+
+class _Record:
+    """Base of the frozen records.  A subclass's own annotations, in order, name
+    its fields (``__match_args__``), and a class attribute of a field's name is
+    its default.  ``__init__`` binds its arguments as a function of the fields
+    would, then runs ``self.__post_init__()``, where only ``object.__setattr__``
+    can still set an attribute.  Instances compare and hash by their fields;
+    the class keyword ``hide`` leaves fields out of the repr."""
+
+    def __init_subclass__(cls, hide=()):
+        super().__init_subclass__()
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        cls._shown = tuple(n for n in names if n not in hide)
+
+    def __init__(self, *args, **kwargs):
+        names, rest = self.__match_args__, self.__match_args__[len(args):]
+        if len(args) > len(names) or kwargs.keys() - set(rest):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {names}, got "
+                            f"{len(args)} positional and the keywords {tuple(kwargs)}")
+        try:
+            args += tuple(kwargs[n] if n in kwargs else self._defaults[n] for n in rest)
+        except KeyError as e:
+            raise TypeError(f"{type(self).__qualname__} missing the field {e}") from None
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
 
 
 _TEXT = (str, bytes, bytearray)

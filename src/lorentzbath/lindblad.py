@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from cmath import isfinite
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
 
-from .errors import DomainError, IntegrationError, InvariantError, _sample_times
+from .errors import DomainError, IntegrationError, InvariantError, _Record, _sample_times
 from .model import DensityMatrix3, ModelParams, validate_density
 
 KAPPA_RESCALED = 4.0
@@ -57,8 +56,7 @@ def rhs(rho, params: ModelParams) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class LindbladTrajectory:
+class LindbladTrajectory(_Record):
     """The samples ``taus`` and, in ``rho``, one validated state per sample,
     each a tuple of three row tuples of complex; the populations, coherences
     and concurrences are tuples of one value per sample."""

@@ -14,13 +14,12 @@ load numpy, when one is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from math import copysign, sqrt
 from operator import add, sub
 
-from .errors import MAX_XI, InvariantError, _finite, _positive, _sample_times, _xi_values
+from .errors import MAX_XI, InvariantError, _finite, _positive, _Record, _sample_times, _xi_values
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -29,8 +28,7 @@ NORM_TOL = 1e-12
 _JACOBI_SWEEPS = 50  # cyclic Jacobi converges quadratically; a bound, not a setting
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """The dimensionless coupling ratio xi = 4*lambda0/kappa, the model's one input."""
 
     xi: float
@@ -52,8 +50,7 @@ def tau_from_time(t: float, kappa: float) -> float:
     return _sample_times([kappa * _finite(t) / 4.0])[0]
 
 
-@dataclass(frozen=True)
-class PureAmplitudes:
+class PureAmplitudes(_Record):
     """No-jump amplitudes on {|e,0>, |g,1>}; the weight 1-<psi|psi> sits in |g,0>."""
 
     c_e0: complex
@@ -197,13 +194,12 @@ def _freeze_density(state, d: int):
     return low[0] if m.ndim == 2 else np.reshape(low, m.shape[:-2])
 
 
-@dataclass(frozen=True)
-class DensityMatrix3:
+class DensityMatrix3(_Record, hide=("matrix",)):
     """Validated density matrix, or ``(..., 3, 3)`` stack of them, on the basis
-    (|e,0>, |g,1>, |g,0>); each property has the stack's leading shape."""
+    (|e,0>, |g,1>, |g,0>); each property has the stack's leading shape.  The
+    attribute ``min_eigenvalue``, found by validation, is not a field."""
 
-    matrix: object = field(repr=False)  # a numpy array
-    min_eigenvalue: float = field(init=False, repr=False, compare=False)  # found by validation
+    matrix: object  # a numpy array
 
     def __post_init__(self):
         object.__setattr__(self, "min_eigenvalue", _freeze_density(self, 3))

@@ -15,12 +15,11 @@ kappa/4, so the Lorentzian has half-width 2 and total coupling strength xi.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import sideband
-from .errors import DomainError, IntegrationError, _finite, _sample_times
+from .errors import DomainError, IntegrationError, _finite, _Record, _sample_times
 from .model import ModelParams
 
 NORM_BUDGET = 1e-9          # final-state norm budget
@@ -60,8 +59,7 @@ def _miller_sums(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return (acc[:-1] / acc[-1]).T
 
 
-@dataclass(frozen=True)
-class DiscretizedBath:
+class DiscretizedBath(_Record):
     """A finite stand-in for the continuum: detunings and couplings per mode.
 
     The mode count is the length of the arrays.  Hand-built baths with a
@@ -145,8 +143,7 @@ def sample_bath(params: ModelParams, n_modes: int, window: float) -> Discretized
     return bath
 
 
-@dataclass(frozen=True)
-class MultimodeTrajectory:
+class MultimodeTrajectory(_Record):
     """Sampled evolution: qubit amplitude c_e per sample time.
 
     Only the last sample's modes are kept, as the read-only array c_k; N

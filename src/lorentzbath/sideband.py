@@ -14,9 +14,8 @@ Everything here is scalar Python: the module loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, TargetNotReachable, _non_negative, _order, _positive
+from .errors import DomainError, TargetNotReachable, _non_negative, _order, _positive, _Record
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 700.0
@@ -60,8 +59,7 @@ def bessel_jn(n: int, mu: float) -> float:
     return sign * _miller(n, abs(mu))[n]
 
 
-@dataclass(frozen=True)
-class SidebandConfig:
+class SidebandConfig(_Record):
     """Drive settings for one sideband, n=0 the carrier.  The drive frequency
     is given once, as nu; the bare frequencies it puts on resonance are not inputs."""
 
@@ -83,11 +81,13 @@ def effective_coupling(cfg: SidebandConfig) -> float:
 
 
 def _bisect(below, lo: float, hi: float) -> float:
-    """Midpoint of [lo, hi] shrunk below width 1e-12 around where ``below`` turns false."""
-    for _ in range(200):
+    """Midpoint of [lo, hi] shrunk below width 1e-12*min(1, hi) around where
+    ``below`` turns false.  The width is relative for a root below 1, so a
+    weak target keeps its digits; 1100 halvings reach it from any double."""
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
-        if hi - lo < 1e-12:
+        if hi - lo < 1e-12 * min(1.0, hi):
             break
     return 0.5 * (lo + hi)
 

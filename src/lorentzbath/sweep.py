@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
 
@@ -24,7 +23,7 @@ from . import analytic, entanglement, sideband
 from . import lindblad as _lb
 from . import multimode as _mm
 from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, __version__
-from .errors import DomainError, _sample_times, _xi_values
+from .errors import DomainError, _Record, _sample_times, _xi_values
 from .model import ModelParams, _pure_density
 
 
@@ -47,8 +46,7 @@ def _check_method(method: str) -> None:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(_Record):
     """A xi by tau evaluation grid, two tuples of floats, with the method that fills it."""
 
     xi_values: tuple
@@ -63,8 +61,7 @@ class SweepGrid:
         object.__setattr__(self, "tau_values", _sample_times(self.tau_values))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """The concurrence at every grid point, a tuple of floats in xi-major
     order, plus run metadata; :func:`evaluate` gives a row's populations."""
 
@@ -210,8 +207,7 @@ def _axis_spec(values, spacing: str) -> dict:
 CMAX_COLUMNS = ("xi", "tau_opt", "c_max", "dcmax_dxi", "source")
 
 
-@dataclass(frozen=True)
-class CmaxCurve:
+class CmaxCurve(_Record):
     """C_max(xi) as tuples of floats: the closed-form optimum ``tau_opt``,
     ``c_max`` there and its exact derivative ``analytic._dcmax_dxi``.
 
@@ -255,8 +251,7 @@ def cmax_curve(xi_values, spacing: str = "custom") -> CmaxCurve:
 # verification battery
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One verify row.  It passes when ``measured <= budget``, or, for a
     ``floor`` row, when ``measured >= budget``; NaN passes neither."""
 
@@ -271,8 +266,7 @@ class CheckResult:
         return self.budget <= self.measured if self.floor else self.measured <= self.budget
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     checks: tuple
     metadata: dict
 
@@ -396,8 +390,8 @@ def _check_analytic(quick: bool, metadata: dict):
         CheckResult(
             "t_opt_formula_vs_numeric", 1e-11, worst,
             f"stationary-point formula against bisection on the sign of the exact dC/dtau "
-            f"over [0, pi/(2w)], stopped below width 1e-12 (error < 5e-13 plus rounding), "
-            f"xi={xis}",
+            f"over [0, pi/(2w)], stopped below width 1e-12*min(1, tau) (error < 5e-13 plus "
+            f"rounding), xi={xis}",
         ),
         CheckResult("analytic_golden_points", 1e-9, golden, "frozen c_max / tau_opt at xi=1 and 2"),
     ]

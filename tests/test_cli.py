@@ -448,8 +448,11 @@ class TestConfigFile:
         assert all(key in err for key in keys)
 
 
-# imported only where a command needs them: masked arrays, random draws, process pools
-COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures")
+# imported only where a command needs them: masked arrays, random draws, process pools;
+# no command needs dataclasses
+COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures", "dataclasses")
+# numpy imports inspect, so a command that leaves numpy unloaded leaves inspect too
+NUMPY_FREE_COLD = ("numpy", "inspect", *COLD_MODULES)
 # package modules the closed-form commands never run
 ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband")
 # the Lindblad oracle is scalar Python too: lists, math and cmath
@@ -516,19 +519,20 @@ class TestProcessLevel:
 
     @pytest.mark.parametrize("argv, unused, never_run", [
         (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
-          "--tau-max", "1", "--steps", "11"), ("numpy.ma",), ("lindblad", "entanglement")),
-        (("verify", "--quick"), ("numpy.ma",), ()),
-        *((argv, ("numpy", *COLD_MODULES), ANALYTIC_NEVER_RUN) for argv in (
+          "--tau-max", "1", "--steps", "11"), ("numpy.ma", "dataclasses"),
+         ("lindblad", "entanglement")),
+        (("verify", "--quick"), ("numpy.ma", "dataclasses"), ()),
+        *((argv, NUMPY_FREE_COLD, ANALYTIC_NEVER_RUN) for argv in (
             ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),
             ("cmax", "--steps", "25"),
             ("evolve", "--xi", "2"),
         )),
-        *((argv, ("numpy", *COLD_MODULES), LINDBLAD_NEVER_RUN) for argv in (
+        *((argv, NUMPY_FREE_COLD, LINDBLAD_NEVER_RUN) for argv in (
             ("heatmap", "--method", "lindblad", "--xi-steps", "3", "--tau-steps", "11"),
             ("evolve", "--xi", "2", "--method", "lindblad"),
         )),
         *((("sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1", *mode),
-           ("numpy", *COLD_MODULES), SIDEBAND_NEVER_RUN)
+           NUMPY_FREE_COLD, SIDEBAND_NEVER_RUN)
           for mode in (("--target-xi", "1"), ("--epsilon", "1.5"))),
     ], ids=["evolve-multimode", "verify-quick", "heatmap", "cmax", "evolve", "heatmap-lindblad",
             "evolve-lindblad", "sideband", "sideband-forward"])

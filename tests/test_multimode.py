@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -48,7 +47,7 @@ class TestDiscretizedBath:
     def test_mode_count_is_the_array_length(self):
         bath = DiscretizedBath(np.array([-1.0, 0.0, 1.0]), np.full(3, 0.1))
         assert bath.n_modes == 3
-        assert [f.name for f in dataclasses.fields(bath)] == ["detunings", "couplings"]
+        assert DiscretizedBath.__match_args__ == ("detunings", "couplings")
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(DomainError):

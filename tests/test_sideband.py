@@ -235,6 +235,15 @@ class TestSolveAmplitude:
         back = 4.0 * g * bessel_jn(n, eps / nu) / kappa
         assert back == pytest.approx(xi, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("target", [1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-100, 1e-300])
+    def test_weak_target_round_trip_is_relative(self, n, target):
+        # the bisection stops at a width relative to mu below 1; an absolute
+        # stop at 1e-12 missed xi = 1e-9 by 5e-4 and xi = 1e-20 by 8e7 times
+        eps = solve_amplitude(g=1.0, nu=1.0, n=n, kappa=1.0, target_xi=target)
+        back = 4.0 * abs(bessel_jn(n, eps))
+        assert abs(back - target) <= n * 1e-12 * target
+
     def test_scales_with_modulation_frequency(self):
         a = solve_amplitude(g=1.0, nu=1.0, n=1, kappa=2.0, target_xi=0.7)
         b = solve_amplitude(g=1.0, nu=2.0, n=1, kappa=2.0, target_xi=0.7)
