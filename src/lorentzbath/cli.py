@@ -161,7 +161,7 @@ def _cmd_sideband(args) -> int:
     lam = sideband.effective_coupling(cfg)
     row = (
         "inverse" if inverse else "forward", args.g, args.kappa, args.nu, args.n,
-        eps, eps / args.nu, lam, args.target_xi if inverse else 4.0 * abs(lam) / args.kappa,
+        eps, eps / args.nu, lam, 4.0 * abs(lam) / args.kappa,
     )
     return _emit(args, {"command": "sideband"}, _SIDEBAND_COLUMNS, [[v] for v in row])
 
@@ -255,23 +255,23 @@ def build_parser():
     return parser, subs.choices  # subcommand name -> its parser
 
 
-def _parse_config_value(raw: str, action) -> object:
+def _parse_config_value(raw: str, action, where: str) -> object:
+    """One config value for ``action``; ``where`` (path:line) prefixes any error."""
     if isinstance(action.const, bool) or isinstance(action.default, bool):
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise DomainError(f"expected a boolean for {action.dest!r}, got {raw!r}")
+        raise DomainError(f"{where}: expected a boolean for {action.dest!r}, got {raw!r}")
     convert = action.type or str
     try:
         value = convert(raw)
     except (TypeError, ValueError):
-        raise DomainError(f"bad value {raw!r} for config key {action.dest!r}") from None
+        raise DomainError(f"{where}: bad value {raw!r} for config key {action.dest!r}") from None
     if action.choices is not None and value not in action.choices:
-        raise DomainError(
-            f"config key {action.dest!r} must be one of {sorted(action.choices)}, got {value!r}"
-        )
+        raise DomainError(f"{where}: config key {action.dest!r} must be one of "
+                          f"{sorted(action.choices)}, got {value!r}")
     return value
 
 
@@ -303,7 +303,7 @@ def load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
         dest = key.strip().replace("-", "_")
         if dest not in actions:
             raise DomainError(f"{path}:{ln}: unknown config key {key.strip()!r}")
-        overrides[dest] = _parse_config_value(val.strip(), actions[dest])
+        overrides[dest] = _parse_config_value(val.strip(), actions[dest], f"{path}:{ln}")
     for group in subparser._mutually_exclusive_groups:
         if len(clash := _chosen(group, overrides)) > 1:
             raise DomainError(f"{path}: keys {' and '.join(map(repr, clash))} exclude each other")

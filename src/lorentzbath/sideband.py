@@ -81,30 +81,29 @@ def effective_coupling(cfg: SidebandConfig) -> float:
 
 
 def _bisect(below, lo: float, hi: float) -> float:
-    """Midpoint of [lo, hi] shrunk below width 1e-12*min(1, hi) around where
-    ``below`` turns false.  The width is relative for a root below 1, so a
-    weak target keeps its digits; 1100 halvings reach it from any double."""
-    for _ in range(1100):
-        mid = 0.5 * (lo + hi)
+    """Smallest double of (lo, hi] where ``below``, true up to some point and
+    false from it on, is false: [lo, hi] halves until no double lies strictly
+    between its ends.  The midpoint cannot overflow, so any finite bracket
+    ends within ~2100 halvings; a NaN end ends it before ``below`` is called."""
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
-        if hi - lo < 1e-12 * min(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return hi
 
 
-def _first_peak(n: int) -> tuple[float, float]:
-    """Location and value of the first maximum of J_n on mu > 0 (n >= 1).
+def _climb(n: int, g: float, cap: float) -> float:
+    """Where g*J_n, climbing its first rising branch from mu = 0 (n >= 1),
+    reaches ``cap`` or its peak, whichever comes first; the first maximum of
+    J_n for an infinite cap.
 
-    The first zero of J_n' = (J_{n-1} - J_{n+1})/2 = J_{n-1} - n J_n/mu (the
-    second form needs no order above MAX_ORDER).  For every order up to
-    MAX_ORDER, n + 2 n^(1/3) lies between it and the next zero of J_n'.
-    One recurrence per bisection step gives both J_{n-1} and J_n.
+    J_n' = J_{n-1} - n J_n/mu needs no order above MAX_ORDER, so one
+    recurrence per step tests both.  For every order up to MAX_ORDER,
+    n + 2 n^(1/3) lies between the first two zeros of J_n', so over that
+    bracket the test holds exactly on (0, min(mu_cap, mu_peak)).
     """
-    def rising(mu):
+    def below(mu):
         j = _miller(n, mu)
-        return mu * j[n - 1] > n * j[n]
-    mu = _bisect(rising, 0.0, n + 2.0 * n ** (1 / 3))
-    return mu, bessel_jn(n, mu)
+        return mu * j[n - 1] > n * j[n] and g * j[n] < cap
+    return _bisect(below, 0.0, n + 2.0 * n ** (1 / 3))
 
 
 def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float) -> float:
@@ -121,15 +120,13 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
     if target_xi == 0.0:
         return 0.0
     target_lambda = target_xi * kappa / 4.0
-    mu_peak, j_peak = _first_peak(n)
-    lam_max = g * j_peak
-    if target_lambda > lam_max * (1.0 + 1e-12):
+    mu = _climb(n, g, target_lambda)
+    lam = g * bessel_jn(n, mu)
+    # the slack lets a rounded ceiling back in as a target
+    if target_lambda > lam * (1.0 + 1e-12):
         raise TargetNotReachable(
             f"target xi={target_xi} needs lambda={target_lambda}, but "
-            f"g*max J_{n} = {lam_max} caps xi at {4.0 * lam_max / kappa}",
-            max_xi=4.0 * lam_max / kappa,
+            f"g*max J_{n} = {lam} caps xi at {4.0 * lam / kappa}",
+            max_xi=4.0 * lam / kappa,
         )
-    if target_lambda >= lam_max:
-        return mu_peak * nu
-    # J_n rises monotonically from 0 to its first peak
-    return _bisect(lambda mu: g * bessel_jn(n, mu) < target_lambda, 0.0, mu_peak) * nu
+    return mu * nu

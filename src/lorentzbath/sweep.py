@@ -388,10 +388,9 @@ def _check_analytic(quick: bool, metadata: dict):
     )
     return [
         CheckResult(
-            "t_opt_formula_vs_numeric", 1e-11, worst,
-            f"stationary-point formula against bisection on the sign of the exact dC/dtau "
-            f"over [0, pi/(2w)], stopped below width 1e-12*min(1, tau) (error < 5e-13 plus "
-            f"rounding), xi={xis}",
+            "t_opt_formula_vs_numeric", 1e-14, worst,
+            f"stationary-point formula against bisection to adjacent doubles on the sign of "
+            f"the exact dC/dtau over [0, pi/(2w)], within 1e-14, xi={xis}",
         ),
         CheckResult("analytic_golden_points", 1e-9, golden, "frozen c_max / tau_opt at xi=1 and 2"),
     ]
@@ -503,8 +502,8 @@ def _check_bessel(quick: bool, metadata: dict):
         ),
         CheckResult("bessel_sum_rule", 1e-10, sumrule, "|J_0^2 + 2 sum_(k<=20) J_k^2 - 1|"),
         CheckResult(
-            "sideband_inversion_round_trip", 1e-9, round_trip,
-            "relative lambda error of the drive solved for xi = 1",
+            "sideband_inversion_round_trip", 1e-14, round_trip,
+            "relative lambda error of the drive solved for xi = 1, within 1e-14",
         ),
     ]
 

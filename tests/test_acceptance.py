@@ -30,8 +30,10 @@ from _oracles import golden_section_max
 from _oracles import series_jn
 
 XI_SET = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-N_STUDY = (501, 1001, 2001, 4001)
 STUDY_WINDOW = 60.0
+# refinement study: the window grows with the mode count, N = 16 W + 1
+W_STUDY = (10.0, 20.0, 40.0, 80.0, 160.0)
+N_STUDY = tuple(int(16 * w) + 1 for w in W_STUDY)
 
 
 def _line(criterion: str, measured, budget, extra: str = ""):
@@ -52,8 +54,8 @@ def lindblad_runs():
 def multimode_runs():
     taus = np.linspace(0.0, 3.0, 301)
     runs = {}
-    for n in N_STUDY:
-        bath = mm.sample_bath(ModelParams(xi=2.0), n_modes=n, window=STUDY_WINDOW)
+    for n, w in [(4001, STUDY_WINDOW), *zip(N_STUDY, W_STUDY)]:
+        bath = mm.sample_bath(ModelParams(xi=2.0), n_modes=n, window=w)
         runs[n] = mm.evolve(bath, taus)
     return taus, runs
 
@@ -85,25 +87,18 @@ def test_02_continuum_equivalence_headline(multimode_runs):
     assert dev < 5e-3
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason=(
-        "the discretization error bottoms out on a finite-window truncation "
-        "floor around 4e-7 before N reaches 4001, so the last refinements sit "
-        "on a flat plateau instead of strictly decreasing; widening the "
-        "window moves the floor down and restores the trend"
-    ),
-)
 def test_02_continuum_error_decreases_with_n(multimode_runs):
+    # at a fixed window the error stops on a floor the window sets (~2e-7 at
+    # W = 60), so the window is refined with the mode count
     taus, runs = multimode_runs
     ce, _ = analytic._amplitude_arrays(2.0, taus)
     errs = [float(np.abs(runs[n].p_e - np.abs(ce) ** 2).max()) for n in N_STUDY]
     _line(
         "criterion 02: refinement study",
         "[" + ", ".join(f"{e:.3e}" for e in errs) + "]",
-        "strictly decreasing over N in " + str(N_STUDY),
+        f"falling at least 4x per step over N in {N_STUDY}, W in {W_STUDY}",
     )
-    assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+    assert all(4.0 * errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
 
 def test_03_golden_optimum_points():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lorentzbath import SCHEMA_VERSION, __version__, sideband
-from lorentzbath.cli import _emit, main
+from lorentzbath.cli import _emit, build_parser, load_config, main
 from lorentzbath.sideband import _miller_start
 from lorentzbath.sweep import WORKERS_ENV
 
@@ -356,6 +356,15 @@ class TestSideband:
         assert cells["mode"] == "inverse"
         assert float(cells["epsilon"]) == pytest.approx(1.2067184630059079, abs=1e-9)
 
+    def test_inverse_row_prints_the_reached_xi(self, capsys):
+        assert main(
+            ["sideband", "--g", "2.5", "--kappa", "5", "--nu", "1.3", "--n", "1",
+             "--target-xi", "1"]
+        ) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert float(cells["xi"]) == 4.0 * abs(float(cells["lambda"])) / float(cells["kappa"])
+
     def test_unreachable_target_is_a_numeric_failure(self, capsys):
         code = main(
             ["sideband", "--g", "1.0", "--kappa", "2.0", "--n", "1",
@@ -404,15 +413,40 @@ class TestConfigFile:
         cfg.write_text("xj = 2.0\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
 
-    def test_bad_value(self, tmp_path):
+    def test_bad_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("xi = fast\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:1: bad value" in capsys.readouterr().err
 
-    def test_choice_keys_are_checked(self, tmp_path):
+    def test_choice_keys_are_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("xi = 1.0\nmethod = wizard\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: config key 'method'" in capsys.readouterr().err
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a whole-line comment\n\n   \nxi = 2.0  # trailing\nsteps = 3\n")
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        _, _, rows = csv_sections(capsys.readouterr().out)
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("word", ["false", "off", "no", "0", "FALSE"])
+    def test_false_booleans(self, tmp_path, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"quick = {word}\n")
+        assert load_config(str(cfg), build_parser()[1]["verify"]) == {"quick": False}
+
+    @pytest.mark.parametrize("argv, text", [
+        (["verify"], "quick = maybe\n"),
+        (["evolve"], "xi 2.0\n"),
+    ], ids=["bad-boolean", "no-equals-sign"])
+    def test_bad_line_is_a_usage_error_naming_path_and_line(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# first line\n" + text)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: " in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["evolve", "--config", "/no/such/file.cfg"]) == 2

@@ -14,7 +14,8 @@ from lorentzbath.sideband import (
     MAX_ARGUMENT,
     MAX_ORDER,
     SidebandConfig,
-    _first_peak,
+    _bisect,
+    _climb,
     _miller,
     _miller_start,
     bessel_jn,
@@ -90,20 +91,20 @@ class TestBessel:
         assert abs(bessel_jn(n, x)) <= 1.0 + 1e-15
 
     def test_first_peak_of_j1(self):
-        mu, val = _first_peak(1)
+        mu = _climb(1, 1.0, math.inf)
         assert mu == pytest.approx(J1_PEAK_MU, abs=1e-6)
-        assert val == pytest.approx(J1_PEAK_VALUE, abs=1e-12)
+        assert bessel_jn(1, mu) == pytest.approx(J1_PEAK_VALUE, abs=1e-12)
 
     def test_first_peak_is_a_zero_of_the_derivative(self):
         for n in range(1, 11):
-            mu, val = _first_peak(n)
+            mu = _climb(n, 1.0, math.inf)
             assert abs(bessel_jn(n - 1, mu) - bessel_jn(n + 1, mu)) <= 1e-12
-            assert val == bessel_jn(n, mu)
 
     @pytest.mark.parametrize("n", [1, 7, MAX_ORDER])
     def test_first_peak_runs_one_recurrence_per_bisection_step(self, n, monkeypatch):
-        # J_(n-1) and J_n of one step come from one recurrence; the last
-        # call is the peak value
+        # one search finds the peak and the target: J_(n-1) and J_n of one
+        # step come from one recurrence, and the last call is the reached lambda
+        ceiling = 4.0 * bessel_jn(n, _climb(n, 1.0, math.inf))
         counts = {"steps": 0, "miller": 0}
         bisect, miller = sideband._bisect, sideband._miller
 
@@ -119,15 +120,52 @@ class TestBessel:
 
         monkeypatch.setattr(sideband, "_bisect", counted_bisect)
         monkeypatch.setattr(sideband, "_miller", counted_miller)
-        _first_peak(n)
-        assert counts["steps"] > 30
-        assert counts["miller"] == counts["steps"] + 1
+        for fraction in (0.2, 0.5, 0.9):
+            counts.update(steps=0, miller=0)
+            solve_amplitude(g=1.0, nu=1.0, n=n, kappa=1.0, target_xi=fraction * ceiling)
+            assert counts["steps"] > 30
+            assert counts["miller"] == counts["steps"] + 1
+            assert counts["miller"] <= 60
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 33, MAX_ORDER])
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
     def test_first_peak_against_mpmath(self, n):
         # the bracket end n + 2 n^(1/3) must lie between the first two zeros of J_n'
-        mu, _ = _first_peak(n)
-        assert mu == pytest.approx(float(mpmath.besseljzero(n, 1, derivative=1)), abs=1e-11)
+        ref = float(mpmath.besseljzero(n, 1, derivative=1))
+        assert abs(_climb(n, 1.0, math.inf) - ref) <= 2.0 * math.ulp(ref)
+
+
+class TestBisect:
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 0.3, 1.0, 2.0 / 3.0, 9.999999999999998])
+    def test_ends_are_adjacent_doubles(self, x):
+        # true below x, false from x on: the last true point is x's lower neighbour
+        true_at = []
+
+        def below(mid):
+            if mid < x:
+                true_at.append(mid)
+            return mid < x
+
+        assert _bisect(below, 0.0, 10.0) == x
+        assert max(true_at, default=0.0) == math.nextafter(x, 0.0)
+
+    @pytest.mark.parametrize("answer, end", [(True, 1.7976931348623157e308), (False, 5e-324)])
+    def test_widest_bracket_ends(self, answer, end):
+        calls = []
+
+        def below(mid):
+            calls.append(mid)
+            return answer
+
+        assert _bisect(below, 0.0, 1.7976931348623157e308) == end
+        assert len(calls) <= 2100
+        assert all(math.isfinite(mid) for mid in calls)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bracket_returns_at_once(self, lo, hi):
+        def below(mid):
+            raise AssertionError("the predicate was called on a NaN bracket")
+
+        _bisect(below, lo, hi)
 
 
 # the continuum oracle's Chebyshev propagator evaluates J_n(rho*tau) from
@@ -229,20 +267,33 @@ class TestSolveAmplitude:
     @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
     def test_round_trip(self, n, target):
         g, nu, kappa = 0.8, 2.5, 3.0
-        ceiling = 4.0 * g * _first_peak(n)[1] / kappa
+        ceiling = 4.0 * g * bessel_jn(n, _climb(n, 1.0, math.inf)) / kappa
         xi = target * ceiling
         eps = solve_amplitude(g=g, nu=nu, n=n, kappa=kappa, target_xi=xi)
         back = 4.0 * g * bessel_jn(n, eps / nu) / kappa
-        assert back == pytest.approx(xi, rel=1e-9)
+        assert back == pytest.approx(xi, rel=1e-14)
+
+    def test_random_drives_round_trip_against_mpmath(self):
+        rng = np.random.default_rng(30)
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(1, MAX_ORDER + 1))
+            g, nu, kappa = (float(v) for v in rng.uniform(0.1, 10.0, size=3))
+            ceiling = 4.0 * g * bessel_jn(n, _climb(n, 1.0, math.inf)) / kappa
+            xi = float(rng.uniform(0.01, 1.0)) * ceiling
+            eps = solve_amplitude(g=g, nu=nu, n=n, kappa=kappa, target_xi=xi)
+            back = 4.0 * g * mpmath.besselj(n, mpmath.mpf(eps) / nu) / kappa
+            worst = max(worst, float(abs(back - xi)) / xi)
+        assert worst <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("target", [1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-100, 1e-300])
     def test_weak_target_round_trip_is_relative(self, n, target):
-        # the bisection stops at a width relative to mu below 1; an absolute
-        # stop at 1e-12 missed xi = 1e-9 by 5e-4 and xi = 1e-20 by 8e7 times
+        # the bisection runs to adjacent doubles, so a weak target keeps its
+        # digits; an absolute stop at 1e-12 missed xi = 1e-9 by 5e-4
         eps = solve_amplitude(g=1.0, nu=1.0, n=n, kappa=1.0, target_xi=target)
         back = 4.0 * abs(bessel_jn(n, eps))
-        assert abs(back - target) <= n * 1e-12 * target
+        assert abs(back - target) <= 1e-14 * target
 
     def test_scales_with_modulation_frequency(self):
         a = solve_amplitude(g=1.0, nu=1.0, n=1, kappa=2.0, target_xi=0.7)
@@ -259,7 +310,7 @@ class TestSolveAmplitude:
         assert info.value.max_xi == pytest.approx(1.1637304485631927, abs=1e-9)
 
     def test_target_at_the_ceiling_returns_the_peak(self):
-        ceiling = 4.0 * 1.0 * _first_peak(1)[1] / 2.0
+        ceiling = 4.0 * 1.0 * bessel_jn(1, _climb(1, 1.0, math.inf)) / 2.0
         eps = solve_amplitude(g=1.0, nu=1.0, n=1, kappa=2.0, target_xi=ceiling)
         assert eps == pytest.approx(J1_PEAK_MU, abs=1e-6)
 
