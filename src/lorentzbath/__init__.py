@@ -2,7 +2,7 @@
 
 The closed-form no-jump amplitudes, two independent dynamical oracles (a
 pseudomode Lindblad propagator and a brute-force discretized continuum),
-the Wootters concurrence of the embedded two-qubit state, the C_max(xi)
+the Wootters concurrence of the two-qubit state, the C_max(xi)
 non-Markovianity curve, and the sideband-drive control map.
 
 ``import lorentzbath`` runs only ``_version``.  Every other submodule is
@@ -20,12 +20,12 @@ from ._version import SCHEMA_VERSION, __version__
 # defining submodule -> its public names, in the order of __all__
 _EXPORTS = {
     "analytic": "OptimumRecord amplitudes c_max concurrence t_opt_formula",
-    "entanglement": "TwoQubitDensity embed wootters_concurrence xstate_concurrence",
+    "entanglement": "wootters_concurrence",
     "errors": "DomainError EigensolverError FormError IntegrationError InvariantError "
               "TargetNotReachable",
     "lindblad": "LindbladTrajectory integrate rhs",
     "model": "DensityMatrix3 ModelParams PureAmplitudes params_from_physical "
-             "pure_to_density tau_from_time",
+             "pure_to_density tau_from_time xstate_concurrence",
     "multimode": "DiscretizedBath MultimodeTrajectory collective_amplitude evolve sample_bath",
     "sideband": "SidebandConfig bessel_jn effective_coupling solve_amplitude",
     "sweep": "CheckResult CmaxCurve SweepGrid SweepResult VerificationReport cmax_curve "

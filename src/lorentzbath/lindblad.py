@@ -24,7 +24,7 @@ from itertools import chain
 from operator import add, sub
 
 from .errors import DomainError, IntegrationError, InvariantError, _Record, _sample_times
-from .model import DensityMatrix3, ModelParams, validate_density
+from .model import DensityMatrix3, ModelParams, validate_density, xstate_concurrence
 
 KAPPA_RESCALED = 4.0
 
@@ -58,8 +58,9 @@ def rhs(rho, params: ModelParams) -> list:
 
 class LindbladTrajectory(_Record):
     """The samples ``taus`` and, in ``rho``, one validated state per sample,
-    each a tuple of three row tuples of complex; the populations, coherences
-    and concurrences are tuples of one value per sample."""
+    each a tuple of three row tuples of complex, the form a
+    :class:`DensityMatrix3` holds; the populations, coherences and X-form
+    concurrences are tuples of one value per sample."""
 
     taus: tuple
     rho: tuple
@@ -89,7 +90,7 @@ class LindbladTrajectory(_Record):
 
     @property
     def concurrences(self) -> tuple:
-        return tuple(2.0 * abs(m[0][1]) for m in self.rho)
+        return tuple(map(xstate_concurrence, self.rho))
 
 
 def _flat(m) -> list:

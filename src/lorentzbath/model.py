@@ -5,10 +5,11 @@ Everything downstream works in dimensionless variables: the coupling ratio
 rates, both in one unit of the caller's choosing, enter only through
 :func:`params_from_physical` / :func:`tau_from_time`, which keep only xi and tau.
 
-Each input is checked once, by the guards of ``errors``.  :class:`ModelParams`,
-:class:`PureAmplitudes` and the one density-matrix validator
-:func:`validate_density` are scalar Python; only the density-matrix types
-load numpy, when one is built.
+Each input is checked once, by the guards of ``errors``.  A state is one
+:class:`DensityMatrix3`, a 3x3 tuple of row tuples of complex checked by the
+one density-matrix validator :func:`validate_density`; its X-form
+concurrence is :func:`xstate_concurrence`.  Everything here is scalar
+Python: no numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from itertools import chain
 from math import copysign, sqrt
 from operator import add, sub
 
-from .errors import MAX_XI, InvariantError, _finite, _positive, _Record, _sample_times, _xi_values
+from .errors import (MAX_XI, FormError, InvariantError, _finite, _positive, _Record, _sample_times,
+                     _xi_values)
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
+X_FORM_TOL = 1e-8
 _JACOBI_SWEEPS = 50  # cyclic Jacobi converges quadratically; a bound, not a setting
 
 
@@ -180,46 +183,39 @@ def _smallest_eigenvalue(a: list, d: int) -> float:
     return min(diag)
 
 
-def _freeze_density(state, d: int):
-    """Make ``state.matrix``, a d x d matrix or a stack of them, a validated
-    read-only complex array; return the smallest eigenvalue of each matrix, a
-    ``float`` for one matrix and an array of the stack's leading shape else."""
-    import numpy as np
-    m = np.array(state.matrix, dtype=complex)
-    if m.shape[-2:] != (d, d):
-        raise InvariantError(f"expected {d}x{d} matrices, got shape {m.shape}")
-    low = validate_density(m.reshape(-1, d, d).tolist())
-    m.flags.writeable = False
-    object.__setattr__(state, "matrix", m)
-    return low[0] if m.ndim == 2 else np.reshape(low, m.shape[:-2])
-
-
 class DensityMatrix3(_Record, hide=("matrix",)):
-    """Validated density matrix, or ``(..., 3, 3)`` stack of them, on the basis
-    (|e,0>, |g,1>, |g,0>); each property has the stack's leading shape.  The
-    attribute ``min_eigenvalue``, found by validation, is not a field."""
+    """Validated density matrix on the basis (|e,0>, |g,1>, |g,0>), held as a
+    tuple of three row tuples of complex.  The attribute ``min_eigenvalue``,
+    found by validation, is not a field."""
 
-    matrix: object  # a numpy array
+    matrix: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "min_eigenvalue", _freeze_density(self, 3))
+        try:  # 0j + x takes a number, where complex(x) would also parse text
+            m = tuple(tuple(complex(0j + x) for x in row) for row in self.matrix)
+        except TypeError:  # not a sequence of rows of numbers
+            m = ()
+        if len(m) != 3 or any(len(row) != 3 for row in m):
+            raise InvariantError(f"expected a 3x3 matrix, got {self.matrix!r:.200}")
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", validate_density([m])[0])
 
     @property
     def p_e0(self) -> float:
-        return self.matrix[..., 0, 0].real[()]
+        return self.matrix[0][0].real
 
     @property
     def p_g1(self) -> float:
-        return self.matrix[..., 1, 1].real[()]
+        return self.matrix[1][1].real
 
     @property
     def p_g0(self) -> float:
-        return self.matrix[..., 2, 2].real[()]
+        return self.matrix[2][2].real
 
     @property
     def coherence(self) -> complex:
         """The |e,0><g,1| matrix element."""
-        return self.matrix[..., 0, 1][()]
+        return self.matrix[0][1]
 
     @property
     def survival(self) -> float:
@@ -228,21 +224,23 @@ class DensityMatrix3(_Record, hide=("matrix",)):
 
 
 def pure_to_density(psi: PureAmplitudes) -> DensityMatrix3:
-    """Unconditional state: |psi><psi| plus the jump weight on |g,0><g,0|."""
-    return _pure_density(psi.c_e0, psi.c_g1)
-
-
-def _pure_density(c_e0, c_g1) -> DensityMatrix3:
-    """:func:`pure_to_density` of amplitude arrays, as one stack of that shape.
+    """Unconditional state: |psi><psi| plus the jump weight on |g,0><g,0|.
 
     The |g,0> row and column are exactly zero off the diagonal: the emitted
     photon carries no coherence back into the no-jump sector.
     """
-    import numpy as np
-    m = np.zeros(np.shape(c_e0) + (3, 3), dtype=complex)
-    m[..., 0, 0] = np.abs(c_e0) ** 2
-    m[..., 1, 1] = np.abs(c_g1) ** 2
-    m[..., 0, 1] = c_e0 * np.conj(c_g1)
-    m[..., 1, 0] = np.conj(m[..., 0, 1])
-    m[..., 2, 2] = np.maximum(1.0 - (m[..., 0, 0].real + m[..., 1, 1].real), 0.0)
-    return DensityMatrix3(m)
+    a, b = psi.c_e0, psi.c_g1
+    p, q, ab = abs(a) ** 2, abs(b) ** 2, a * b.conjugate()
+    return DensityMatrix3(((p, ab, 0j), (ab.conjugate(), q, 0j), (0j, 0j, max(1.0 - (p + q), 0.0))))
+
+
+def xstate_concurrence(rho) -> float:
+    """Concurrence 2|rho_{e0,g1}| of an X-form state, one whose |g,0> level
+    carries no coherence; ``rho`` is a :class:`DensityMatrix3` or, as the
+    Lindblad oracle holds its samples, its 3x3 tuple.  |g,0> coherences
+    above ``X_FORM_TOL`` raise ``FormError``."""
+    m = rho.matrix if isinstance(rho, DensityMatrix3) else rho
+    leak = max(abs(m[0][2]), abs(m[1][2]))
+    if leak > X_FORM_TOL:
+        raise FormError(f"|g,0> coherences of magnitude {leak} break the X form")
+    return 2.0 * abs(m[0][1])

@@ -117,9 +117,9 @@ def solve_amplitude(g: float, nu: float, n: int, kappa: float, target_xi: float)
         raise DomainError(f"solve_amplitude needs a sideband order >= 1, got {n}")
     _positive("kappa", kappa)
     _non_negative("target_xi", target_xi)
-    if target_xi == 0.0:
-        return 0.0
     target_lambda = target_xi * kappa / 4.0
+    if target_lambda == 0.0:
+        return 0.0
     mu = _climb(n, g, target_lambda)
     lam = g * bessel_jn(n, mu)
     # the slack lets a rounded ceiling back in as a target

@@ -24,7 +24,7 @@ from . import lindblad as _lb
 from . import multimode as _mm
 from ._version import DEFAULT_N_MODES, DEFAULT_WINDOW, METHODS, WORKERS_ENV, __version__
 from .errors import DomainError, _Record, _sample_times, _xi_values
-from .model import ModelParams, _pure_density
+from .model import ModelParams, PureAmplitudes, pure_to_density, xstate_concurrence
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -456,13 +456,13 @@ def _check_entanglement(quick: bool, metadata: dict):
     rng = np.random.default_rng(20240817)
     # one (tau, xi) pair per row, drawn in the order of one pair per state
     pairs = rng.uniform((0.05, 0.05), (4.0, 8.0), size=(60 if quick else 200, 2)).tolist()
-    ce, cg = np.array([analytic._amplitude_arrays(xi, (tau,)) for tau, xi in pairs])[:, :, 0].T
-    rho = _pure_density(ce, 1j * cg)
-    c = 2.0 * np.abs(ce) * np.abs(cg)
-    worst = float(max(
-        np.abs(entanglement.wootters_concurrence(entanglement.embed(rho)) - c).max(),
-        np.abs(entanglement.xstate_concurrence(rho) - c).max(),
-    ))
+    worst = 0.0
+    for tau, xi in pairs:
+        (ce,), (cg,) = analytic._amplitude_arrays(xi, (tau,))
+        rho = pure_to_density(PureAmplitudes(ce, 1j * cg))
+        c = 2.0 * abs(ce) * abs(cg)
+        worst = max(worst, abs(entanglement.wootters_concurrence(rho) - c),
+                    abs(xstate_concurrence(rho) - c))
     return [CheckResult(
         "wootters_matches_closed_form", 1e-8, worst,
         "full Wootters and X-state shortcut vs 2|c_e0 c_g1| on random states",

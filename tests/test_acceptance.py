@@ -21,7 +21,7 @@ import pytest
 from lorentzbath import analytic, sweep
 from lorentzbath import lindblad as lb
 from lorentzbath import multimode as mm
-from lorentzbath.entanglement import embed, wootters_concurrence
+from lorentzbath.entanglement import wootters_concurrence
 from lorentzbath.model import ModelParams, PureAmplitudes, pure_to_density
 from lorentzbath.sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
 
@@ -209,7 +209,7 @@ def test_08_concurrence_equivalence():
             c_g1=np.sqrt(r * (1.0 - split)) * np.exp(1j * phb),
         )
         rho = pure_to_density(psi)
-        full = wootters_concurrence(embed(rho))
+        full = wootters_concurrence(rho)
         worst = max(worst, abs(full - 2.0 * abs(rho.coherence)))
     _line("criterion 08: Wootters vs coherence shortcut", f"{worst:.3e}", "1e-10")
     assert worst < 1e-10

@@ -365,6 +365,16 @@ class TestSideband:
         cells = dict(zip(header.split(","), rows[0].split(",")))
         assert float(cells["xi"]) == 4.0 * abs(float(cells["lambda"])) / float(cells["kappa"])
 
+    def test_a_target_whose_lambda_underflows_needs_no_drive(self, capsys):
+        # xi = 5e-324 with kappa = 1 asks for lambda = xi/4, which is 0
+        assert main(
+            ["sideband", "--g", "1", "--kappa", "1", "--nu", "1", "--n", "1",
+             "--target-xi", "5e-324"]
+        ) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert (cells["epsilon"], cells["lambda"]) == ("0", "0")
+
     def test_unreachable_target_is_a_numeric_failure(self, capsys):
         code = main(
             ["sideband", "--g", "1.0", "--kappa", "2.0", "--n", "1",
@@ -589,6 +599,24 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+    def test_density_matrices_and_their_concurrence_never_import_numpy(self):
+        # a state is a tuple of row tuples: building one, by hand or by the
+        # Lindblad oracle, and reading its X-form concurrence stay scalar Python
+        probe = (
+            "import sys\n"
+            "from lorentzbath.model import (DensityMatrix3, ModelParams, PureAmplitudes,\n"
+            "                               pure_to_density, xstate_concurrence)\n"
+            "from lorentzbath.lindblad import integrate\n"
+            "rho = pure_to_density(PureAmplitudes(0.6, 0.8j))\n"
+            "states = integrate(ModelParams(xi=2.0), [0.0, 0.5, 1.0]).states\n"
+            "hand = DensityMatrix3(((0.5, 0.25j, 0), (-0.25j, 0.5, 0), (0, 0, 0)))\n"
+            "c = [xstate_concurrence(s) for s in (rho, hand, *states)]\n"
+            "print(len(c), 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["5", "False"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("argv", [

@@ -13,14 +13,15 @@ from lorentzbath.lindblad import (
     integrate,
     rhs,
 )
-from lorentzbath.entanglement import xstate_concurrence
 from lorentzbath import lindblad, model
+from lorentzbath.errors import FormError
 from lorentzbath.model import (
     DensityMatrix3,
     ModelParams,
     PureAmplitudes,
     pure_to_density,
     tau_from_time,
+    xstate_concurrence,
 )
 
 
@@ -176,6 +177,9 @@ class TestIntegration:
             y = np.array(_expm(_scaled(tau, L))[0])[:, 0].reshape(3, 3)
             assert np.abs(np.array(m) - 0.5 * (y + y.conj().T)).max() < 1e-13
         assert np.abs(np.array(traj.rho)[:, 1, 2]).max() > 1e-3
+        # those |g,1><g,0| coherences break the X form the concurrences rely on
+        with pytest.raises(FormError, match="X form"):
+            traj.concurrences
 
     def test_trajectory_holds_tuples_of_python_numbers(self):
         traj = integrate(ModelParams(xi=1.5), np.linspace(0.0, 2.0, 21))
@@ -184,6 +188,7 @@ class TestIntegration:
         assert {type(x) for m in traj.rho for row in m for x in row} == {complex}
         for name in ("p_e0", "p_g1", "p_g0", "concurrences"):
             assert {type(x) for x in getattr(traj, name)} == {float}, name
+        assert traj.concurrences == tuple(xstate_concurrence(s) for s in traj.states)
 
 
 def _steps(taus):

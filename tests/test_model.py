@@ -204,7 +204,7 @@ class TestPureToDensity:
         s = 2.0**-0.5
         rho = pure_to_density(PureAmplitudes(c_e0=s, c_g1=-1j * s))
         evals = np.linalg.eigvalsh(rho.matrix)
-        assert abs(rho.matrix[2, 2]) < 1e-15
+        assert abs(rho.matrix[2][2]) < 1e-15
         assert np.sort(evals)[-1] == pytest.approx(1.0, abs=1e-12)
 
     @given(
@@ -227,9 +227,9 @@ class TestPureToDensity:
         assert np.abs(evals - expect).max() < 1e-10
         # survival block is the bare outer product
         vec = np.array([psi.c_e0, psi.c_g1])
-        assert np.abs(rho.matrix[:2, :2] - np.outer(vec, vec.conj())).max() < 1e-12
+        assert np.abs(np.array(rho.matrix)[:2, :2] - np.outer(vec, vec.conj())).max() < 1e-12
         # jump branch carries no coherence
-        assert abs(rho.matrix[0, 2]) == 0.0 and abs(rho.matrix[1, 2]) == 0.0
+        assert abs(rho.matrix[0][2]) == 0.0 and abs(rho.matrix[1][2]) == 0.0
 
 
 class TestDensityMatrix3:
@@ -261,8 +261,24 @@ class TestDensityMatrix3:
 
     def test_matrix_is_frozen(self):
         rho = pure_to_density(PureAmplitudes(c_e0=1.0, c_g1=0.0))
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 0.0
+        assert type(rho.matrix) is tuple and all(type(row) is tuple for row in rho.matrix)
+        assert {type(x) for row in rho.matrix for x in row} == {complex}
+        with pytest.raises(TypeError):
+            rho.matrix[0][0] = 0.0
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0]], [[0.5, 0, 0], [0, 0.5, 0]], [[1, 0, 0], [0, 0, 0], [0, 0]], 1.0, [1.0, 0.0, 0.0],
+        ["100", "000", "000"], [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    ], ids=["1x1", "two rows", "short row", "number", "flat", "text rows", "text entries"])
+    def test_rejects_what_is_not_three_rows_of_three_numbers(self, bad):
+        with pytest.raises(InvariantError, match="expected a 3x3 matrix"):
+            DensityMatrix3(bad)
+
+    def test_any_three_rows_of_three_numbers(self):
+        rows = ((0.5, 0.25j, 0), (-0.25j, 0.5, 0), (0, 0, 0))
+        rho = DensityMatrix3([list(row) for row in rows])
+        assert rho == DensityMatrix3(np.array(rows)) == DensityMatrix3(rows)
+        assert rho.matrix == tuple(tuple(map(complex, row)) for row in rows)
 
     @pytest.mark.parametrize("where", ["everywhere", "one coherence"])
     def test_rejects_nan(self, where):

@@ -15,12 +15,12 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 EXPORTS = {
     "_version": ("SCHEMA_VERSION", "__version__"),
     "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "t_opt_formula"),
-    "entanglement": ("TwoQubitDensity", "embed", "wootters_concurrence", "xstate_concurrence"),
+    "entanglement": ("wootters_concurrence",),
     "errors": ("DomainError", "EigensolverError", "FormError", "IntegrationError",
                "InvariantError", "TargetNotReachable"),
     "lindblad": ("LindbladTrajectory", "integrate", "rhs"),
     "model": ("DensityMatrix3", "ModelParams", "PureAmplitudes", "params_from_physical",
-              "pure_to_density", "tau_from_time"),
+              "pure_to_density", "tau_from_time", "xstate_concurrence"),
     "multimode": ("DiscretizedBath", "MultimodeTrajectory", "collective_amplitude", "evolve",
                   "sample_bath"),
     "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling", "solve_amplitude"),
@@ -54,7 +54,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 43
+    assert out["star"] == NAMES and len(NAMES) == 41
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from lorentzbath import analytic, entanglement, lindblad, model, multimode, sideband, sweep
+from lorentzbath import analytic, lindblad, model, multimode, sideband, sweep
 from lorentzbath.errors import _Record
 
 _ROW = ((1 + 0j, 0j, 0j), (0j, 0j, 0j), (0j, 0j, 0j))
@@ -16,13 +16,12 @@ _ROW = ((1 + 0j, 0j, 0j), (0j, 0j, 0j), (0j, 0j, 0j))
 CASES = [
     (analytic.OptimumRecord, (1.0, 0.5, 0.25), {},
      "OptimumRecord(xi=1.0, tau_opt=0.5, c_max=0.25)"),
-    (entanglement.TwoQubitDensity, (np.diag([0.0, 0.5, 0.5, 0.0]),), {}, "TwoQubitDensity()"),
     (lindblad.LindbladTrajectory, ((0.0,), (_ROW,)), {"solver": {"propagators": 1}},
      "LindbladTrajectory(taus=(0.0,), rho=((((1+0j), 0j, 0j), (0j, 0j, 0j), (0j, 0j, 0j)),), "
      "solver={'propagators': 1})"),
     (model.ModelParams, (), {"xi": 2.0}, "ModelParams(xi=2.0)"),
     (model.PureAmplitudes, (0.6, 0.8j), {}, "PureAmplitudes(c_e0=0.6, c_g1=0.8j)"),
-    (model.DensityMatrix3, (np.diag([0.5, 0.5, 0.0]),), {}, "DensityMatrix3()"),
+    (model.DensityMatrix3, (((0.5, 0, 0), (0, 0.5, 0), (0, 0, 0)),), {}, "DensityMatrix3()"),
     (multimode.DiscretizedBath, (np.array([-1.0, 0.0, 1.0]), np.full(3, 0.5)), {},
      "DiscretizedBath(detunings=array([-1.,  0.,  1.]), couplings=array([0.5, 0.5, 0.5]))"),
     (multimode.MultimodeTrajectory,
@@ -44,8 +43,8 @@ CASES = [
      "VerificationReport(checks=(CheckResult(name='row', budget=1.0, measured=0.5, detail='', "
      "floor=True),), metadata={'c': 3})"),
 ]
-HASHABLE = {"OptimumRecord", "ModelParams", "PureAmplitudes", "SidebandConfig", "SweepGrid",
-            "CheckResult"}
+HASHABLE = {"OptimumRecord", "DensityMatrix3", "ModelParams", "PureAmplitudes", "SidebandConfig",
+            "SweepGrid", "CheckResult"}
 
 records = pytest.mark.parametrize("cls, args, kwargs, text", CASES,
                                   ids=[c[0].__name__ for c in CASES])
@@ -136,7 +135,7 @@ def test_a_post_init_patched_on_the_class_runs(cls, args, kwargs, text, monkeypa
 
 
 def test_min_eigenvalue_is_derived_not_a_field():
-    rho = model.DensityMatrix3(np.diag([0.5, 0.5, 0.0]))
+    rho = model.DensityMatrix3(((0.5, 0, 0), (0, 0.5, 0), (0, 0, 0)))
     assert rho.min_eigenvalue == 0.0 and model.DensityMatrix3.__match_args__ == ("matrix",)
     twin = copy.copy(rho)
     object.__setattr__(twin, "min_eigenvalue", -1.0)

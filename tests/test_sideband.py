@@ -23,7 +23,9 @@ from lorentzbath.sideband import (
     solve_amplitude,
 )
 
+from _bessel_peaks import FIRST_PEAKS
 from _oracles import series_jn
+from freeze_bessel_peaks import first_peak
 
 # first maximum of J_1, frozen from 30-digit arithmetic
 J1_PEAK_MU = 1.8411837813406593
@@ -129,9 +131,15 @@ class TestBessel:
 
     @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
     def test_first_peak_against_mpmath(self, n):
-        # the bracket end n + 2 n^(1/3) must lie between the first two zeros of J_n'
-        ref = float(mpmath.besseljzero(n, 1, derivative=1))
+        # the bracket end n + 2 n^(1/3) must lie between the first two zeros of J_n';
+        # the references are mpmath's, frozen by freeze_bessel_peaks.py
+        ref = FIRST_PEAKS[n]
         assert abs(_climb(n, 1.0, math.inf) - ref) <= 2.0 * math.ulp(ref)
+
+    def test_frozen_peaks_cover_every_order_and_match_live_mpmath(self):
+        assert list(FIRST_PEAKS) == list(range(1, MAX_ORDER + 1))
+        for n in (1, MAX_ORDER):
+            assert FIRST_PEAKS[n] == first_peak(n)
 
 
 class TestBisect:
