@@ -565,7 +565,7 @@ class TestProcessLevel:
         (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
           "--tau-max", "1", "--steps", "11"), ("numpy.ma", "dataclasses"),
          ("lindblad", "entanglement")),
-        (("verify", "--quick"), ("numpy.ma", "dataclasses"), ()),
+        (("verify", "--quick"), ("numpy.ma", "numpy.random", "dataclasses"), ()),
         *((argv, NUMPY_FREE_COLD, ANALYTIC_NEVER_RUN) for argv in (
             ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),
             ("cmax", "--steps", "25"),

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -184,7 +186,7 @@ class TestStacks:
     def test_battery_stack_is_the_per_state_battery(self, monkeypatch):
         # verify's Wootters row builds one state per (tau, xi) draw, the state
         # pure_to_density(amplitudes(...)) gives, and reports the worst gap
-        rng = np.random.default_rng(20240817)
+        rng = random.Random(20240817)
         pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(200)]
         states = []
         monkeypatch.setattr(entanglement, "wootters_concurrence",

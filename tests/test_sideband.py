@@ -25,7 +25,9 @@ from lorentzbath.sideband import (
 
 from _bessel_peaks import FIRST_PEAKS
 from _oracles import series_jn
+from _sideband_references import JN_AT, ROUND_TRIPS
 from freeze_bessel_peaks import first_peak
+from freeze_sideband_references import DRIVES, besselj, drives, reference_orders, round_trip
 
 # first maximum of J_1, frozen from 30-digit arithmetic
 J1_PEAK_MU = 1.8411837813406593
@@ -181,15 +183,10 @@ class TestBisect:
 RECURRENCE_ARGS = (1e-300, 1e-8, 0.5, 9.0, 450.0, 2200.0)
 
 
-def _reference_orders(x: float) -> list:
-    """Orders 0..8, then every 61st, and the recurrence's start."""
-    top = _miller_start(0, x)
-    return sorted({*range(9), *range(0, top + 1, 61), top})
-
-
 @functools.cache
 def _mp_besselj(k: int, x: float) -> float:
-    return float(mpmath.besselj(k, x))
+    # frozen where mpmath is slow, by freeze_sideband_references.py
+    return JN_AT[x][k] if x in JN_AT else besselj(k, x)
 
 
 class TestMillerRecurrence:
@@ -197,8 +194,15 @@ class TestMillerRecurrence:
     def test_every_order_against_mpmath(self, x):
         orders = _miller(0, x)
         assert len(orders) == _miller_start(0, x) + 1
-        for k in _reference_orders(x):
+        for k in reference_orders(x):
             assert abs(orders[k] - _mp_besselj(k, x)) <= 1e-13
+
+    def test_frozen_orders_cover_the_reference_orders_and_match_live_mpmath(self):
+        for x, table in JN_AT.items():
+            orders = reference_orders(x)
+            assert list(table) == orders
+            for k in (0, orders[-1]):
+                assert table[k] == besselj(k, x)
 
     @pytest.mark.parametrize("x", [1e-300, 1e-60])
     def test_tiny_arguments_keep_relative_accuracy(self, x):
@@ -214,14 +218,14 @@ class TestMillerRecurrence:
         top = _miller_start(0, x[-1])
         coef = np.zeros((top + 1, 2))
         rng = np.random.default_rng(5)
-        for k in _reference_orders(x[-1]):
+        for k in reference_orders(x[-1]):
             coef[k] = rng.uniform(-2.0, 2.0, size=2)
         sums = _miller_sums(x, coef)
         assert sums.shape == (len(x), 2)
         for row, xs in zip(sums, x):
             ref = sum(
                 coef[k] * _mp_besselj(k, float(xs))
-                for k in _reference_orders(x[-1])
+                for k in reference_orders(x[-1])
                 if k <= _miller_start(0, xs)
             )
             assert np.abs(row - ref).max() <= 1e-13
@@ -282,17 +286,20 @@ class TestSolveAmplitude:
         assert back == pytest.approx(xi, rel=1e-14)
 
     def test_random_drives_round_trip_against_mpmath(self):
-        rng = np.random.default_rng(30)
+        # 4 g J_n(mu* + shift) / kappa - xi = 4 g J_n'(mu*) shift / kappa, up to
+        # J_n'' shift^2 / 2, below 1e-17 of xi once the shift is within 1e-12 of mu*
         worst = 0.0
-        for _ in range(300):
-            n = int(rng.integers(1, MAX_ORDER + 1))
-            g, nu, kappa = (float(v) for v in rng.uniform(0.1, 10.0, size=3))
-            ceiling = 4.0 * g * bessel_jn(n, _climb(n, 1.0, math.inf)) / kappa
-            xi = float(rng.uniform(0.01, 1.0)) * ceiling
-            eps = solve_amplitude(g=g, nu=nu, n=n, kappa=kappa, target_xi=xi)
-            back = 4.0 * g * mpmath.besselj(n, mpmath.mpf(eps) / nu) / kappa
-            worst = max(worst, float(abs(back - xi)) / xi)
+        with mpmath.workdps(30):
+            for n, g, nu, kappa, xi, root, slope in ROUND_TRIPS:
+                eps = solve_amplitude(g=g, nu=nu, n=n, kappa=kappa, target_xi=xi)
+                shift = mpmath.mpf(eps / nu) - mpmath.mpf(root)
+                assert abs(shift) <= 1e-12 * mpmath.mpf(root)
+                worst = max(worst, float(abs(4 * g * mpmath.mpf(slope) * shift / kappa)) / xi)
         assert worst <= 1e-14
+
+    def test_frozen_round_trips_cover_every_drive_and_match_live_mpmath(self):
+        assert len(ROUND_TRIPS) == DRIVES
+        assert ROUND_TRIPS[0] == round_trip(*next(drives()))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("target", [1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-100, 1e-300])

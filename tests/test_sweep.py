@@ -2,6 +2,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,6 +388,53 @@ class TestVerify:
         horizon = metadata["recurrence_horizon"]
         assert (horizon["n_modes"], horizon["window"]) == (n_modes, 40.0)
         assert horizon["horizon"] == sample_bath(ModelParams(xi=2.0), n_modes, 40.0).recurrence_horizon
+
+    def test_kernel_row_is_the_phase_matrix_product_summed_per_tau(self):
+        # the row sums the kernel one tau at a time; the (101, N) phase
+        # matrix product it replaced is the reference, relative to xi^2 as the row
+        bath = sample_bath(ModelParams(xi=2.0), 2001, 40.0)
+        taus, g2 = np.linspace(0.0, 5.0, 101), bath.couplings**2
+        per_tau = np.array([np.exp(-1j * t * bath.detunings) @ g2 for t in taus])
+        matrix = np.exp(-1j * np.outer(taus, bath.detunings)) @ g2
+        assert np.abs(per_tau - matrix).max() <= 1e-14 * 4.0
+        rows = {c.name: c for c in sweep._check_multimode(False, {})}
+        err = float(np.abs(per_tau - 4.0 * np.exp(-2.0 * taus)).max() / 4.0)
+        assert rows["multimode_correlation_kernel"].measured == err
+
+    def test_multimode_checks_build_no_kernel_phase_matrix(self):
+        # a (101, 2001) complex phase matrix alone takes 3.2 MB
+        sweep._check_multimode(True, {})  # first-call allocations are numpy's, not the check's
+        tracemalloc.start()
+        try:
+            sweep._check_multimode(False, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 101 * 2001 * 16
+
+    def test_weak_coupling_rate_is_the_polyfit_slope(self, monkeypatch):
+        # the row fits its line in scalar Python; np.polyfit over the row's
+        # own trajectory is the reference
+        runs = []
+        integrate = sweep._lb.integrate
+        monkeypatch.setattr(sweep._lb, "integrate",
+                            lambda *a, **k: runs.append((a[1], integrate(*a, **k))) or runs[-1][1])
+        (row,) = sweep._check_weak_coupling(True, {})
+        ((taus, traj),) = runs
+        fit = -np.polyfit(taus[50:], np.log(traj.p_e0[50:]), 1)[0]
+        rate = 0.05**2 * (1.0 + row.measured)  # the fitted rate lies above xi^2
+        assert abs(rate - fit) <= 1e-12 * fit
+
+    def test_weak_coupling_row_needs_no_numpy(self):
+        probe = (
+            "import sys\n"
+            "from lorentzbath import sweep\n"
+            "(row,) = sweep._check_weak_coupling(False, {})\n"
+            "print(row.passed, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
 
     def test_metadata_keys_in_order(self):
         report = verify(quick=True)
