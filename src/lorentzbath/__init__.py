@@ -20,6 +20,7 @@ from ._version import SCHEMA_VERSION, __version__
 # defining submodule -> its public names, in the order of __all__
 _EXPORTS = {
     "analytic": "OptimumRecord amplitudes c_max concurrence t_opt_formula",
+    "battery": "CheckResult VerificationReport",
     "entanglement": "wootters_concurrence",
     "errors": "DomainError EigensolverError FormError IntegrationError InvariantError "
               "TargetNotReachable",
@@ -28,8 +29,7 @@ _EXPORTS = {
              "pure_to_density tau_from_time xstate_concurrence",
     "multimode": "DiscretizedBath MultimodeTrajectory collective_amplitude evolve sample_bath",
     "sideband": "SidebandConfig bessel_jn effective_coupling solve_amplitude",
-    "sweep": "CheckResult CmaxCurve SweepGrid SweepResult VerificationReport cmax_curve "
-             "heatmap verify",
+    "sweep": "CmaxCurve SweepGrid SweepResult cmax_curve heatmap verify",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["SCHEMA_VERSION", "__version__", *_ORIGIN]

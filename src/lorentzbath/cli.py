@@ -32,18 +32,9 @@ _EVOLVE_COLUMNS_ANALYTIC = (
 )
 _EVOLVE_COLUMNS_ORACLE = ("tau", "p_e0", "p_g1", "p_g0", "survival", "concurrence")
 _HEATMAP_COLUMNS = ("xi", "tau", "concurrence")
+_CMAX_COLUMNS = ("xi", "tau_opt", "c_max", "dcmax_dxi", "source")
 _SIDEBAND_COLUMNS = ("mode", "g", "kappa", "nu", "n", "epsilon", "mu", "lambda", "xi")
 _VERIFY_COLUMNS = ("name", "budget", "measured", "status")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -76,12 +67,12 @@ def _write(args, metadata: dict, names, rows) -> int:
     metadata = {**metadata, "artifact_version": __version__, "schema_version": SCHEMA_VERSION,
                 "config": _resolved_config(args)}
     if args.format == "json":
-        head = json.dumps({"metadata": {**_jsonable(metadata), "columns": list(names)}}, indent=2)
+        head = json.dumps({"metadata": {**metadata, "columns": list(names)}}, indent=2, default=str)
         # the layout json.dumps(..., indent=2) gives the data list, "[]" when empty
         head, sep, end, empty = f'{head[:-2]},\n  "data": [', ",", "\n  ]\n}\n", "]\n}\n"
         row = "\n    [\n      " + ",\n      ".join(["%s"] * len(names)) + "\n    ]"
     else:
-        head = "".join(f"# {key}: {json.dumps(_jsonable(val), sort_keys=True)}\n"
+        head = "".join(f"# {key}: {json.dumps(val, sort_keys=True, default=str)}\n"
                        for key, val in metadata.items()) + ",".join(names) + "\n"
         sep = end = empty = ""
         row = ",".join(["%s"] * len(names)) + "\n"
@@ -101,8 +92,7 @@ def _open_out(path: str, mode: str):
 
 
 def _resolved_config(args) -> dict:
-    skip = {"handler", "command"}
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "command")}
 
 
 # ----------------------------------------------------------------- evolve
@@ -139,7 +129,9 @@ def _cmd_heatmap(args) -> int:
 def _cmd_cmax(args) -> int:
     xi = sweep._axis(args.xi_min, args.xi_max, args.steps, args.scale, "xi")
     curve = sweep.cmax_curve(xi, spacing=args.scale)
-    return _emit(args, curve.metadata, sweep.CMAX_COLUMNS, curve.columns)
+    # every row comes from the closed-form optimum
+    columns = (curve.xi, curve.tau_opt, curve.c_max, curve.derivative, ("formula",) * len(xi))
+    return _emit(args, curve.metadata, _CMAX_COLUMNS, columns)
 
 
 # -------------------------------------------------------------- sideband
@@ -172,7 +164,9 @@ def _cmd_sideband(args) -> int:
 def _cmd_verify(args) -> int:
     report = sweep.verify(quick=args.quick)
     metadata = {**report.metadata, "overall": "pass" if report.passed else "FAIL"}
-    _emit(args, metadata, _VERIFY_COLUMNS, list(zip(*report.rows())))
+    rows = [(c.name, c.budget, c.measured, "pass" if c.passed else "FAIL") for c in report.checks]
+    _emit(args, metadata, _VERIFY_COLUMNS, list(zip(*rows)))
+    sys.stderr.writelines(f"FAIL {c.name}: {c.detail}\n" for c in report.checks if not c.passed)
     return 0 if report.passed else 1
 
 

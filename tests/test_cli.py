@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lorentzbath import SCHEMA_VERSION, __version__, sideband
+from lorentzbath import SCHEMA_VERSION, __version__, sideband, sweep
 from lorentzbath.cli import _emit, build_parser, load_config, main
 from lorentzbath.sideband import _miller_start
 from lorentzbath.sweep import WORKERS_ENV
@@ -304,6 +304,16 @@ class TestCmax:
         sources = {r.split(",")[s_idx] for r in rows}
         assert sources == {"formula"}
 
+    def test_columns_follow_the_curve(self, capsys):
+        assert main(["cmax", "--xi-min", "1", "--xi-max", "2", "--steps", "2",
+                     "--scale", "linear"]) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        assert header == "xi,tau_opt,c_max,dcmax_dxi,source"
+        curve = sweep.cmax_curve((1.0, 2.0))
+        columns = [curve.xi, curve.tau_opt, curve.c_max, curve.derivative]
+        expected = [[*map(_reference_cell, row), "formula"] for row in zip(*columns)]
+        assert [r.split(",") for r in rows] == expected
+
     def test_golden_row(self, capsys):
         assert main(
             ["cmax", "--xi-min", "1.0", "--xi-max", "2.0", "--steps", "2",
@@ -497,12 +507,13 @@ class TestConfigFile:
 COLD_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures", "dataclasses")
 # numpy imports inspect, so a command that leaves numpy unloaded leaves inspect too
 NUMPY_FREE_COLD = ("numpy", "inspect", *COLD_MODULES)
-# package modules the closed-form commands never run
-ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband")
+# package modules the closed-form commands never run; only verify runs the battery
+ANALYTIC_NEVER_RUN = ("lindblad", "multimode", "entanglement", "sideband", "battery")
 # the Lindblad oracle is scalar Python too: lists, math and cmath
-LINDBLAD_NEVER_RUN = ("multimode", "entanglement", "sideband")
+LINDBLAD_NEVER_RUN = ("multimode", "entanglement", "sideband", "battery")
 # sideband is scalar Python: it needs no array module, hence no numpy
-SIDEBAND_NEVER_RUN = ("model", "sweep", "analytic", "lindblad", "multimode", "entanglement")
+SIDEBAND_NEVER_RUN = ("model", "sweep", "analytic", "lindblad", "multimode", "entanglement",
+                      "battery")
 
 
 class TestProcessLevel:
@@ -544,15 +555,30 @@ class TestProcessLevel:
         assert target.read_bytes() == b"an earlier table\n"
 
     def test_a_failed_verify_still_writes_its_report(self, tmp_path, monkeypatch):
-        from lorentzbath import sweep
+        from lorentzbath import battery
 
         def failing(quick, metadata):
-            return [sweep.CheckResult("always_fails", 0.0, 1.0)]
+            return [battery.CheckResult("always_fails", 0.0, 1.0)]
 
-        monkeypatch.setattr(sweep, "_CHECKS", (failing,))
+        monkeypatch.setattr(battery, "_CHECKS", (failing,))
         target = tmp_path / "report.csv"
         assert main(["verify", "--quick", "--out", str(target)]) == 1
         assert target.read_text().endswith("always_fails,0,1,FAIL\n")
+
+    def test_a_failing_row_says_why_on_stderr(self, monkeypatch, capsys):
+        from lorentzbath import battery
+
+        def passing(quick, metadata):
+            return [battery.CheckResult("holds", 1.0, 0.5, "never printed")]
+
+        def multimode(quick, metadata):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(battery, "_CHECKS", (passing, multimode))
+        assert main(["verify", "--quick"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("holds,1,0.5,pass\nmultimode,nan,inf,FAIL\n")
+        assert err == "FAIL multimode: check crashed: RuntimeError: boom\n"
 
     def test_verify_quick_passes(self):
         code, out, _ = run_cli("verify", "--quick")
@@ -564,7 +590,7 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv, unused, never_run", [
         (("evolve", "--xi", "2", "--method", "multimode", "--n-modes", "201", "--window", "20",
           "--tau-max", "1", "--steps", "11"), ("numpy.ma", "dataclasses"),
-         ("lindblad", "entanglement")),
+         ("lindblad", "entanglement", "battery")),
         (("verify", "--quick"), ("numpy.ma", "numpy.random", "dataclasses"), ()),
         *((argv, NUMPY_FREE_COLD, ANALYTIC_NEVER_RUN) for argv in (
             ("heatmap", "--xi-steps", "5", "--tau-steps", "11"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentzbath import entanglement, model, sweep
+from lorentzbath import battery, entanglement, model
 from lorentzbath.analytic import amplitudes, concurrence
 from lorentzbath.entanglement import _wootters, wootters_concurrence
 from lorentzbath.errors import FormError, InvariantError
@@ -191,7 +191,7 @@ class TestStacks:
         states = []
         monkeypatch.setattr(entanglement, "wootters_concurrence",
                             lambda rho: states.append(rho) or wootters_concurrence(rho))
-        (row,) = sweep._check_entanglement(False, {})
+        (row,) = battery._check_entanglement(False, {})
         assert len(states) == len(pairs)
         worst = 0.0
         for rho, (tau, xi) in zip(states, pairs):

@@ -15,6 +15,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 EXPORTS = {
     "_version": ("SCHEMA_VERSION", "__version__"),
     "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "t_opt_formula"),
+    "battery": ("CheckResult", "VerificationReport"),
     "entanglement": ("wootters_concurrence",),
     "errors": ("DomainError", "EigensolverError", "FormError", "IntegrationError",
                "InvariantError", "TargetNotReachable"),
@@ -24,8 +25,7 @@ EXPORTS = {
     "multimode": ("DiscretizedBath", "MultimodeTrajectory", "collective_amplitude", "evolve",
                   "sample_bath"),
     "sideband": ("SidebandConfig", "bessel_jn", "effective_coupling", "solve_amplitude"),
-    "sweep": ("CheckResult", "CmaxCurve", "SweepGrid", "SweepResult", "VerificationReport",
-              "cmax_curve", "heatmap", "verify"),
+    "sweep": ("CmaxCurve", "SweepGrid", "SweepResult", "cmax_curve", "heatmap", "verify"),
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from lorentzbath import analytic, lindblad, model, multimode, sideband, sweep
+from lorentzbath import analytic, battery, lindblad, model, multimode, sideband, sweep
 from lorentzbath.errors import _Record
 
 _ROW = ((1 + 0j, 0j, 0j), (0j, 0j, 0j), (0j, 0j, 0j))
@@ -37,9 +37,9 @@ CASES = [
     (sweep.CmaxCurve, ((1.0,), (0.5,), (0.25,), (0.125,), (), {"b": 2}), {},
      "CmaxCurve(xi=(1.0,), tau_opt=(0.5,), c_max=(0.25,), derivative=(0.125,), violations=(), "
      "metadata={'b': 2})"),
-    (sweep.CheckResult, ("row", 1.0, 0.5), {},
+    (battery.CheckResult, ("row", 1.0, 0.5), {},
      "CheckResult(name='row', budget=1.0, measured=0.5, detail='', floor=False)"),
-    (sweep.VerificationReport, ((sweep.CheckResult("row", 1.0, 0.5, floor=True),), {"c": 3}), {},
+    (battery.VerificationReport, ((battery.CheckResult("row", 1.0, 0.5, floor=True),), {"c": 3}), {},
      "VerificationReport(checks=(CheckResult(name='row', budget=1.0, measured=0.5, detail='', "
      "floor=True),), metadata={'c': 3})"),
 ]
@@ -107,7 +107,7 @@ def test_defaults_apply(cls, args, kwargs, text):
 
 
 def test_a_default_can_be_overridden():
-    assert sweep.CheckResult("row", 1.0, 2.0, floor=True).passed
+    assert battery.CheckResult("row", 1.0, 2.0, floor=True).passed
     assert sweep.SweepGrid((1.0,), (0.0,), "analytic", "log").xi_spacing == "log"
 
 

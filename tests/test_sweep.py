@@ -8,22 +8,19 @@ import warnings
 import numpy as np
 import pytest
 
-from lorentzbath import analytic, sweep
+from lorentzbath import analytic, battery, sweep
 from lorentzbath.analytic import _amplitude_arrays
+from lorentzbath.battery import CheckResult, VerificationReport, _check_mutation
 from lorentzbath._version import METHODS
 from lorentzbath.errors import DomainError, TargetNotReachable
 from lorentzbath.model import ModelParams
 from lorentzbath.multimode import sample_bath
 from lorentzbath.sweep import (
-    CheckResult,
     SweepGrid,
     SweepResult,
-    VerificationReport,
     WORKERS_ENV,
-    _check_mutation,
     _mutated_rhs,
     _rows_for_xi,
-    CMAX_COLUMNS,
     cmax_curve,
     heatmap,
     resolve_workers,
@@ -318,14 +315,6 @@ class TestCmaxCurve:
         with pytest.raises(DomainError):
             cmax_curve(np.array([-1.0, 1.0]))
 
-    def test_columns_follow_cmax_columns(self):
-        curve = cmax_curve(np.array([1.0, 2.0]))
-        columns = curve.columns
-        assert len(columns) == len(CMAX_COLUMNS) == 5
-        assert all(len(c) == 2 for c in columns)
-        assert list(columns[4]) == ["formula", "formula"]
-        assert list(columns[2]) == list(curve.c_max)
-
 
 class TestMutation:
     def test_mutated_generator_is_distinguishable(self):
@@ -367,7 +356,7 @@ class TestVerify:
         assert report.passed
         names = [c.name for c in report.checks]
         assert len(names) == len(set(names))
-        assert all(status == "pass" for _, _, _, status in report.rows())
+        assert all(c.passed for c in report.checks)
         assert "recurrence_horizon" in report.metadata
         assert report.metadata["quick"] is True
         wall = report.metadata["check_wall_s"]
@@ -378,13 +367,13 @@ class TestVerify:
     def test_optimum_row_catches_a_wrong_t_opt(self, monkeypatch, scale, passed):
         t_opt = analytic._t_opt
         monkeypatch.setattr(analytic, "_t_opt", lambda xi: t_opt(xi) * scale)
-        rows = {c.name: c for c in sweep._check_analytic(True, {})}
+        rows = {c.name: c for c in battery._check_analytic(True, {})}
         assert rows["t_opt_formula_vs_numeric"].passed is passed
 
     @pytest.mark.parametrize("quick, n_modes", [(True, 501), (False, 2001)])
     def test_horizon_is_that_of_the_multimode_checks_bath(self, quick, n_modes):
         metadata = {}
-        sweep._check_multimode(quick, metadata)
+        battery._check_multimode(quick, metadata)
         horizon = metadata["recurrence_horizon"]
         assert (horizon["n_modes"], horizon["window"]) == (n_modes, 40.0)
         assert horizon["horizon"] == sample_bath(ModelParams(xi=2.0), n_modes, 40.0).recurrence_horizon
@@ -397,16 +386,16 @@ class TestVerify:
         per_tau = np.array([np.exp(-1j * t * bath.detunings) @ g2 for t in taus])
         matrix = np.exp(-1j * np.outer(taus, bath.detunings)) @ g2
         assert np.abs(per_tau - matrix).max() <= 1e-14 * 4.0
-        rows = {c.name: c for c in sweep._check_multimode(False, {})}
+        rows = {c.name: c for c in battery._check_multimode(False, {})}
         err = float(np.abs(per_tau - 4.0 * np.exp(-2.0 * taus)).max() / 4.0)
         assert rows["multimode_correlation_kernel"].measured == err
 
     def test_multimode_checks_build_no_kernel_phase_matrix(self):
         # a (101, 2001) complex phase matrix alone takes 3.2 MB
-        sweep._check_multimode(True, {})  # first-call allocations are numpy's, not the check's
+        battery._check_multimode(True, {})  # first-call allocations are numpy's, not the check's
         tracemalloc.start()
         try:
-            sweep._check_multimode(False, {})
+            battery._check_multimode(False, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,10 +405,10 @@ class TestVerify:
         # the row fits its line in scalar Python; np.polyfit over the row's
         # own trajectory is the reference
         runs = []
-        integrate = sweep._lb.integrate
-        monkeypatch.setattr(sweep._lb, "integrate",
+        integrate = battery._lb.integrate
+        monkeypatch.setattr(battery._lb, "integrate",
                             lambda *a, **k: runs.append((a[1], integrate(*a, **k))) or runs[-1][1])
-        (row,) = sweep._check_weak_coupling(True, {})
+        (row,) = battery._check_weak_coupling(True, {})
         ((taus, traj),) = runs
         fit = -np.polyfit(taus[50:], np.log(traj.p_e0[50:]), 1)[0]
         rate = 0.05**2 * (1.0 + row.measured)  # the fitted rate lies above xi^2
@@ -428,8 +417,8 @@ class TestVerify:
     def test_weak_coupling_row_needs_no_numpy(self):
         probe = (
             "import sys\n"
-            "from lorentzbath import sweep\n"
-            "(row,) = sweep._check_weak_coupling(False, {})\n"
+            "from lorentzbath import battery\n"
+            "(row,) = battery._check_weak_coupling(False, {})\n"
             "print(row.passed, 'numpy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -447,12 +436,12 @@ class TestVerify:
         # otherwise the first check that builds an array is charged numpy's import
         probe = (
             "import sys\n"
-            "from lorentzbath import sweep\n"
+            "from lorentzbath import battery, sweep\n"
             "seen = ['numpy' in sys.modules]\n"
             "def first(quick, metadata):\n"
             "    seen.append('numpy' in sys.modules)\n"
             "    return []\n"
-            "sweep._CHECKS = (first,)\n"
+            "battery._CHECKS = (first,)\n"
             "sweep.verify(quick=True)\n"
             "print(*seen)\n"
         )
@@ -475,13 +464,13 @@ class TestVerify:
             metadata={},
         )
         assert not rep.passed
-        assert [r[3] for r in rep.rows()] == ["pass", "FAIL", "pass", "pass", "FAIL", "FAIL", "FAIL"]
+        assert [c.passed for c in rep.checks] == [True, False, True, True, False, False, False]
         assert VerificationReport(checks=rep.checks[:1] + rep.checks[2:4], metadata={}).passed
 
     def test_each_row_passes_by_the_one_rule(self):
         report = verify(quick=True)
-        for check, (name, budget, measured, status) in zip(report.checks, report.rows()):
-            holds = budget <= measured if check.floor else measured <= budget
-            assert status == ("pass" if holds else "FAIL"), name
+        for check in report.checks:
+            holds = check.budget <= check.measured if check.floor else check.measured <= check.budget
+            assert check.passed is holds, check.name
         floors = [c.name for c in report.checks if c.floor]
         assert floors == ["cmax_saturates_at_xi_100", "harness_detects_mutated_generator"]
