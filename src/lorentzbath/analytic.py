@@ -71,13 +71,16 @@ def amplitudes(params: ModelParams, tau: float) -> PureAmplitudes:
     return PureAmplitudes(complex(ce), complex(0.0, cg))
 
 
+def _concurrences(xi: float, taus, ce: list, cg: list) -> list:
+    """C = 2|c_e0||c_g1| at every tau, from :func:`_amplitude_arrays`.  Where
+    Im c_g1 underflowed while c_e0 did not (xi or tau near 5e-324), C is its
+    leading order in xi, |c_e0| xi (1 - exp(-2 tau)), rounded once."""
+    return [abs(a) * -expm1(-2.0 * tau) * xi if not b and a and tau > 0.0 else 2.0 * abs(a) * abs(b)
+            for tau, a, b in zip(taus, ce, cg)]
+
+
 def _concurrence(xi: float, tau: float) -> float:
-    (ce,), (cg,) = _amplitude_arrays(xi, (tau,))
-    if not cg and ce and tau > 0.0:
-        # Im c_g1 underflowed while c_e0 did not (xi or tau near 5e-324): C is
-        # its leading order in xi, |c_e0| xi (1 - exp(-2 tau)), rounded once
-        return abs(ce) * -expm1(-2.0 * tau) * xi
-    return 2.0 * abs(ce) * abs(cg)
+    return _concurrences(xi, (tau,), *_amplitude_arrays(xi, (tau,)))[0]
 
 
 def concurrence(params: ModelParams, tau: float) -> float:

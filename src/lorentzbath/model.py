@@ -6,17 +6,15 @@ rates, both in one unit of the caller's choosing, enter only through
 :func:`params_from_physical` / :func:`tau_from_time`, which keep only xi and tau.
 
 Each input is checked once, by the guards of ``errors``.  A state is one
-:class:`DensityMatrix3`, a 3x3 tuple of row tuples of complex checked by the
-one density-matrix validator :func:`validate_density`; its X-form
-concurrence is :func:`xstate_concurrence`.  Everything here is scalar
-Python: no numpy.
+:class:`DensityMatrix3`, a 3x3 tuple of row tuples of complex, and the one
+shape guard; the one density-matrix validator :func:`validate_density`
+checks 3x3 matrices one at a time.  The X-form concurrence of a state is
+:func:`xstate_concurrence`.  Everything here is scalar Python: no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
-from itertools import chain
 from math import copysign, sqrt
 from operator import add, sub
 
@@ -70,82 +68,50 @@ class PureAmplitudes(_Record):
 
 
 def validate_density(matrices) -> list:
-    """Check a sequence of d x d density matrices, each a sequence of rows of
-    numbers; return the smallest eigenvalue of each.
+    """Check a sequence of 3x3 density matrices, each three rows of three
+    numbers, one matrix at a time; return the smallest eigenvalue of each.
 
     In order: finite entries, Hermitian within 1e-10, trace 1 within 1e-9, and
     no eigenvalue of the symmetrised matrix below -1e-9 (by
-    :func:`_smallest_eigenvalue`).  The earliest failing matrix raises
+    :func:`_smallest_eigenvalue`).  The first failing matrix raises
     ``InvariantError`` for its first failed check, with ``index`` set to its
-    position in ``matrices``.  The entry-wise checks run over all matrices at
-    once; the eigenvalues, one matrix at a time, up to the first failure.
+    position in ``matrices``.
     """
     from cmath import isfinite  # a compiled module that the closed form never needs
 
-    n = len(matrices)
-    if not n:
-        return []
-    d = len(matrices[0])
-    rows = list(chain.from_iterable(matrices))
-    if len(rows) != n * d or set(map(len, rows)) - {d}:
-        raise InvariantError(f"expected square matrices of one size, got rows of "
-                             f"{sorted(set(map(len, rows)))} in matrices of {d} rows")
-    dd = d * d
-    flat = list(chain.from_iterable(rows))
-    adjoint = [flat[k + i].conjugate() for k in range(0, n * dd, dd) for i in _transposition(d)]
-    finite = list(map(isfinite, flat))
-    skew = list(map(abs, map(sub, flat, adjoint)))
-    traces = [sum(flat[k:k + dd:d + 1]).real for k in range(0, n * dd, dd)]
-    # the first matrix that fails each entry-wise check, or n; an entry is
-    # looked for only once a test over the whole stack has failed
-    fails = (
-        n if all(finite) else finite.index(False) // dd,
-        n if max(skew) <= HERMITICITY_TOL else
-        next((i // dd for i, x in enumerate(skew) if x > HERMITICITY_TOL), n),
-        next((k for k, t in enumerate(traces) if abs(t - 1.0) > TRACE_TOL), n),
-    )
-    first = min(fails)
-    sym = list(map(add, flat, adjoint))
     low = []
-    for k in range(first):
-        # the spectrum of m + m+ is twice that of the symmetrised matrix,
-        # exactly: Jacobi is homogeneous and doubling rounds nothing
-        low.append(0.5 * _smallest_eigenvalue(sym[k * dd:(k + 1) * dd], d))
-        if low[-1] < EIGENVALUE_FLOOR:
-            first, message = k, "matrix has an eigenvalue below -1e-9"
-            break
-    else:
-        if first == n:
-            return low
-        message = ("matrix has a non-finite entry" if fails[0] == first else
-                   "matrix is not Hermitian within 1e-10" if fails[1] == first else
-                   f"trace {traces[first]} deviates from 1 beyond 1e-9")
-    exc = InvariantError(message)
-    exc.index = first
-    raise exc
+    for k, ((a, b, c), (d, e, f), (g, h, i)) in enumerate(matrices):
+        m = a, b, c, d, e, f, g, h, i
+        adjoint = (a.conjugate(), d.conjugate(), g.conjugate(), b.conjugate(), e.conjugate(),
+                   h.conjugate(), c.conjugate(), f.conjugate(), i.conjugate())
+        trace = sum((a, e, i)).real
+        if not all(map(isfinite, m)):
+            message = "matrix has a non-finite entry"
+        elif max(map(abs, map(sub, m, adjoint))) > HERMITICITY_TOL:
+            message = "matrix is not Hermitian within 1e-10"
+        elif abs(trace - 1.0) > TRACE_TOL:
+            message = f"trace {trace} deviates from 1 beyond 1e-9"
+        else:
+            # the spectrum of m + m+ is twice that of the symmetrised matrix,
+            # exactly: Jacobi is homogeneous and doubling rounds nothing
+            low.append(0.5 * _smallest_eigenvalue(list(map(add, m, adjoint))))
+            if not low[-1] < EIGENVALUE_FLOOR:
+                continue
+            message = "matrix has an eigenvalue below -1e-9"
+        exc = InvariantError(message)
+        exc.index = k
+        raise exc
+    return low
 
 
-@cache
-def _transposition(d: int) -> tuple:
-    """Row-major positions of a d x d matrix, in the order of its transpose."""
-    return tuple(i * d + j for j in range(d) for i in range(d))
+# the rotations of a row-major 3x3 matrix, one for each p < q: p, q, the
+# positions of (p, q) and (q, p), and those of (r, p), (r, q), (p, r) and
+# (q, r) for the third index r
+_ROTATIONS = ((0, 1, 1, 3, 6, 7, 2, 5), (0, 2, 2, 6, 3, 5, 1, 7), (1, 2, 5, 7, 1, 2, 3, 6))
 
 
-@cache
-def _jacobi_pairs(d: int) -> tuple:
-    """The rotations of a row-major d x d matrix, and its positions above the
-    diagonal.  A rotation is, for p < q: p, q, the positions of (p, q) and
-    (q, p), and those of (r, p), (r, q), (p, r), (q, r) for each other r."""
-    pairs = tuple(
-        (p, q, p * d + q, q * d + p,
-         tuple((r * d + p, r * d + q, p * d + r, q * d + r) for r in range(d) if r not in (p, q)))
-        for p in range(d) for q in range(p + 1, d)
-    )
-    return pairs, tuple(pq for _, _, pq, _, _ in pairs)
-
-
-def _smallest_eigenvalue(a: list, d: int) -> float:
-    """Smallest eigenvalue of a Hermitian d x d matrix, given as its row-major
+def _smallest_eigenvalue(a: list) -> float:
+    """Smallest eigenvalue of a Hermitian 3x3 matrix, given as its row-major
     entries in a list that is overwritten.
 
     Cyclic Jacobi: each rotation zeroes one off-diagonal entry, made real by
@@ -153,12 +119,11 @@ def _smallest_eigenvalue(a: list, d: int) -> float:
     below 2^-60 of their two diagonal entries are dropped, which moves no
     eigenvalue by more than that.
     """
-    diag = [z.real for z in a[::d + 1]]
-    pairs, upper = _jacobi_pairs(d)
+    diag = [a[0].real, a[4].real, a[8].real]
     for _ in range(_JACOBI_SWEEPS):
-        if not any(map(a.__getitem__, upper)):
+        if not (a[1] or a[2] or a[5]):
             break
-        for p, q, pq, qp, others in pairs:
+        for p, q, pq, qp, rp, rq, pr, qr in _ROTATIONS:
             apq = a[pq]
             if not apq:
                 continue
@@ -173,13 +138,12 @@ def _smallest_eigenvalue(a: list, d: int) -> float:
             diag[p] -= t * g
             diag[q] += t * g
             phase = apq.conjugate() / g
-            for rp, rq, pr, qr in others:
-                arp, arq = a[rp], a[rq]
-                if arp or arq:
-                    arq *= phase
-                    a[rp] = x = c * arp - s * arq
-                    a[rq] = y = s * arp + c * arq
-                    a[pr], a[qr] = x.conjugate(), y.conjugate()
+            arp, arq = a[rp], a[rq]
+            if arp or arq:
+                arq *= phase
+                a[rp] = x = c * arp - s * arq
+                a[rq] = y = s * arp + c * arq
+                a[pr], a[qr] = x.conjugate(), y.conjugate()
     return min(diag)
 
 

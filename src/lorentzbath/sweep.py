@@ -99,7 +99,7 @@ def _evaluate(method: str, xi: float, taus: tuple, n_modes: int, window: float):
         p_e0 = [a * a for a in ce]
         p_g1 = [b * b for b in cg]
         surv = list(map(add, p_e0, p_g1))
-        conc = [2.0 * abs(a) * abs(b) for a, b in zip(ce, cg)]
+        conc = analytic._concurrences(xi, taus, ce, cg)
         p_g0 = [1.0 - p for p in surv]
         cols = {"c_re_e0": ce, "c_im_e0": zeros, "c_re_g1": zeros, "c_im_g1": cg}
     elif method == "lindblad":

@@ -286,6 +286,16 @@ class TestHeatmap:
         )
         assert code == 2
 
+    def test_subnormal_xi_heatmap_row(self, capsys):
+        # the heatmap's concurrence is concurrence(xi, tau), also where
+        # Im c_g1 underflows at xi = 5e-324
+        assert main(["heatmap", "--xi-min", "4e-324", "--xi-max", "1e-323", "--xi-steps", "2",
+                     "--xi-scale", "linear", "--tau-steps", "3"]) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        assert header == "xi,tau,concurrence"
+        tiny = "4.9406564584124654e-324"
+        assert [row.split(",")[2] for row in rows[:3]] == ["0", tiny, tiny]
+
 
 class TestCmax:
     def test_xi_beyond_max_is_a_usage_error(self, capsys):

@@ -14,7 +14,6 @@ from lorentzbath.model import (
     ModelParams,
     PureAmplitudes,
     pure_to_density,
-    validate_density,
     xstate_concurrence,
 )
 
@@ -43,35 +42,12 @@ def _concurrence_by_eigvals(m):
 
 
 class TestTwoQubitDensity:
-    """A two-qubit state is a 4x4 matrix only inside ``wootters_concurrence``;
-    the one validator checks any 4x4 matrix, and ``DensityMatrix3`` takes none."""
+    """A two-qubit state is a 4x4 matrix only inside ``wootters_concurrence``:
+    ``DensityMatrix3`` takes none, and the validator checks only 3x3 matrices."""
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvariantError, match="3x3"):
             DensityMatrix3(np.eye(4, dtype=complex) / 4.0)
-
-    def test_rejects_non_hermitian(self):
-        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        m[0, 1] = 0.1
-        with pytest.raises(InvariantError):
-            validate_density([m.tolist()])
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(InvariantError):
-            validate_density([np.diag([0.5, 0.5, 0.5, 0.5]).astype(complex).tolist()])
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvariantError):
-            validate_density([np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex).tolist()])
-
-    @pytest.mark.parametrize("where", ["everywhere", "one coherence"])
-    def test_rejects_nan(self, where):
-        m = np.full((4, 4), np.nan, dtype=complex)
-        if where == "one coherence":
-            m = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
-            m[1, 2] = np.nan
-        with pytest.raises(InvariantError, match="non-finite"):
-            validate_density([m.tolist()])
 
     def test_embed_layout(self, monkeypatch):
         # the padding of the empty |e,1> level: row and column 0 are zero

@@ -267,9 +267,10 @@ class TestDensityMatrix3:
             rho.matrix[0][0] = 0.0
 
     @pytest.mark.parametrize("bad", [
-        [[1.0]], [[0.5, 0, 0], [0, 0.5, 0]], [[1, 0, 0], [0, 0, 0], [0, 0]], 1.0, [1.0, 0.0, 0.0],
-        ["100", "000", "000"], [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
-    ], ids=["1x1", "two rows", "short row", "number", "flat", "text rows", "text entries"])
+        [[1.0]], [[0.5, 0, 0], [0, 0.5, 0]], [[1, 0, 0], [0, 0, 0], [0, 0]], [[1, 0, 0], [0, 0], [0, 0, 0, 0]],
+        1.0, [1.0, 0.0, 0.0], ["100", "000", "000"], [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    ], ids=["1x1", "two rows", "short row", "ragged, nine entries", "number", "flat", "text rows",
+            "text entries"])
     def test_rejects_what_is_not_three_rows_of_three_numbers(self, bad):
         with pytest.raises(InvariantError, match="expected a 3x3 matrix"):
             DensityMatrix3(bad)
@@ -308,7 +309,7 @@ class TestValidateDensity:
         for got, one in zip(low, m.reshape(-1, 3, 3)):
             assert abs(got - np.linalg.eigvalsh(one).min()) <= 1e-14
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3])
     @pytest.mark.parametrize("rank", [None, 1])
     def test_jacobi_matches_eigvalsh(self, rng, d, rank):
         for _ in range(50):
@@ -318,39 +319,28 @@ class TestValidateDensity:
             norm = np.abs(np.linalg.eigvalsh(m)).max()
             assert abs(low - np.linalg.eigvalsh(m).min()) <= 1e-14 * norm
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_jacobi_on_random_hermitian_matrices(self, rng, d):
-        # indefinite and not of unit trace: the eigenvalue routine alone
+    @pytest.mark.parametrize("rank", [3, 2])
+    def test_jacobi_on_random_hermitian_matrices(self, rng, rank):
+        # not of unit trace, indefinite at full rank and positive with the
+        # eigenvalue 0 at rank 2: the eigenvalue routine alone
         from lorentzbath.model import _smallest_eigenvalue
 
         for _ in range(50):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            m = a + a.conj().T
+            a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+            m = a + a.conj().T if rank == 3 else a @ a.conj().T
             want = np.linalg.eigvalsh(m)
-            got = _smallest_eigenvalue(m.reshape(-1).tolist(), d)
+            got = _smallest_eigenvalue(m.reshape(-1).tolist())
             assert abs(got - want.min()) <= 1e-14 * np.abs(want).max()
 
     def test_double_zero_eigenvalue(self):
         # |e0><e0| has the eigenvalue 0 twice; Jacobi has nothing to rotate
-        for d in (3, 4):
-            m = np.zeros((d, d), dtype=complex)
-            m[0, 0] = 1.0
-            assert validate_density([m.tolist()]) == [0.0] == [np.linalg.eigvalsh(m).min()]
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0] = 1.0
+        assert validate_density([m.tolist()]) == [0.0] == [np.linalg.eigvalsh(m).min()]
 
     def test_plain_nested_sequences_of_any_number_type(self):
         assert validate_density([((1, 0, 0), (0, 0, 0), (0, 0, 0))]) == [0.0]
-        assert validate_density([[[0.5, 0.25j], [-0.25j, 0.5]]]) == [0.25]
         assert validate_density([]) == []
-
-    @pytest.mark.parametrize("matrices", [
-        [[[1.0, 0.0], [0.0]]],
-        [[[1, 0, 0], [0, 0], [0, 0, 0, 0]]],
-        [[[1.0]] * 2],
-        [[[1.0]], [[0.5, 0.0], [0.0, 0.5]]],
-    ], ids=["short row", "ragged, nine entries", "2x1", "two sizes"])
-    def test_rejects_matrices_that_are_not_square_of_one_size(self, matrices):
-        with pytest.raises(InvariantError, match="square"):
-            validate_density(matrices)
 
     def test_earliest_matrix_wins_over_check_order(self):
         good = np.diag([0.5, 0.5, 0.0]).astype(complex)
@@ -380,7 +370,7 @@ class TestValidateDensity:
 
         probe = ("import sys\n"
                  "from lorentzbath.model import validate_density\n"
-                 "validate_density([[[0.5, 0.25j], [-0.25j, 0.5]]])\n"
+                 "validate_density([((0.5, 0.25j, 0), (-0.25j, 0.5, 0), (0, 0, 0))])\n"
                  "print('numpy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

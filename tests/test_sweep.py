@@ -121,6 +121,14 @@ class TestEvaluate:
         closure = np.add(cols["p_e0"], cols["p_g1"]) + cols["p_g0"] - 1.0
         assert np.abs(closure).max() <= 1e-8
 
+    @pytest.mark.parametrize("xi", [5e-324, 1e-323, 1e-320, 0.5, 1.0, 2.0, 1e8])
+    def test_analytic_concurrence_is_the_pointwise_one(self, xi):
+        # one closed-form concurrence: the subnormal leading order included
+        taus = np.linspace(0.0, 3.0, 31)
+        cols, _ = sweep.evaluate("analytic", xi, taus)
+        want = [analytic.concurrence(ModelParams(xi=xi), tau) for tau in taus]
+        assert cols["concurrence"] == want
+
     def test_multimode_loses_nothing(self):
         cols, _ = sweep.evaluate("multimode", 1.0, np.linspace(0.0, 1.0, 5), 201, 10.0)
         # closed picture: nothing leaves, survival stays one
