@@ -22,8 +22,7 @@ _EXPORTS = {
     "analytic": "OptimumRecord amplitudes c_max concurrence t_opt_formula",
     "battery": "CheckResult VerificationReport",
     "entanglement": "wootters_concurrence",
-    "errors": "DomainError EigensolverError FormError IntegrationError InvariantError "
-              "TargetNotReachable",
+    "errors": "DomainError EigensolverError IntegrationError InvariantError TargetNotReachable",
     "lindblad": "LindbladTrajectory integrate rhs",
     "model": "DensityMatrix3 ModelParams PureAmplitudes params_from_physical "
              "pure_to_density tau_from_time xstate_concurrence",

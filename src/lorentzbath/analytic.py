@@ -30,6 +30,7 @@ Everything here is scalar ``math``, one branch of xi at a time: no numpy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from math import cos, exp, expm1, sin
 
 from .errors import DomainError, _Record, _sample_times
@@ -37,21 +38,24 @@ from .model import ModelParams, PureAmplitudes
 
 
 def _amplitude_arrays(xi: float, taus) -> tuple[list, list]:
-    """``c_e0`` and ``Im c_g1`` at every tau of ``taus``, for one xi: c_e0 is
-    real and c_g1 imaginary on every branch, so two lists of floats carry both."""
+    """``c_e0`` and ``Im c_g1`` at each tau of the increasing ``taus``, for one xi;
+    c_e0 is real and c_g1 imaginary on every branch, so two float lists carry both."""
     xi = float(xi)
     # (xi-1)(xi+1) avoids cancellation in xi**2 - 1 near the critical line
     w2 = (xi - 1.0) * (xi + 1.0)
     w = math.sqrt(abs(w2))
     ce, cg = [], []
     if w2 >= 0.0:
-        for tau in taus:
+        # on the tail where w*tau overflows, exp(-tau) is 0: c_e0 = Im c_g1 = +0.0
+        n = bisect_left(taus, math.inf, key=lambda tau: w * tau)
+        for tau in taus[:n]:
             env, x = exp(-tau), w * tau
             # tau*sin(x)/x is sin(x)/w, and tau itself on the critical line
             sinc = sin(x) / w if w > 0.0 else tau
             ce.append(env * (cos(x) + sinc))
             cg.append(0.0 - xi * (env * sinc))  # 0.0 - keeps Im c_g1(0) = +0.0
-        return ce, cg
+        tail = [0.0] * (len(taus) - n)
+        return ce + tail, cg + tail
     # a difference of decaying exponentials cannot overflow at large tau; its
     # small-x cancellation goes through expm1, and the slow rate 1 - w is
     # written xi^2/(1 + w), free of cancellation as xi -> 0

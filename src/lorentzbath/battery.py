@@ -12,7 +12,7 @@ from . import lindblad as _lb
 from . import multimode as _mm
 from ._version import DEFAULT_WINDOW
 from .errors import _Record
-from .model import ModelParams, PureAmplitudes, pure_to_density, xstate_concurrence
+from .model import DensityMatrix3, ModelParams, PureAmplitudes, pure_to_density, xstate_concurrence
 from .sweep import SweepGrid, _axis, _mutated_rhs, cmax_curve, evaluate, heatmap
 
 
@@ -206,15 +206,20 @@ def _check_entanglement(quick: bool, metadata: dict):
     # one (tau, xi) pair per state: tau first, then xi
     pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(60 if quick else 200)]
     worst = 0.0
-    for tau, xi in pairs:
+    for k, (tau, xi) in enumerate(pairs):
         (ce,), (cg,) = analytic._amplitude_arrays(xi, (tau,))
         rho = pure_to_density(PureAmplitudes(ce, 1j * cg))
+        if k % 2:  # add b (|psi><g,0| + h.c.), which b^2 <= p_g0 keeps positive
+            (p, c, _), (_, q, _), (_, _, j) = rho.matrix
+            b = 0.5 * math.sqrt(j.real)
+            rho = DensityMatrix3(((p, c, b * ce), (c.conjugate(), q, 1j * b * cg),
+                                  (b * ce, -1j * b * cg, j)))
         c = 2.0 * abs(ce) * abs(cg)
         worst = max(worst, abs(entanglement.wootters_concurrence(rho) - c),
                     abs(xstate_concurrence(rho) - c))
     return [CheckResult(
         "wootters_matches_closed_form", 1e-8, worst,
-        "full Wootters and X-state shortcut vs 2|c_e0 c_g1| on random states",
+        "full Wootters and 2|rho_e0,g1| vs 2|c_e0 c_g1|, half the states with |g,0> coherences",
     )]
 
 

@@ -2,8 +2,8 @@
 
 A :class:`~lorentzbath.model.DensityMatrix3` on (|e,0>, |g,1>, |g,0>) is the
 two-qubit state on (|e,1>, |e,0>, |g,1>, |g,0>) with the never-populated
-|e,1> level left out.  For this X-like form the Wootters concurrence
-collapses to twice the |e,0><g,1| coherence, which is
+|e,1> level left out.  For every such state the Wootters concurrence is
+exactly twice the |e,0><g,1| coherence, which is
 :func:`~lorentzbath.model.xstate_concurrence`; the full formula here exists
 to confirm that.  It takes one state, and is the only module that hands a
 state to numpy.

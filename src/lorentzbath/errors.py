@@ -18,10 +18,6 @@ class InvariantError(ValueError):
     """A state object violates one of its structural invariants."""
 
 
-class FormError(InvariantError):
-    """A density matrix is outside the structural form a shortcut relies on."""
-
-
 class IntegrationError(RuntimeError):
     """An oracle produced samples outside its accuracy budget."""
 

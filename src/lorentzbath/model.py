@@ -8,7 +8,7 @@ rates, both in one unit of the caller's choosing, enter only through
 Each input is checked once, by the guards of ``errors``.  A state is one
 :class:`DensityMatrix3`, a 3x3 tuple of row tuples of complex, and the one
 shape guard; the one density-matrix validator :func:`validate_density`
-checks 3x3 matrices one at a time.  The X-form concurrence of a state is
+checks 3x3 matrices one at a time.  The exact concurrence of any state is
 :func:`xstate_concurrence`.  Everything here is scalar Python: no numpy.
 """
 
@@ -18,14 +18,12 @@ import math
 from math import copysign, sqrt
 from operator import add, sub
 
-from .errors import (MAX_XI, FormError, InvariantError, _finite, _positive, _Record, _sample_times,
-                     _xi_values)
+from .errors import MAX_XI, InvariantError, _finite, _positive, _Record, _sample_times, _xi_values
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
-X_FORM_TOL = 1e-8
 _JACOBI_SWEEPS = 50  # cyclic Jacobi converges quadratically; a bound, not a setting
 
 
@@ -199,12 +197,9 @@ def pure_to_density(psi: PureAmplitudes) -> DensityMatrix3:
 
 
 def xstate_concurrence(rho) -> float:
-    """Concurrence 2|rho_{e0,g1}| of an X-form state, one whose |g,0> level
-    carries no coherence; ``rho`` is a :class:`DensityMatrix3` or, as the
-    Lindblad oracle holds its samples, its 3x3 tuple.  |g,0> coherences
-    above ``X_FORM_TOL`` raise ``FormError``."""
+    """Wootters concurrence 2|rho_{e0,g1}| of a :class:`DensityMatrix3` or its
+    3x3 tuple, exact whatever its |g,0> coherences: the spin flip swaps |g,0>
+    with the empty |e,1>, so the nonzero Wootters lambdas are sqrt(pq) +- |c|
+    of the {e0, g1} block [[p, c], [c*, q]] (Wootters, PRL 80, 2245, 1998)."""
     m = rho.matrix if isinstance(rho, DensityMatrix3) else rho
-    leak = max(abs(m[0][2]), abs(m[1][2]))
-    if leak > X_FORM_TOL:
-        raise FormError(f"|g,0> coherences of magnitude {leak} break the X form")
     return 2.0 * abs(m[0][1])

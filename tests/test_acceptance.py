@@ -22,7 +22,7 @@ from lorentzbath import analytic, sweep
 from lorentzbath import lindblad as lb
 from lorentzbath import multimode as mm
 from lorentzbath.entanglement import wootters_concurrence
-from lorentzbath.model import ModelParams, PureAmplitudes, pure_to_density
+from lorentzbath.model import DensityMatrix3, ModelParams, PureAmplitudes, pure_to_density
 from lorentzbath.sideband import SidebandConfig, bessel_jn, effective_coupling, solve_amplitude
 
 from _oracles import golden_section_max
@@ -219,7 +219,7 @@ def test_09_structural_invariants(lindblad_runs, multimode_runs):
     _, runs = lindblad_runs
     worst_trace = worst_eig = 0.0
     for traj in runs.values():
-        for state in traj.states:
+        for state in map(DensityMatrix3, traj.rho):
             worst_trace = max(worst_trace, abs(np.trace(state.matrix).real - 1.0))
             worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(state.matrix).min()))
     _, m_runs = multimode_runs

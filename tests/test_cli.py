@@ -161,6 +161,10 @@ class TestEvolve:
         )
         assert code == 2
 
+    def test_multimode_xi_past_the_window_is_a_usage_error(self, capsys):
+        assert main(["evolve", "--method", "multimode", "--xi", "1e6"]) == 2
+        assert "xi = 1000000.0 exceeds 40, the largest the window W = 40.0" in capsys.readouterr().err
+
     def test_multimode_norm_failure_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # a start order below rho*tau truncates the expansion: an oracle
         # blow-up, exit 1, not a usage error
@@ -199,8 +203,9 @@ class TestEvolve:
         solver = docs[0]["metadata"]["solver"]
         assert list(solver) == [
             "propagators", "squarings", "generator_calls", "worst_trace_drift",
-            "min_eigenvalue",
+            "min_eigenvalue", "worst_hermiticity_defect", "worst_g0_coherence",
         ]
+        assert solver["worst_g0_coherence"] == 0.0
         assert solver["generator_calls"] == 10 and solver["propagators"] > 0
         assert docs[1]["metadata"]["solver"] == solver
         assert docs[1]["data"] == docs[0]["data"]
@@ -295,6 +300,18 @@ class TestHeatmap:
         assert header == "xi,tau,concurrence"
         tiny = "4.9406564584124654e-324"
         assert [row.split(",")[2] for row in rows[:3]] == ["0", tiny, tiny]
+
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--tau-max", "1e308", "--tau-steps", "3"],
+        ["evolve", "--xi", "10", "--tau-max", "1e308", "--steps", "3"],
+    ], ids=["heatmap", "evolve"])
+    def test_an_overflowing_phase_gives_an_exact_zero(self, argv, capsys):
+        # w*tau overflows to inf where exp(-tau) is already 0
+        assert main(argv) == 0
+        _, header, rows = csv_sections(capsys.readouterr().out)
+        tau, conc = map(header.split(",").index, ("tau", "concurrence"))
+        late = [row.split(",") for row in rows if float(row.split(",")[tau]) > 0.0]
+        assert late and all(cells[conc] == "0" for cells in late)
 
 
 class TestCmax:
@@ -638,14 +655,14 @@ class TestProcessLevel:
 
     def test_density_matrices_and_their_concurrence_never_import_numpy(self):
         # a state is a tuple of row tuples: building one, by hand or by the
-        # Lindblad oracle, and reading its X-form concurrence stay scalar Python
+        # Lindblad oracle, and reading its concurrence stay scalar Python
         probe = (
             "import sys\n"
             "from lorentzbath.model import (DensityMatrix3, ModelParams, PureAmplitudes,\n"
             "                               pure_to_density, xstate_concurrence)\n"
             "from lorentzbath.lindblad import integrate\n"
             "rho = pure_to_density(PureAmplitudes(0.6, 0.8j))\n"
-            "states = integrate(ModelParams(xi=2.0), [0.0, 0.5, 1.0]).states\n"
+            "states = map(DensityMatrix3, integrate(ModelParams(xi=2.0), [0.0, 0.5, 1.0]).rho)\n"
             "hand = DensityMatrix3(((0.5, 0.25j, 0), (-0.25j, 0.5, 0), (0, 0, 0)))\n"
             "c = [xstate_concurrence(s) for s in (rho, hand, *states)]\n"
             "print(len(c), 'numpy' in sys.modules)\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lorentzbath import battery, entanglement, model
 from lorentzbath.analytic import amplitudes, concurrence
 from lorentzbath.entanglement import _wootters, wootters_concurrence
-from lorentzbath.errors import FormError, InvariantError
+from lorentzbath.errors import InvariantError
 from lorentzbath.model import (
     DensityMatrix3,
     ModelParams,
@@ -137,11 +137,29 @@ class TestWootters:
 
 class TestXState:
     def test_leak_detection(self):
-        m = np.diag([0.4, 0.3, 0.3]).astype(complex)
-        m[0, 2] = 2e-8
-        m[2, 0] = 2e-8
-        with pytest.raises(FormError):
-            xstate_concurrence(DensityMatrix3(m))
+        # a large |e,0><g,0| coherence leaves 2|rho_{e0,g1}| the exact value
+        m = np.array([[0.4, 0.2, 0.2], [0.2, 0.3, 0.0], [0.2, 0.0, 0.3]], dtype=complex)
+        rho = DensityMatrix3(m)
+        assert xstate_concurrence(rho) == 0.4
+        assert abs(wootters_concurrence(rho) - 0.4) <= 1e-14
+
+    def test_twice_the_coherence_is_the_wootters_value_for_every_state(self):
+        # states of rank 1-3 with generic |g,0> coherences; the spin flip swaps
+        # |g,0> with the empty |e,1>, so only the {e0, g1} block counts
+        rng = np.random.default_rng(20240817)
+        worst, mutant = 0.0, {1: [], 2: [], 3: []}
+        for k in range(3000):
+            rank = k % 3 + 1
+            a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+            m = a @ a.conj().T
+            rho = DensityMatrix3((m / m.trace().real).tolist())
+            full = wootters_concurrence(rho)
+            worst = max(worst, abs(full - xstate_concurrence(rho)))
+            mutant[rank].append(abs(full - 2.0 * np.sqrt(rho.p_e0 * rho.p_g1)))
+        assert worst <= 1e-14
+        # a formula that drops the block's |c| agrees on pure states alone
+        assert max(mutant[1]) <= 1e-14
+        assert min(mutant[2] + mutant[3]) > 1e-4 and np.median(mutant[2] + mutant[3]) > 0.1
 
     def test_leak_below_tolerance_passes(self):
         m = np.diag([0.4, 0.3, 0.3]).astype(complex)
@@ -161,7 +179,8 @@ class TestXState:
 class TestStacks:
     def test_battery_stack_is_the_per_state_battery(self, monkeypatch):
         # verify's Wootters row builds one state per (tau, xi) draw, the state
-        # pure_to_density(amplitudes(...)) gives, and reports the worst gap
+        # pure_to_density(amplitudes(...)) gives, every other one with the
+        # |g,0> coherence b (|psi><g,0| + h.c.), b^2 = p_g0/4, and reports the worst gap
         rng = random.Random(20240817)
         pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(200)]
         states = []
@@ -170,9 +189,12 @@ class TestStacks:
         (row,) = battery._check_entanglement(False, {})
         assert len(states) == len(pairs)
         worst = 0.0
-        for rho, (tau, xi) in zip(states, pairs):
+        for k, (rho, (tau, xi)) in enumerate(zip(states, pairs)):
             psi = amplitudes(ModelParams(xi=xi), tau)
-            assert rho == pure_to_density(psi)
+            want = np.array(pure_to_density(psi).matrix)
+            coherence = 0.5 * np.sqrt(want[2, 2].real) * (k % 2) * np.array([psi.c_e0, psi.c_g1])
+            want[:2, 2], want[2, :2] = coherence, coherence.conj()
+            assert (np.array(rho.matrix) == want).all()
             c = 2.0 * abs(psi.c_e0) * abs(psi.c_g1)
             worst = max(worst, abs(wootters_concurrence(rho) - c), abs(xstate_concurrence(rho) - c))
         assert row.measured == worst

@@ -14,7 +14,7 @@ from lorentzbath.lindblad import (
     rhs,
 )
 from lorentzbath import lindblad, model
-from lorentzbath.errors import FormError
+from lorentzbath.entanglement import wootters_concurrence
 from lorentzbath.model import (
     DensityMatrix3,
     ModelParams,
@@ -82,8 +82,8 @@ class TestConfig:
 
     def test_zero_horizon_is_allowed(self):
         traj = integrate(ModelParams(xi=1.0), [0.0])
-        assert len(traj.states) == 1
-        assert np.allclose(traj.states[0].matrix, np.diag([1.0, 0.0, 0.0]))
+        assert len(traj.rho) == 1
+        assert np.allclose(DensityMatrix3(traj.rho[0]).matrix, np.diag([1.0, 0.0, 0.0]))
 
     def test_horizon_accepts_rescaled_time(self):
         traj = integrate(ModelParams(xi=1.0), [0.0, tau_from_time(1.2, 5.0)])
@@ -101,7 +101,7 @@ class TestIntegration:
     def test_point_values_against_closed_form(self):
         params = ModelParams(xi=2.0)
         traj = integrate(params, np.array([0.0, 0.25, 0.5]))
-        final = traj.states[-1]
+        final = DensityMatrix3(traj.rho[-1])
         assert final.p_e0 == pytest.approx(0.4352042923850347, abs=1e-12)
         assert final.p_g1 == pytest.approx(0.28462992723914709, abs=1e-12)
         assert final.p_g0 == pytest.approx(0.28016578037581821, abs=1e-12)
@@ -123,7 +123,7 @@ class TestIntegration:
         taus = np.linspace(0.0, 6.0, 401)
         for xi in (0.5, 2.0, 10.0):
             traj = integrate(ModelParams(xi=xi), taus)
-            for s in traj.states:
+            for s in map(DensityMatrix3, traj.rho):
                 assert abs(np.trace(s.matrix).real - 1.0) < 1e-9
                 low = np.linalg.eigvalsh(s.matrix).min()
                 # contract floor is -1e-9; the exact propagator keeps the
@@ -141,8 +141,12 @@ class TestIntegration:
         assert stats["propagators"] == len(np.unique(np.diff(taus, prepend=0.0)))
         assert stats["squarings"] == 0  # every interval is well inside the Pade range
         assert stats["worst_trace_drift"] < 1e-12
-        assert stats["min_eigenvalue"] == min(s.min_eigenvalue for s in first.states)
+        assert stats["min_eigenvalue"] == min(DensityMatrix3(m).min_eigenvalue for m in first.rho)
         assert stats["min_eigenvalue"] > -1e-13
+        # the built-in generator keeps the propagated state Hermitian to
+        # rounding and never reaches a |g,0> coherence
+        assert 0.0 < stats["worst_hermiticity_defect"] < 1e-14
+        assert stats["worst_g0_coherence"] == 0.0
 
     def test_long_interval_is_squared(self):
         traj = integrate(ModelParams(xi=2.0), np.array([0.0, 6.0]))
@@ -176,10 +180,25 @@ class TestIntegration:
         for tau, m in zip(taus, traj.rho):
             y = np.array(_expm(_scaled(tau, L))[0])[:, 0].reshape(3, 3)
             assert np.abs(np.array(m) - 0.5 * (y + y.conj().T)).max() < 1e-13
-        assert np.abs(np.array(traj.rho)[:, 1, 2]).max() > 1e-3
-        # those |g,1><g,0| coherences break the X form the concurrences rely on
-        with pytest.raises(FormError, match="X form"):
-            traj.concurrences
+        assert traj.solver["worst_g0_coherence"] == np.abs(np.array(traj.rho)[:, :2, 2]).max()
+        assert traj.solver["worst_g0_coherence"] > 1e-3
+        # those |g,1><g,0| coherences leave 2|rho_{e0,g1}| the exact concurrence
+        for c, m in zip(traj.concurrences, traj.rho):
+            assert abs(c - wootters_concurrence(DensityMatrix3(m))) <= 1e-14
+
+    def test_a_generator_that_breaks_hermiticity_is_caught(self):
+        # an imaginary |g,0><g,0| gain that no entry depends on: the Hermitian
+        # part evolves exactly as under rhs, the propagated state does not
+        def skew(m, params):
+            out = rhs(m, params)
+            out[2][2] += 0.5j * m[0][0]
+            return out
+
+        taus = np.linspace(0.1, 3.0, 30)
+        with pytest.raises(
+            IntegrationError, match=r"^matrix is not Hermitian within 1e-10 at tau=0.1$"
+        ):
+            integrate(ModelParams(xi=2.0), taus, rhs_fn=skew)
 
     def test_trajectory_holds_tuples_of_python_numbers(self):
         traj = integrate(ModelParams(xi=1.5), np.linspace(0.0, 2.0, 21))
@@ -188,7 +207,7 @@ class TestIntegration:
         assert {type(x) for m in traj.rho for row in m for x in row} == {complex}
         for name in ("p_e0", "p_g1", "p_g0", "concurrences"):
             assert {type(x) for x in getattr(traj, name)} == {float}, name
-        assert traj.concurrences == tuple(xstate_concurrence(s) for s in traj.states)
+        assert traj.concurrences == tuple(map(xstate_concurrence, traj.rho))
 
 
 def _steps(taus):
@@ -253,7 +272,7 @@ class TestFailureModes:
             params, np.array([0.0, 1.0]),
             rhs_fn=lambda m, params: [[0.0] * 3 for _ in range(3)],
         )
-        assert np.allclose(traj.states[-1].matrix, np.diag([1.0, 0.0, 0.0]))
+        assert np.allclose(DensityMatrix3(traj.rho[-1]).matrix, np.diag([1.0, 0.0, 0.0]))
 
     def test_trace_violation_is_caught(self):
         params = ModelParams(xi=2.0)
@@ -287,7 +306,7 @@ class TestFailureModes:
             at_zero = integrate(params, np.array([0.0]), rhs_fn=stiff)
             with pytest.raises(IntegrationError, match="trace .* at tau=0.5"):
                 integrate(params, np.array([0.0, 0.5]), rhs_fn=stiff)
-        assert (at_zero.states[0].matrix == np.diag([1.0, 0.0, 0.0])).all()
+        assert (DensityMatrix3(at_zero.rho[0]).matrix == np.diag([1.0, 0.0, 0.0])).all()
 
     def test_growing_generator_is_not_finite(self):
         params = ModelParams(xi=2.0)
@@ -355,7 +374,7 @@ class TestStackedValidation:
         assert rho.shape == (401, 3, 3)
         # each state is exactly Hermitian: the symmetrised part of the propagated one
         assert (rho == rho.conj().swapaxes(1, 2)).all()
-        states = traj.states
+        states = list(map(DensityMatrix3, traj.rho))
         # reference: each sample checked on its own, as a loop of single matrices
         low = [float(np.linalg.eigvalsh(m).min()) for m in rho]
         drift = [float(abs(m.trace().real - 1.0)) for m in rho]

@@ -119,6 +119,15 @@ class TestSampleBath:
         with pytest.raises(DomainError):
             sample_bath(ModelParams(xi=1.0), n_modes=2, window=100.0)
 
+    @pytest.mark.parametrize("window, limit", [(2.0, 0.4 * 2.0**1.5), (10.0, 10.0), (40.0, 40.0)])
+    def test_xi_at_the_window_limit_tracks_the_continuum(self, window, limit):
+        taus = np.linspace(0.0, 3.0, 301)
+        traj = evolve(sample_bath(ModelParams(xi=limit), int(50 * window) + 1, window), taus)
+        ce, _ = _amplitude_arrays(limit, taus)
+        assert np.abs(traj.p_e - np.square(ce)).max() <= 5e-3
+        with pytest.raises(DomainError, match=f"exceeds {limit:.6g}, .* window W = {window} "):
+            sample_bath(ModelParams(xi=math.nextafter(limit, math.inf)), 101, window)
+
 
 class TestEvolve:
     def test_zero_horizon(self):

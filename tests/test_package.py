@@ -17,8 +17,8 @@ EXPORTS = {
     "analytic": ("OptimumRecord", "amplitudes", "c_max", "concurrence", "t_opt_formula"),
     "battery": ("CheckResult", "VerificationReport"),
     "entanglement": ("wootters_concurrence",),
-    "errors": ("DomainError", "EigensolverError", "FormError", "IntegrationError",
-               "InvariantError", "TargetNotReachable"),
+    "errors": ("DomainError", "EigensolverError", "IntegrationError", "InvariantError",
+               "TargetNotReachable"),
     "lindblad": ("LindbladTrajectory", "integrate", "rhs"),
     "model": ("DensityMatrix3", "ModelParams", "PureAmplitudes", "params_from_physical",
               "pure_to_density", "tau_from_time", "xstate_concurrence"),
@@ -54,7 +54,7 @@ print(json.dumps({"star": [k for k in ns if k != "__builtins__"], "foreign": for
                   "dir": dir(lorentzbath), "missing": missing}))
 """
     out = json.loads(_fresh(probe, json.dumps(EXPORTS)))
-    assert out["star"] == NAMES and len(NAMES) == 41
+    assert out["star"] == NAMES and len(NAMES) == 40
     assert out["foreign"] == []
     assert set(NAMES) <= set(out["dir"]) and set(EXPORTS) <= set(out["dir"])
     assert out["missing"] == "AttributeError"
