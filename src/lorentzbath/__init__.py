@@ -11,6 +11,8 @@ registered in ``sys.modules`` and on the package by ``importlib``'s
 only the modules it uses.  Each name of ``__all__`` is served from its
 defining module on access (PEP 562).  ``LazyLoader`` is not
 thread-safe: load the package from one thread.
+``entanglement`` exports nothing: its full Wootters formula and the
+``EigensolverError`` it raises only confirm the exact ``xstate_concurrence``.
 """
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
@@ -21,8 +23,8 @@ from ._version import SCHEMA_VERSION, __version__
 _EXPORTS = {
     "analytic": "OptimumRecord amplitudes c_max concurrence t_opt_formula",
     "battery": "CheckResult VerificationReport",
-    "entanglement": "wootters_concurrence",
-    "errors": "DomainError EigensolverError IntegrationError InvariantError TargetNotReachable",
+    "entanglement": "",
+    "errors": "DomainError IntegrationError InvariantError TargetNotReachable",
     "lindblad": "LindbladTrajectory integrate rhs",
     "model": "DensityMatrix3 ModelParams PureAmplitudes params_from_physical "
              "pure_to_density tau_from_time xstate_concurrence",

@@ -209,17 +209,20 @@ def _check_entanglement(quick: bool, metadata: dict):
     for k, (tau, xi) in enumerate(pairs):
         (ce,), (cg,) = analytic._amplitude_arrays(xi, (tau,))
         rho = pure_to_density(PureAmplitudes(ce, 1j * cg))
+        (p, c, _), (_, q, _), (_, _, j) = rho.matrix
+        want = 2.0 * abs(ce) * abs(cg)
         if k % 2:  # add b (|psi><g,0| + h.c.), which b^2 <= p_g0 keeps positive
-            (p, c, _), (_, q, _), (_, _, j) = rho.matrix
             b = 0.5 * math.sqrt(j.real)
             rho = DensityMatrix3(((p, c, b * ce), (c.conjugate(), q, 1j * b * cg),
                                   (b * ce, -1j * b * cg, j)))
-        c = 2.0 * abs(ce) * abs(cg)
-        worst = max(worst, abs(entanglement.wootters_concurrence(rho) - c),
-                    abs(xstate_concurrence(rho) - c))
+        elif k % 4 == 2:  # a mixed {e0, g1} block: halving c keeps |c/2|^2 <= pq
+            rho = DensityMatrix3(((p, 0.5 * c, 0j), (0.5 * c.conjugate(), q, 0j), (0j, 0j, j)))
+            want *= 0.5
+        worst = max(worst, abs(entanglement.wootters_concurrence(rho) - want),
+                    abs(xstate_concurrence(rho) - want))
     return [CheckResult(
         "wootters_matches_closed_form", 1e-8, worst,
-        "full Wootters and 2|rho_e0,g1| vs 2|c_e0 c_g1|, half the states with |g,0> coherences",
+        "full Wootters and 2|rho_e0,g1| vs the closed form; 1/2 with |g,0> coherences, 1/4 mixed",
     )]
 
 

@@ -173,6 +173,14 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------ the parser
 
 
+def _add_method_flags(p: argparse.ArgumentParser):
+    p.add_argument("--method", choices=METHODS, default="analytic")
+    p.add_argument("--n-modes", type=int, default=DEFAULT_N_MODES,
+                   help="bath modes (multimode method only)")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW,
+                   help="bath half-width in units of kappa (multimode only)")
+
+
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
@@ -197,11 +205,7 @@ def build_parser():
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--tau-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=301)
-    p.add_argument("--method", choices=METHODS, default="analytic")
-    p.add_argument("--n-modes", type=int, default=DEFAULT_N_MODES,
-                   help="bath modes (multimode method only)")
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW,
-                   help="bath half-width in units of kappa (multimode only)")
+    _add_method_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_evolve)
 
@@ -212,9 +216,7 @@ def build_parser():
     p.add_argument("--xi-scale", choices=("log", "linear"), default="log")
     p.add_argument("--tau-max", type=float, default=3.0)
     p.add_argument("--tau-steps", type=int, default=301)
-    p.add_argument("--method", choices=METHODS, default="analytic")
-    p.add_argument("--n-modes", type=int, default=DEFAULT_N_MODES)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
+    _add_method_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_heatmap)
 
@@ -240,7 +242,7 @@ def build_parser():
     p = subs.add_parser("verify", help="run the cross-check battery")
     depth = p.add_mutually_exclusive_group()
     depth.add_argument("--quick", action="store_true",
-                       help="coarse grids, well under 30 s")
+                       help="fewer xi values, bath modes and random draws than --full")
     depth.add_argument("--full", action="store_true",
                        help="complete budgets (the default)")
     _add_output_flags(p)

@@ -65,8 +65,7 @@ class LindbladTrajectory(_Record):
     taus: tuple
     rho: tuple
     # deterministic counters: propagators (one per distinct interval), squarings, generator_calls,
-    # and over the samples worst_trace_drift, min_eigenvalue, worst_hermiticity_defect (max
-    # |y - y+| of the propagated y) and worst_g0_coherence (max |rho_{e0,g0}|, |rho_{g1,g0}|)
+    # then the report of validate_density over the propagated states
     solver: dict
 
     @property
@@ -225,10 +224,10 @@ def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
     from tau = 0) gets one propagator (:func:`_propagators`) on the entries
     that L connects to rho(0), kept as its nonzero entries, so a sample costs
     one matvec that skips the exact zeros.
-    Every state gets the checks of :func:`validate_density` as it was
-    propagated, and its Hermitian part is stored.  The earliest sample outside
-    its floors, or a propagator that is not finite, raises ``IntegrationError``
-    naming its tau.
+    The propagated states stream through :func:`validate_density`, which
+    checks each, returns the Hermitian parts that are stored and measures the
+    worst of them for ``solver``.  The earliest sample outside its floors, or
+    a propagator that is not finite, raises ``IntegrationError`` naming its tau.
 
     ``rhs_fn`` replaces the built-in generator (same signature as :func:`rhs`:
     a 3x3 nested sequence in and out, and linear like it: it is probed on the
@@ -262,34 +261,19 @@ def integrate(params: ModelParams, taus, *, rhs_fn=None) -> LindbladTrajectory:
     sparse = {h: [(block[i], block[j], x) for i, row in enumerate(e) for j, x in enumerate(row) if x]
               for h, e in zip(steps, propagators)}
 
-    propagated, rho, defect, leak = [], [], 0.0, 0.0
-    y = [1 + 0j] + [0j] * 8  # rho(0) = |e,0><e,0|
-    for h in intervals:
-        nxt = [0j] * 9
-        for i, j, x in sparse[h]:
-            nxt[i] += x * y[j]
-        y = nxt
-        propagated.append((y[0:3], y[3:6], y[6:9]))
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = y
-        defect = max(defect, abs(m01 - m10.conjugate()), abs(m02 - m20.conjugate()),
-                     abs(m12 - m21.conjugate()), 2.0 * abs(m00.imag), 2.0 * abs(m11.imag),
-                     2.0 * abs(m22.imag))
-        # the Hermitian part, (m + m+)/2
-        m01, m02, m12 = (0.5 * (m01 + m10.conjugate()), 0.5 * (m02 + m20.conjugate()),
-                         0.5 * (m12 + m21.conjugate()))
-        leak = max(leak, abs(m02), abs(m12))
-        rho.append(((complex(m00.real), m01, m02),
-                    (m01.conjugate(), complex(m11.real), m12),
-                    (m02.conjugate(), m12.conjugate(), complex(m22.real))))
+    def propagated():
+        y = [1 + 0j] + [0j] * 8  # rho(0) = |e,0><e,0|
+        for h in intervals:
+            y, last = [0j] * 9, y
+            for i, j, x in sparse[h]:
+                y[i] += x * last[j]
+            yield y[0:3], y[3:6], y[6:9]
+
     try:
-        low = validate_density(propagated)
+        rho, report = validate_density(propagated())
     except InvariantError as exc:
         raise IntegrationError(f"{exc} at tau={samples[exc.index]}") from None
-    solver = {
-        "propagators": len(steps), "squarings": squarings,
-        "generator_calls": len(L) + 1,  # one probe per basis matrix, one check
-        "worst_trace_drift": max(abs(m[0][0].real + m[1][1].real + m[2][2].real - 1.0) for m in rho),
-        "min_eigenvalue": min(low),
-        "worst_hermiticity_defect": defect, "worst_g0_coherence": leak,
-    }
+    # generator calls: one probe per basis matrix, one check
+    solver = {"propagators": len(steps), "squarings": squarings, "generator_calls": len(L) + 1,
+              **report}
     return LindbladTrajectory(samples, tuple(rho), solver)

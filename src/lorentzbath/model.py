@@ -8,8 +8,8 @@ rates, both in one unit of the caller's choosing, enter only through
 Each input is checked once, by the guards of ``errors``.  A state is one
 :class:`DensityMatrix3`, a 3x3 tuple of row tuples of complex, and the one
 shape guard; the one density-matrix validator :func:`validate_density`
-checks 3x3 matrices one at a time.  The exact concurrence of any state is
-:func:`xstate_concurrence`.  Everything here is scalar Python: no numpy.
+measures and symmetrises 3x3 matrices.  The exact concurrence of any state
+is :func:`xstate_concurrence`.  Everything here is scalar Python: no numpy.
 """
 
 from __future__ import annotations
@@ -65,19 +65,21 @@ class PureAmplitudes(_Record):
         return abs(self.c_e0) ** 2 + abs(self.c_g1) ** 2
 
 
-def validate_density(matrices) -> list:
-    """Check a sequence of 3x3 density matrices, each three rows of three
-    numbers, one matrix at a time; return the smallest eigenvalue of each.
+def validate_density(matrices) -> tuple[list, dict]:
+    """Check an iterable of 3x3 density matrices, each three rows of three
+    numbers, one at a time; return the Hermitian part (m + m+)/2 of each, as
+    three row tuples, and one report of the worst max |trace - 1|, smallest
+    eigenvalue, max |m - m+| and |g,0> coherence max |h_{e0,g0}|, |h_{g1,g0}|.
 
     In order: finite entries, Hermitian within 1e-10, trace 1 within 1e-9, and
-    no eigenvalue of the symmetrised matrix below -1e-9 (by
+    no eigenvalue of the Hermitian part h below -1e-9 (by
     :func:`_smallest_eigenvalue`).  The first failing matrix raises
     ``InvariantError`` for its first failed check, with ``index`` set to its
     position in ``matrices``.
     """
     from cmath import isfinite  # a compiled module that the closed form never needs
 
-    low = []
+    parts, drift, low, defect, leak = [], 0.0, math.inf, 0.0, 0.0
     for k, ((a, b, c), (d, e, f), (g, h, i)) in enumerate(matrices):
         m = a, b, c, d, e, f, g, h, i
         adjoint = (a.conjugate(), d.conjugate(), g.conjugate(), b.conjugate(), e.conjugate(),
@@ -85,21 +87,28 @@ def validate_density(matrices) -> list:
         trace = sum((a, e, i)).real
         if not all(map(isfinite, m)):
             message = "matrix has a non-finite entry"
-        elif max(map(abs, map(sub, m, adjoint))) > HERMITICITY_TOL:
+        elif (worst := max(map(abs, map(sub, m, adjoint)))) > HERMITICITY_TOL:
             message = "matrix is not Hermitian within 1e-10"
         elif abs(trace - 1.0) > TRACE_TOL:
             message = f"trace {trace} deviates from 1 beyond 1e-9"
         else:
-            # the spectrum of m + m+ is twice that of the symmetrised matrix,
+            doubled = list(map(add, m, adjoint))
+            half = [0.5 * x for x in doubled]  # before Jacobi overwrites doubled
+            # the spectrum of m + m+ is twice that of the Hermitian part,
             # exactly: Jacobi is homogeneous and doubling rounds nothing
-            low.append(0.5 * _smallest_eigenvalue(list(map(add, m, adjoint))))
-            if not low[-1] < EIGENVALUE_FLOOR:
+            eigenvalue = 0.5 * _smallest_eigenvalue(doubled)
+            if not eigenvalue < EIGENVALUE_FLOOR:
+                parts.append(((half[0], half[1], half[2]), (half[1].conjugate(), half[4], half[5]),
+                              (half[2].conjugate(), half[5].conjugate(), half[8])))
+                drift, low = max(drift, abs(trace - 1.0)), min(low, eigenvalue)
+                defect, leak = max(defect, worst), max(leak, abs(half[2]), abs(half[5]))
                 continue
             message = "matrix has an eigenvalue below -1e-9"
         exc = InvariantError(message)
         exc.index = k
         raise exc
-    return low
+    return parts, {"worst_trace_drift": drift, "min_eigenvalue": low,
+                   "worst_hermiticity_defect": defect, "worst_g0_coherence": leak}
 
 
 # the rotations of a row-major 3x3 matrix, one for each p < q: p, q, the
@@ -160,7 +169,7 @@ class DensityMatrix3(_Record, hide=("matrix",)):
         if len(m) != 3 or any(len(row) != 3 for row in m):
             raise InvariantError(f"expected a 3x3 matrix, got {self.matrix!r:.200}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_eigenvalue", validate_density([m])[0])
+        object.__setattr__(self, "min_eigenvalue", validate_density([m])[1]["min_eigenvalue"])
 
     @property
     def p_e0(self) -> float:

@@ -226,6 +226,14 @@ class TestEvolve:
 
 
 class TestHeatmap:
+    def test_help_describes_the_bath_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--n-modes N_MODES bath modes (multimode method only)" in text
+        assert "--window WINDOW bath half-width in units of kappa (multimode only)" in text
+
     def test_small_grid(self, capsys):
         assert main(
             ["heatmap", "--xi-min", "0.5", "--xi-max", "2.0", "--xi-steps", "3",

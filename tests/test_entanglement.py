@@ -180,7 +180,8 @@ class TestStacks:
     def test_battery_stack_is_the_per_state_battery(self, monkeypatch):
         # verify's Wootters row builds one state per (tau, xi) draw, the state
         # pure_to_density(amplitudes(...)) gives, every other one with the
-        # |g,0> coherence b (|psi><g,0| + h.c.), b^2 = p_g0/4, and reports the worst gap
+        # |g,0> coherence b (|psi><g,0| + h.c.), b^2 = p_g0/4, and every fourth
+        # one with rho_{e0,g1} and its concurrence halved; it reports the worst gap
         rng = random.Random(20240817)
         pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(200)]
         states = []
@@ -194,10 +195,23 @@ class TestStacks:
             want = np.array(pure_to_density(psi).matrix)
             coherence = 0.5 * np.sqrt(want[2, 2].real) * (k % 2) * np.array([psi.c_e0, psi.c_g1])
             want[:2, 2], want[2, :2] = coherence, coherence.conj()
+            half = 0.5 if k % 4 == 2 else 1.0
+            want[0, 1] *= half
+            want[1, 0] *= half
             assert (np.array(rho.matrix) == want).all()
-            c = 2.0 * abs(psi.c_e0) * abs(psi.c_g1)
+            c = half * (2.0 * abs(psi.c_e0) * abs(psi.c_g1))
             worst = max(worst, abs(wootters_concurrence(rho) - c), abs(xstate_concurrence(rho) - c))
         assert row.measured == worst
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    def test_battery_row_catches_a_wrong_concurrence_formula(self, monkeypatch, quick):
+        # 2 sqrt(p_e0 p_g1) is 2|rho_{e0,g1}| on a rank-1 {e0, g1} block only;
+        # the row's mixed blocks must tell them apart at both depths
+        monkeypatch.setattr(battery, "xstate_concurrence",
+                            lambda rho: 2.0 * (rho.p_e0 * rho.p_g1) ** 0.5)
+        (row,) = battery._check_entanglement(quick, {})
+        assert row.name == "wootters_matches_closed_form"
+        assert not row.passed and row.measured > 0.1
 
     def test_single_state_calls_return_float(self):
         rho = pure_to_density(PureAmplitudes(c_e0=0.6, c_g1=0.8j))

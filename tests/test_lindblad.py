@@ -356,9 +356,14 @@ class TestStackedValidation:
             post_init(self)
 
         def counting_validate(matrices):
+            assert iter(matrices) is matrices  # streamed, not kept beside rho
             counts["validations"] += 1
-            counts["matrices"] += len(matrices)
-            return validate(matrices)
+
+            def counted():
+                for m in matrices:
+                    counts["matrices"] += 1
+                    yield m
+            return validate(counted())
 
         monkeypatch.setattr(DensityMatrix3, "__post_init__", counting_post_init)
         monkeypatch.setattr(lindblad, "validate_density", counting_validate)

@@ -298,16 +298,54 @@ def _hermitian(rng, d, rank=None):
     return m / np.trace(m).real
 
 
+def _min_eigenvalue(m) -> float:
+    """The report's smallest eigenvalue of one matrix, validated on its own."""
+    return validate_density([m.tolist()])[1]["min_eigenvalue"]
+
+
 class TestValidateDensity:
     def test_returns_each_smallest_eigenvalue(self, rng):
+        # one matrix per call reports that matrix's smallest eigenvalue, and
+        # one call over all of them the smallest of those
         a = rng.normal(size=(2, 3, 3, 3)) + 1j * rng.normal(size=(2, 3, 3, 3))
         m = a @ a.conj().swapaxes(-1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-        low = validate_density(m.reshape(-1, 3, 3).tolist())
-        assert type(low) is list and len(low) == 6
-        for got, one in zip(low, m.reshape(-1, 3, 3)):
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2)).reshape(-1, 3, 3)
+        low = [_min_eigenvalue(one) for one in m]
+        for got, one in zip(low, m):
             assert abs(got - np.linalg.eigvalsh(one).min()) <= 1e-14
+        parts, report = validate_density(m.tolist())
+        assert type(parts) is list and len(parts) == 6
+        assert report["min_eigenvalue"] == min(low)
+
+    def test_parts_and_report_match_numpy(self, rng):
+        # states of rank 1-3 with |g,0> coherences, each plus an anti-Hermitian
+        # perturbation whose largest entry is at most 1e-11
+        states = []
+        for rank in (1, 2, 3):
+            for _ in range(100):
+                x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                anti = x - x.conj().T
+                states.append(_hermitian(rng, 3, rank)
+                              + rng.uniform(0.0, 1e-11) / np.abs(anti).max() * anti)
+        m = np.array(states)
+        adjoint = m.conj().swapaxes(1, 2)
+        parts, report = validate_density(iter(m.tolist()))
+        assert all(type(p) is tuple and all(type(row) is tuple for row in p) for p in parts)
+        h = np.array(parts)
+        assert h.tobytes() == (0.5 * (m + adjoint)).tobytes()  # bit for bit
+        assert (h == h.conj().swapaxes(1, 2)).all()
+        assert list(report) == ["worst_trace_drift", "min_eigenvalue", "worst_hermiticity_defect",
+                                "worst_g0_coherence"]
+        trace = m[:, 0, 0].real + m[:, 1, 1].real + m[:, 2, 2].real
+        assert report["worst_trace_drift"] == np.abs(trace - 1.0).max()
+        # the modulus as abs() takes it, by hypot; np.abs can differ in the last bit
+        defect = m - adjoint
+        assert report["worst_hermiticity_defect"] == np.hypot(defect.real, defect.imag).max()
+        assert 0.0 < report["worst_hermiticity_defect"] <= 2e-11
+        g0 = h[:, :2, 2]
+        assert report["worst_g0_coherence"] == np.hypot(g0.real, g0.imag).max() > 0.1
+        assert abs(report["min_eigenvalue"] - np.linalg.eigvalsh(h).min()) <= 1e-14
 
     @pytest.mark.parametrize("d", [3])
     @pytest.mark.parametrize("rank", [None, 1])
@@ -315,7 +353,7 @@ class TestValidateDensity:
         for _ in range(50):
             m = _hermitian(rng, d, rank)
             m = 0.5 * (m + m.conj().T)
-            (low,) = validate_density([m.tolist()])
+            low = _min_eigenvalue(m)
             norm = np.abs(np.linalg.eigvalsh(m)).max()
             assert abs(low - np.linalg.eigvalsh(m).min()) <= 1e-14 * norm
 
@@ -336,11 +374,14 @@ class TestValidateDensity:
         # |e0><e0| has the eigenvalue 0 twice; Jacobi has nothing to rotate
         m = np.zeros((3, 3), dtype=complex)
         m[0, 0] = 1.0
-        assert validate_density([m.tolist()]) == [0.0] == [np.linalg.eigvalsh(m).min()]
+        assert _min_eigenvalue(m) == 0.0 == np.linalg.eigvalsh(m).min()
 
     def test_plain_nested_sequences_of_any_number_type(self):
-        assert validate_density([((1, 0, 0), (0, 0, 0), (0, 0, 0))]) == [0.0]
-        assert validate_density([]) == []
+        parts, report = validate_density([((1, 0, 0), (0, 0, 0), (0, 0, 0))])
+        assert parts == [((1, 0, 0), (0, 0, 0), (0, 0, 0))] and report["min_eigenvalue"] == 0.0
+        assert validate_density([]) == ([], {"worst_trace_drift": 0.0, "min_eigenvalue": np.inf,
+                                             "worst_hermiticity_defect": 0.0,
+                                             "worst_g0_coherence": 0.0})
 
     def test_earliest_matrix_wins_over_check_order(self):
         good = np.diag([0.5, 0.5, 0.0]).astype(complex)
