@@ -1,16 +1,20 @@
-"""The verify battery: the producers of ``_CHECKS``, which ``sweep.verify`` runs in
-order, and the records of their rows.  No other command runs this module.
+"""The verify battery: the producers of ``_CHECKS``, the records of their rows,
+and :func:`run`, which runs them for ``sweep.verify``, those of
+``_ARRAY_CHECKS`` in a forked helper.  No other command runs this module.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import time
 from operator import sub
 
 from . import analytic, entanglement, sideband
 from . import lindblad as _lb
 from . import multimode as _mm
-from ._version import DEFAULT_WINDOW
+from ._version import DEFAULT_WINDOW, __version__
 from .errors import _Record
 from .model import DensityMatrix3, ModelParams, PureAmplitudes, pure_to_density, xstate_concurrence
 from .sweep import SweepGrid, _axis, _mutated_rhs, cmax_curve, evaluate, heatmap
@@ -205,7 +209,7 @@ def _check_entanglement(quick: bool, metadata: dict):
     rng = random.Random(20240817)
     # one (tau, xi) pair per state: tau first, then xi
     pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(60 if quick else 200)]
-    worst = 0.0
+    states, wants = [], []
     for k, (tau, xi) in enumerate(pairs):
         (ce,), (cg,) = analytic._amplitude_arrays(xi, (tau,))
         rho = pure_to_density(PureAmplitudes(ce, 1j * cg))
@@ -218,8 +222,12 @@ def _check_entanglement(quick: bool, metadata: dict):
         elif k % 4 == 2:  # a mixed {e0, g1} block: halving c keeps |c/2|^2 <= pq
             rho = DensityMatrix3(((p, 0.5 * c, 0j), (0.5 * c.conjugate(), q, 0j), (0j, 0j, j)))
             want *= 0.5
-        worst = max(worst, abs(entanglement.wootters_concurrence(rho) - want),
-                    abs(xstate_concurrence(rho) - want))
+        states.append(rho)
+        wants.append(want)
+    # one LAPACK batch over the padded stack, each state as its own call would give
+    full = entanglement._wootters(entanglement._padded(states)).tolist()
+    worst = max(max(abs(f - want), abs(xstate_concurrence(rho) - want))
+                for f, rho, want in zip(full, states, wants))
     return [CheckResult(
         "wootters_matches_closed_form", 1e-8, worst,
         "full Wootters and 2|rho_e0,g1| vs the closed form; 1/2 with |g,0> coherences, 1/4 mixed",
@@ -301,4 +309,113 @@ _CHECKS = (
     _check_mutation,
     _check_determinism,
 )
+# the producers that build arrays: verify runs them in a forked helper, so
+# numpy loads there, beside the scalar checks, and never in verify's process
+_ARRAY_CHECKS = (_check_multimode, _check_entanglement)
 
+
+# ------------------------------------------------------ running the battery
+
+
+def run(quick: bool) -> VerificationReport:
+    """The report of every producer of ``_CHECKS``, for ``sweep.verify``.
+
+    The producers of ``_ARRAY_CHECKS`` run in one helper process, forked
+    before any check starts; it imports numpy before its clocks start and
+    sends its rows back through a pipe.  Meanwhile this process runs the
+    other producers, numpy-free, and then merges all rows in ``_CHECKS``
+    order.  A helper that dies before it has sent them all turns each of its
+    producers into a ``check crashed`` row that says how it ended.  The helper is reaped on
+    every path, and killed first if this process is interrupted.  Where
+    ``os.fork`` does not exist, every producer runs here, in order.
+
+    Each check gets a dict of its own, to which the multimode one adds the
+    recurrence horizon of the bath it samples; the keys join the report's
+    metadata in ``_CHECKS`` order.  ``check_wall_s`` holds the time of each
+    producer, and ``wall_time_s`` the elapsed time of the whole battery,
+    which, beside the helper, is less than their sum.
+    """
+    t0, payload = time.perf_counter(), None
+    forked = [p for p in _CHECKS if p in _ARRAY_CHECKS and hasattr(os, "fork")]
+    pid, pipe = _fork_helper(forked, quick) if forked else (None, None)
+    try:
+        runs = {p: _run_check(p, quick) for p in _CHECKS if p not in forked}
+        if pid:
+            payload = pipe.read()
+    finally:
+        if pid:
+            pipe.close()
+            if payload is None:  # interrupted: the helper's rows are no longer wanted
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid:
+        runs.update(zip(forked, _helper_runs(forked, payload, status, time.perf_counter() - t0)))
+    results, wall = [], {}
+    metadata = {"artifact_version": __version__, "quick": quick}
+    for producer in _CHECKS:
+        rows, seconds, added = runs[producer]
+        results.extend(rows)
+        # the rows of one producer share its time; the rows themselves stay
+        # free of timings, so a data section's bytes repeat run to run
+        wall.update((r.name, seconds) for r in rows)
+        metadata.update(added)
+    metadata["check_wall_s"] = wall
+    metadata["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    return VerificationReport(checks=tuple(results), metadata=metadata)
+
+
+def _run_check(producer, quick: bool) -> tuple:
+    """One producer's rows, its seconds and the metadata it adds; a crash is one failing row."""
+    added, start = {}, time.perf_counter()
+    try:
+        rows = list(producer(quick, added))
+    except Exception as exc:
+        rows = [_crashed(producer, f"{type(exc).__name__}: {exc}")]
+    return rows, round(time.perf_counter() - start, 6), added
+
+
+def _crashed(producer, why: str) -> CheckResult:
+    name = producer.__name__.removeprefix("_check_")
+    return CheckResult(name, float("nan"), float("inf"), f"check crashed: {why}")
+
+
+def _fork_helper(producers: list, quick: bool):
+    """Fork the helper that runs ``producers``: its pid and the read end of its pipe.
+
+    The helper leaves by ``os._exit`` on every path, so it never returns into
+    the caller's code nor flushes the caller's stdout: status 0 once it has
+    written the pickled runs of ``producers``, 1 if anything raised first,
+    after writing that traceback to stderr.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        import numpy  # noqa: F401  -- loaded before the clocks start, so no check is charged for it
+
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps([_run_check(p, quick) for p in producers]))
+        status = 0
+    except Exception:  # an interrupt ends it silently, by the finally
+        import sys
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _helper_runs(producers: list, payload: bytes, status: int, seconds: float) -> list:
+    """The helper's runs, or, if it ended before it sent them, one crashed
+    row per producer that says how it ended."""
+    if status == 0 and payload:  # it exits 0 after writing them all, unless a check exited
+        return pickle.loads(payload)
+    how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+    return [([_crashed(p, f"verify helper {how}")], round(seconds, 6), {}) for p in producers]

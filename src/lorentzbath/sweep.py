@@ -10,7 +10,8 @@ emitted data is byte-identical serial or parallel.
 
 Grids, rows and curves are tuples of floats: numpy loads only where the
 multimode oracle or a verify check builds an array.  The checks live in
-``battery``, which only :func:`verify` runs.
+``battery``, which only :func:`verify` runs; its two array checks run in a
+forked helper, so verify's own process never loads numpy.
 """
 from __future__ import annotations
 
@@ -259,26 +260,10 @@ def _mutated_rhs(m, params: ModelParams):
 def verify(quick: bool = False) -> battery.VerificationReport:
     """Run every cross-check; a crash inside a check is that check failing.
 
-    Each check gets the report's metadata, to which the multimode one adds
-    the recurrence horizon of the bath it samples.
+    ``battery.run`` forks one helper for the two checks that build arrays,
+    which imports numpy beside the scalar checks, so this process never
+    loads numpy.  A helper that dies reads as a ``check crashed`` row per
+    producer that says how it ended.  ``check_wall_s`` holds the time of
+    each producer, and ``wall_time_s`` the elapsed time of the battery.
     """
-    import numpy  # noqa: F401  -- loaded before the clocks start, so no check is charged for it
-    t0 = time.perf_counter()
-    results, wall = [], {}
-    metadata = {"artifact_version": __version__, "quick": quick}
-    for producer in battery._CHECKS:
-        start, done = time.perf_counter(), len(results)
-        try:
-            results.extend(producer(quick, metadata))
-        except Exception as exc:
-            results.append(battery.CheckResult(
-                producer.__name__.removeprefix("_check_"), float("nan"), float("inf"),
-                f"check crashed: {type(exc).__name__}: {exc}",
-            ))
-        # the rows of one producer share its time; the rows themselves stay
-        # free of timings, so a data section's bytes repeat run to run
-        seconds = round(time.perf_counter() - start, 6)
-        wall.update((r.name, seconds) for r in results[done:])
-    metadata["check_wall_s"] = wall
-    metadata["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    return battery.VerificationReport(checks=tuple(results), metadata=metadata)
+    return battery.run(quick)

@@ -50,16 +50,21 @@ class TestTwoQubitDensity:
             DensityMatrix3(np.eye(4, dtype=complex) / 4.0)
 
     def test_embed_layout(self, monkeypatch):
-        # the padding of the empty |e,1> level: row and column 0 are zero
-        padded = []
-        monkeypatch.setattr(entanglement, "_wootters", padded.append)
+        # the padding of the empty |e,1> level: row and column 0 are zero, for
+        # one state and for each state of the battery's one stacked call
+        stacks, states = [], []
+        monkeypatch.setattr(entanglement, "_wootters", lambda m: stacks.append(m) or _wootters(m))
+        monkeypatch.setattr(battery, "xstate_concurrence",
+                            lambda rho: states.append(rho) or xstate_concurrence(rho))
         rho3 = pure_to_density(PureAmplitudes(c_e0=0.6, c_g1=0.8j))
         wootters_concurrence(rho3)
-        (rho4,) = padded
-        assert rho4.shape == (4, 4)
-        assert not rho4[0, :].any() and not rho4[:, 0].any()
-        assert (rho4[1:, 1:] == np.array(rho3.matrix)).all()
-        assert rho4[1, 2] == rho3.coherence
+        battery._check_entanglement(True, {})
+        one, stack = stacks
+        assert one.shape == (4, 4) and stack.shape == (60, 4, 4)
+        for rho4, rho in zip((one, *stack), (rho3, *states), strict=True):
+            assert not rho4[0, :].any() and not rho4[:, 0].any()
+            assert (rho4[1:, 1:] == np.array(rho.matrix)).all()
+            assert rho4[1, 2] == rho.coherence
 
     def test_embed_validates_once_and_a_hand_built_state_always(self, monkeypatch):
         validate, checked = model.validate_density, []
@@ -177,20 +182,30 @@ class TestXState:
 
 
 class TestStacks:
+    @staticmethod
+    def _battery_states(monkeypatch, quick):
+        """The row, its states and its one padded stack, spied on their way."""
+        stacks, states = [], []
+        monkeypatch.setattr(entanglement, "_wootters", lambda m: stacks.append(m) or _wootters(m))
+        monkeypatch.setattr(battery, "xstate_concurrence",
+                            lambda rho: states.append(rho) or xstate_concurrence(rho))
+        (row,) = battery._check_entanglement(quick, {})
+        monkeypatch.undo()
+        (stack,) = stacks
+        return row, states, stack
+
     def test_battery_stack_is_the_per_state_battery(self, monkeypatch):
         # verify's Wootters row builds one state per (tau, xi) draw, the state
         # pure_to_density(amplitudes(...)) gives, every other one with the
         # |g,0> coherence b (|psi><g,0| + h.c.), b^2 = p_g0/4, and every fourth
-        # one with rho_{e0,g1} and its concurrence halved; it reports the worst gap
+        # one with rho_{e0,g1} and its concurrence halved; it hands them to
+        # _wootters as one padded stack and reports the worst gap
         rng = random.Random(20240817)
         pairs = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 8.0)) for _ in range(200)]
-        states = []
-        monkeypatch.setattr(entanglement, "wootters_concurrence",
-                            lambda rho: states.append(rho) or wootters_concurrence(rho))
-        (row,) = battery._check_entanglement(False, {})
-        assert len(states) == len(pairs)
+        row, states, stack = self._battery_states(monkeypatch, False)
+        assert len(states) == len(pairs) and stack.shape == (len(pairs), 4, 4)
         worst = 0.0
-        for k, (rho, (tau, xi)) in enumerate(zip(states, pairs)):
+        for k, (rho, padded, (tau, xi)) in enumerate(zip(states, stack, pairs)):
             psi = amplitudes(ModelParams(xi=xi), tau)
             want = np.array(pure_to_density(psi).matrix)
             coherence = 0.5 * np.sqrt(want[2, 2].real) * (k % 2) * np.array([psi.c_e0, psi.c_g1])
@@ -198,10 +213,17 @@ class TestStacks:
             half = 0.5 if k % 4 == 2 else 1.0
             want[0, 1] *= half
             want[1, 0] *= half
-            assert (np.array(rho.matrix) == want).all()
+            assert (np.array(rho.matrix) == want).all() and (padded[1:, 1:] == want).all()
             c = half * (2.0 * abs(psi.c_e0) * abs(psi.c_g1))
             worst = max(worst, abs(wootters_concurrence(rho) - c), abs(xstate_concurrence(rho) - c))
         assert row.measured == worst
+
+    def test_stacked_wootters_is_the_per_state_value_bit_for_bit(self, monkeypatch):
+        # LAPACK takes the stack one matrix at a time: every concurrence of the
+        # one batched call has the bits of its own single-state call
+        _, states, stack = self._battery_states(monkeypatch, False)
+        per_state = np.array([wootters_concurrence(rho) for rho in states])
+        assert _wootters(stack).tobytes() == per_state.tobytes()
 
     @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
     def test_battery_row_catches_a_wrong_concurrence_formula(self, monkeypatch, quick):

@@ -1,7 +1,11 @@
+import math
+import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -440,22 +444,35 @@ class TestVerify:
         ]
         assert report.metadata["recurrence_horizon"]["n_modes"] == 501
 
-    def test_numpy_is_loaded_before_the_first_check_runs(self):
-        # otherwise the first check that builds an array is charged numpy's import
+    def test_numpy_loads_in_the_helper_and_never_in_verifys_process(self):
+        # the scalar checks run beside numpy's import, not after it; the helper
+        # has numpy loaded before its first producer runs, leaves the cold numpy
+        # modules unloaded to its end, and is reaped
         probe = (
-            "import sys\n"
+            "import os, sys\n"
             "from lorentzbath import battery, sweep\n"
-            "seen = ['numpy' in sys.modules]\n"
             "def first(quick, metadata):\n"
-            "    seen.append('numpy' in sys.modules)\n"
-            "    return []\n"
-            "battery._CHECKS = (first,)\n"
-            "sweep.verify(quick=True)\n"
-            "print(*seen)\n"
+            "    metadata['numpy_at_first_check'] = 'numpy' in sys.modules\n"
+            "    return battery._check_multimode(quick, metadata)\n"
+            "def last(quick, metadata):\n"
+            "    rows = battery._check_entanglement(quick, metadata)\n"
+            "    metadata['cold'] = [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules]\n"
+            "    return rows\n"
+            "swap = {battery._check_multimode: first, battery._check_entanglement: last}\n"
+            "battery._CHECKS = tuple(swap.get(p, p) for p in battery._CHECKS)\n"
+            "battery._ARRAY_CHECKS = (first, last)\n"
+            "report = sweep.verify(quick=True)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    children = 'left'\n"
+            "except ChildProcessError:\n"
+            "    children = 'none'\n"
+            "print(report.passed, report.metadata['numpy_at_first_check'], 'numpy' in sys.modules,\n"
+            "      children, *report.metadata['cold'])\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["True", "True", "False", "none"]
 
     def test_report_failure_aggregation(self):
         nan, inf = float("nan"), float("inf")
@@ -482,3 +499,141 @@ class TestVerify:
             assert check.passed is holds, check.name
         floors = [c.name for c in report.checks if c.floor]
         assert floors == ["cmax_saturates_at_xi_100", "harness_detects_mutated_generator"]
+
+
+def _scalar(quick, metadata):
+    return [CheckResult("scalar", 1.0, 0.5)]
+
+
+def _array(quick, metadata):
+    metadata["from_helper"] = os.getpid()
+    return [CheckResult("array", 1.0, 0.25)]
+
+
+def _last(quick, metadata):
+    return [CheckResult("last", 1.0, 0.75)]
+
+
+class TestVerifyHelper:
+    """``verify`` forks one helper for ``battery._ARRAY_CHECKS``; every way it
+    can end gives a report, and the helper never outlives the call."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def _battery(monkeypatch, helper):
+        monkeypatch.setattr(battery, "_CHECKS", (_scalar, helper, _array, _last))
+        monkeypatch.setattr(battery, "_ARRAY_CHECKS", (helper, _array))
+
+    @staticmethod
+    def _reaped(pid):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_the_helper_runs_the_array_checks_and_rows_keep_their_order(self, monkeypatch, forks):
+        def multimode(quick, metadata):
+            return [CheckResult("helper_first", 1.0, 0.0), CheckResult("helper_second", 1.0, 0.0)]
+
+        self._battery(monkeypatch, multimode)
+        report = verify(quick=True)
+        (pid,) = forks
+        self._reaped(pid)
+        assert report.passed
+        assert [c.name for c in report.checks] == [
+            "scalar", "helper_first", "helper_second", "array", "last",
+        ]
+        assert report.metadata["from_helper"] == pid
+        assert list(report.metadata) == [
+            "artifact_version", "quick", "from_helper", "check_wall_s", "wall_time_s",
+        ]
+
+    def test_a_raising_helper_producer_is_one_crashed_row_in_its_slot(self, monkeypatch, forks):
+        def entanglement(quick, metadata):
+            raise RuntimeError("boom")
+
+        self._battery(monkeypatch, entanglement)
+        report = verify(quick=True)
+        self._reaped(*forks)
+        assert [c.name for c in report.checks] == ["scalar", "entanglement", "array", "last"]
+        crashed = report.checks[1]
+        assert math.isnan(crashed.budget) and crashed.measured == math.inf
+        assert crashed.detail == "check crashed: RuntimeError: boom"
+        assert [c.passed for c in report.checks] == [True, False, True, True]
+
+    @pytest.mark.parametrize("ending, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(0), "exited with status 0"),
+    ], ids=["exit-3", "killed", "exit-0"])
+    def test_a_helper_that_dies_crashes_each_of_its_rows(self, monkeypatch, forks, ending, how):
+        def multimode(quick, metadata):
+            ending()
+
+        self._battery(monkeypatch, multimode)
+        report = verify(quick=True)
+        self._reaped(*forks)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("scalar", True), ("multimode", False), ("_array", False), ("last", True),
+        ]
+        assert {c.detail for c in report.checks[1:3]} == {f"check crashed: verify helper {how}"}
+        assert list(report.metadata) == ["artifact_version", "quick", "check_wall_s", "wall_time_s"]
+
+    def test_an_interrupted_verify_kills_and_reaps_its_helper(self, monkeypatch, forks):
+        def multimode(quick, metadata):
+            time.sleep(60.0)
+
+        def interrupted(quick, metadata):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(battery, "_CHECKS", (interrupted, multimode))
+        monkeypatch.setattr(battery, "_ARRAY_CHECKS", (multimode,))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify(quick=True)
+        assert time.perf_counter() - start < 30.0
+        self._reaped(*forks)
+
+    def test_without_fork_every_producer_runs_here(self, monkeypatch, forks):
+        self._battery(monkeypatch, _scalar)
+        monkeypatch.delattr(os, "fork")
+        report = verify(quick=True)
+        assert report.passed and forks == []
+        assert report.metadata["from_helper"] == os.getpid()
+
+    def test_no_helper_without_an_array_check(self, monkeypatch, forks):
+        monkeypatch.setattr(battery, "_CHECKS", (_scalar, _last))
+        assert verify(quick=True).passed and forks == []
+
+    def test_the_cli_writes_its_report_once_with_a_crashed_helper_row(self):
+        # were the helper to return into the caller, the table would come twice
+        probe = (
+            "import sys\n"
+            "from lorentzbath import battery\n"
+            "from lorentzbath.cli import main\n"
+            "def entanglement(quick, metadata):\n"
+            "    raise RuntimeError('boom')\n"
+            "battery._CHECKS = tuple(entanglement if p is battery._check_entanglement else p\n"
+            "                        for p in battery._CHECKS)\n"
+            "battery._ARRAY_CHECKS = (battery._check_multimode, entanglement)\n"
+            "sys.exit(main(['verify', '--quick']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "FAIL entanglement: check crashed: RuntimeError: boom\n"
+        assert proc.stdout.count("name,budget,measured,status") == 1
+        assert proc.stdout.count("# overall: ") == 1
+        rows = [line.split(",")[0] for line in proc.stdout.splitlines()[-25:]]
+        assert rows[rows.index("weak_coupling_golden_rule") + 1] == "entanglement"
+        assert "multimode_jc_limit" in rows
